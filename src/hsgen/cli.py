@@ -17,7 +17,7 @@ from pathlib import Path
 from .builder import build_hs
 from .executor import ExecPolicy
 from .matcore import Dims, InputError, InvariantError, rel_frob_error
-from .probgen import ProblemSpec, generate, preset_dims, validate_instance
+from .probgen import ProblemSpec, generate, preset_dims
 from .reference import h_reference, s_reference
 from .report import (
     HEAVY_SECTIONS,
@@ -155,6 +155,11 @@ def cmd_run(args) -> int:
     except StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    indir = Path(args.indir)
+    report_path = Path(args.report) if args.report else indir / "report.json"
+    if not report_path.parent.is_dir():
+        print(f"error: report directory {report_path.parent} does not exist", file=sys.stderr)
+        return EXIT_FAILURE
     t0 = time.perf_counter()
     try:
         out = build_hs(inst, policy)
@@ -163,9 +168,6 @@ def cmd_run(args) -> int:
         return EXIT_INVARIANT
     wall = time.perf_counter() - t0
 
-    indir = Path(args.indir)
-    write_matrix(indir / "H.hsm", out.h.matrix)
-    write_matrix(indir / "S.hsm", out.s.matrix)
     sections = summarize(out.ledger, PEAK_GFLOPS_COMBINED)
     report = {
         "policy": {"workers": policy.workers, "tile": policy.tile, "mode": policy.mode},
@@ -175,8 +177,13 @@ def cmd_run(args) -> int:
         "total_flops": out.ledger.total_flops(),
         "sections": [_section_report_json(r) for r in sections],
     }
-    report_path = Path(args.report) if args.report else indir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    try:
+        write_matrix(indir / "H.hsm", out.h.matrix)
+        write_matrix(indir / "S.hsm", out.s.matrix)
+        report_path.write_text(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     print(format_table(sections))
     print(f"split: {out.split.hpd} factored, {out.split.nonhpd} fallback; "
           f"wall time {wall:.3f} s; wrote {indir / 'H.hsm'}, {indir / 'S.hsm'}, {report_path}")
@@ -194,7 +201,6 @@ def cmd_verify(args) -> int:
               f"({ORACLE_GUARD_NG}); pass --force to run anyway", file=sys.stderr)
         return EXIT_USAGE
     try:
-        validate_instance(inst)
         out = build_hs(inst)
     except InvariantError as exc:
         print(f"error: instance invariant violated: {exc}", file=sys.stderr)

@@ -117,7 +117,8 @@ def _run_tiles(tiles, worker, workers: int) -> None:
         list(pool.map(worker, tiles))
 
 
-def _gemm_tiled(alpha, opa, a, opb, b, beta, c, policy: ExecPolicy) -> int:
+def _gemm_tiled(alpha, opa, a, opb, b, beta, c, policy: ExecPolicy) -> tuple[int, int]:
+    """Tiled gemm update of c in place; returns (bytes touched, tile count)."""
     a_ = _apply_op(opa, a, "a")
     b_ = _apply_op(opb, b, "b")
     if a_.shape[1] != b_.shape[0]:

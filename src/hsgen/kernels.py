@@ -8,6 +8,17 @@ contract to FMA on SIMD paths, which perturbs the last ulp; decomposing by
 hand keeps every element bit-identical to a scalar triple loop and makes
 results independent of tile shape, worker count, and operand strides.
 
+The accumulator keeps the real and imaginary parts on two separate float64
+planes, updated in place with ``out=`` ufuncs over preallocated scratch.
+This is bit-identical to accumulating complex rank-1 products: a complex
+add adds the two parts independently, and each scratch plane holds exactly
+the separated-formula term, computed with the same operands in the same
+order, so every element sees the same sequence of IEEE operations, signed
+zeros and infinities included.  NaN results land in the same places, but
+their sign and payload are not part of the contract: IEEE 754 leaves them
+unspecified, and numpy's SIMD body and scalar tail pick different operands
+to propagate.
+
 Scalar conventions follow BLAS: beta == 0 means the output is write-only,
 alpha == 0 skips the product entirely, and exact unit scalars pass values
 through bitwise.
@@ -154,12 +165,40 @@ def _cprod(u, v):
 
 
 def _acc_product(a, b):
-    """a @ b accumulated with ascending-k rank-1 updates."""
+    """a @ b accumulated with ascending-k rank-1 updates.
+
+    Per step only the k-th column of a and row of b are copied, into small
+    contiguous vectors; whole panels are never copied, so the working set
+    stays at the two accumulator planes plus two scratch planes.
+    """
     m, kk = a.shape
     _, n = b.shape
-    acc = np.zeros((m, n), dtype=np.complex128, order="F")
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    acc_r = np.zeros((m, n), order="F")
+    acc_i = np.zeros((m, n), order="F")
+    t1 = np.empty((m, n), order="F")
+    t2 = np.empty((m, n), order="F")
+    col = np.empty((2, m))
+    row = np.empty((2, n))
+    xr, xi = col[0, :, None], col[1, :, None]
+    yr, yi = row[0], row[1]
     for k in range(kk):
-        acc += _cprod(a[:, k, None], b[None, k, :])
+        np.copyto(col[0], ar[:, k])
+        np.copyto(col[1], ai[:, k])
+        np.copyto(yr, br[k])
+        np.copyto(yi, bi[k])
+        np.multiply(xr, yr, out=t1)
+        np.multiply(xi, yi, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.add(acc_r, t1, out=acc_r)
+        np.multiply(xr, yi, out=t1)
+        np.multiply(xi, yr, out=t2)
+        np.add(t1, t2, out=t1)
+        np.add(acc_i, t1, out=acc_i)
+    del t1, t2  # packing then peaks at the two planes plus the result
+    acc = np.empty((m, n), dtype=np.complex128, order="F")
+    acc.real = acc_r
+    acc.imag = acc_i
     return acc
 
 

@@ -5,6 +5,7 @@ directory together."""
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -34,21 +35,25 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise StorageError(f"{path}: file shorter than the 25-byte header")
-    magic, version, dtype, rows, cols = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise StorageError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION or dtype != _DTYPE_COMPLEX128:
-        raise StorageError(f"{path}: unsupported version/dtype {version}/{dtype}")
-    payload = data[_HEADER.size :]
-    if len(payload) != 16 * rows * cols:
-        raise StorageError(
-            f"{path}: payload is {len(payload)} bytes, expected {16 * rows * cols}"
-        )
-    flat = np.frombuffer(payload, dtype="<c16")
-    return np.asfortranarray(flat.reshape((rows, cols), order="F").astype(np.complex128))
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise StorageError(f"{path}: file shorter than the 25-byte header")
+        magic, version, dtype, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise StorageError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION or dtype != _DTYPE_COMPLEX128:
+            raise StorageError(f"{path}: unsupported version/dtype {version}/{dtype}")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != 16 * rows * cols:
+            raise StorageError(
+                f"{path}: payload is {payload} bytes, expected {16 * rows * cols}"
+            )
+        flat = np.fromfile(fh, dtype="<c16", count=rows * cols)
+    if flat.size != rows * cols:
+        raise StorageError(f"{path}: payload shrank while it was read")
+    # no copy on little-endian hosts, where '<c16' is the native complex128
+    return flat.astype(np.complex128, copy=False).reshape((rows, cols), order="F")
 
 
 def write_vector(path, v) -> None:
@@ -105,6 +110,16 @@ def save_instance(p: ProblemInstance, outdir, seed: int = 0,
     return manifest
 
 
+def _member(indir: Path, mpath: Path, fname) -> Path:
+    """indir / fname for a manifest entry that names a file inside indir."""
+    if (not isinstance(fname, str) or fname in ("", ".", "..")
+            or Path(fname).name != fname):
+        raise StorageError(
+            f"{mpath}: file name {fname!r} escapes the instance directory"
+        )
+    return indir / fname
+
+
 def load_instance(indir) -> ProblemInstance:
     """Read an instance directory back, checking shapes against the manifest."""
     indir = Path(indir)
@@ -140,7 +155,7 @@ def load_instance(indir) -> ProblemInstance:
                 f"{mpath}: {len(names)} {name} files listed, expected {dims.n_atoms}"
             )
         for fname in names:
-            path = indir / fname
+            path = _member(indir, mpath, fname)
             if not path.is_file():
                 raise StorageError(f"{path}: referenced by manifest but missing")
             blk = read_matrix(path)
@@ -155,7 +170,7 @@ def load_instance(indir) -> ProblemInstance:
             f"{mpath}: {len(unames)} u files listed, expected {dims.n_atoms}"
         )
     for fname in unames:
-        path = indir / fname
+        path = _member(indir, mpath, fname)
         if not path.is_file():
             raise StorageError(f"{path}: referenced by manifest but missing")
         u = read_vector(path)

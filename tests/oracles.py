@@ -144,6 +144,24 @@ def diag_scale_loops(u, b):
     return np.array(out, dtype=np.complex128)
 
 
+def acc_product_rank1(a, b):
+    """a @ b as ascending-k complex rank-1 updates into one complex accumulator.
+
+    The split real/imaginary-plane engine in hsgen.kernels must match this
+    bit for bit.
+    """
+    m, kk = a.shape
+    n = b.shape[1]
+    acc = np.zeros((m, n), dtype=np.complex128, order="F")
+    for k in range(kk):
+        u, v = a[:, k, None], b[None, k, :]
+        prod = np.empty((m, n), dtype=np.complex128)
+        prod.real = u.real * v.real - u.imag * v.imag
+        prod.imag = u.real * v.imag + u.imag * v.real
+        acc += prod
+    return acc
+
+
 def random_complex(rng, rows, cols, scale=1.0):
     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return np.asfortranarray(m * scale)

@@ -138,6 +138,26 @@ def test_run_invariant_violation(tmp_path):
     assert run_cli("run", "--in", str(inst)) == 3
 
 
+def test_run_missing_report_directory_fails_before_writing(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert run_cli("run", "--in", str(inst), "--report", str(report)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (inst / "H.hsm").exists() and not (inst / "S.hsm").exists()
+
+
+def test_run_unwritable_output_is_failure(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    (inst / "S.hsm").mkdir()  # a directory where the output file should go
+    assert run_cli("run", "--in", str(inst)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write outputs")
+
+
 def test_run_bad_tile_is_usage_error(tmp_path):
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "1", "--nl", "1", "--ng", "1", "--seed", "1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hsgen.kernels import (
     FlopLedger,
     FlopRecord,
     KernelKind,
+    _acc_product,
     diag_scale,
     flops_of,
     gemm,
@@ -395,6 +398,77 @@ def test_kernels_match_triple_loops_exactly():
         expected = oracles.diag_scale_loops(u, b3)
         diag_scale(u, b3)
         np.testing.assert_array_equal(b3, expected)
+
+
+# ---------------------------------------------------------------------------
+# accumulation engine: split real/imaginary planes vs the complex rank-1 loop
+
+
+@pytest.mark.parametrize("m,n,k", [(256, 256, 64), (128, 128, 200), (512, 512, 8)])
+def test_acc_product_bitwise_at_executor_tile_shapes(m, n, k):
+    rng = np.random.default_rng(m + n + k)
+    z = random_complex(rng, k, m)
+    b = random_complex(rng, k, n)
+    a = np.conj(z).T  # the executor passes the conj-transposed view
+    out = _acc_product(a, b)
+    assert out.flags.f_contiguous
+    assert out.tobytes() == oracles.acc_product_rank1(a, b).tobytes()
+
+
+def _canonical_nans(x):
+    """Copy of x with every NaN part replaced by numpy's default NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    numpy's own loops do not fix them: with numpy 2.4 on x86-64, adding
+    -nan and +nan yields -nan in the SIMD body of a contiguous loop and +nan
+    in its scalar tail, so NaN sign bits depend on an element's position,
+    not on its arithmetic.
+    """
+    out = np.array(x, dtype=np.complex128)
+    out.real[np.isnan(out.real)] = np.nan
+    out.imag[np.isnan(out.imag)] = np.nan
+    return out
+
+
+def _complex_from_parts(re, im):
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im  # re + 1j*im would turn an infinite im into a NaN real part
+    return z
+
+
+def test_acc_product_bitwise_with_signed_zeros_inf_nan():
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, -0.0, 1.5, -2.0, 0.25, np.inf, -np.inf, np.nan])
+    weights = np.array([0.25, 0.25, 0.15, 0.15, 0.17, 0.01, 0.01, 0.01])
+
+    def draw(shape):
+        return _complex_from_parts(rng.choice(values, shape, p=weights),
+                                   rng.choice(values, shape, p=weights))
+
+    a, b = draw((40, 5)), draw((5, 30))
+    with np.errstate(invalid="ignore"):
+        for x, y in [(a, b), (np.asfortranarray(a), b[:, ::-1])]:
+            out = _acc_product(x, y)
+            expected = oracles.acc_product_rank1(x, y)
+            assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
+            assert _canonical_nans(out).tobytes() == _canonical_nans(expected).tobytes()
+
+
+def test_acc_product_peak_memory_stays_near_output_size():
+    m, n, k = 128, 128, 784
+    rng = np.random.default_rng(5)
+    a = np.conj(random_complex(rng, k, m)).T
+    b = random_complex(rng, k, n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _acc_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # copying whole a/b panels would add 4 * 8 * k * (m + n) bytes (3.2 MB)
+    assert peak <= 3.1 * 16 * m * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,3 +119,37 @@ def test_load_detects_malformed_manifest(tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(StorageError, match="malformed"):
         load_instance(mpath.parent)
+
+
+@pytest.mark.parametrize("entry", ["absolute", "../outside.hsm"])
+def test_load_rejects_manifest_names_outside_the_directory(tmp_path, entry):
+    inst = tmp_path / "inst"
+    p = generate(ProblemSpec(Dims(2, 2, 3), seed=9))
+    save_instance(p, inst)
+    outside = tmp_path / "outside.hsm"
+    (inst / "a_0001.hsm").rename(outside)
+    name = str(outside) if entry == "absolute" else entry
+    mpath = inst / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["files"]["a"][0] = name
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="escapes the instance directory"):
+        load_instance(inst)
+
+
+def test_large_matrix_reads_without_payload_copies(tmp_path):
+    rng = np.random.default_rng(3)
+    m = random_complex(rng, 512, 512)  # 4 MiB payload
+    path = tmp_path / "big.hsm"
+    write_matrix(path, m)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes(order="F") == m.tobytes(order="F")
+    assert back.flags.f_contiguous
+    assert peak < 1.5 * m.nbytes
