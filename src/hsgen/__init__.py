@@ -5,7 +5,6 @@ accounting, and a tiled multi-worker executor."""
 
 from .builder import (
     BuildOutput,
-    CholeskySplit,
     SplitCounts,
     build_hs,
     build_phase1,
@@ -13,7 +12,7 @@ from .builder import (
     build_s,
     h_cross,
 )
-from .executor import ExecPolicy, ExecResult, Tile, TileMap, plan_tiles, run_partitioned
+from .executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
 from .kernels import (
     SECTIONS,
     FlopLedger,
@@ -29,7 +28,6 @@ from .kernels import (
     trmm_left_conjtrans,
 )
 from .matcore import (
-    BlockStack,
     DimensionError,
     Dims,
     Fill,

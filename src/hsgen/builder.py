@@ -25,7 +25,6 @@ from . import kernels
 from .executor import ExecPolicy, run_partitioned
 from .kernels import FlopLedger, KernelKind
 from .matcore import (
-    BlockStack,
     DimensionError,
     Fill,
     HermitianResult,
@@ -34,18 +33,6 @@ from .matcore import (
     zeros,
 )
 from .probgen import ProblemInstance, validate_instance
-
-
-@dataclass
-class CholeskySplit:
-    """Partition of atoms by AA-block factorization outcome, with the
-    stacked operands each path feeds into the final updates."""
-
-    hpd_atoms: list
-    nonhpd_atoms: list
-    y_hpd: BlockStack
-    x_nonhpd: BlockStack
-    a_nonhpd: BlockStack
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ def build_s(p: ProblemInstance, ledger: FlopLedger | None = None,
 def build_phase2(p: ProblemInstance, h: HermitianResult,
                  ledger: FlopLedger | None = None,
                  policy: ExecPolicy | None = None,
-                 force_nonhpd: bool = False) -> CholeskySplit:
+                 force_nonhpd: bool = False) -> SplitCounts:
     """Per-atom Cholesky split and the AA contribution to H (in place).
 
     Atoms whose AA block factors go through the triangular-multiply path
@@ -152,11 +139,6 @@ def build_phase2(p: ProblemInstance, h: HermitianResult,
     y_buf = zeros(k, n_g)
     x_buf = zeros(k, n_g)
     a_buf = zeros(k, n_g)
-    hpd_atoms: list[int] = []
-    nonhpd_atoms: list[int] = []
-    y_views: list[np.ndarray] = []
-    x_views: list[np.ndarray] = []
-    a_views: list[np.ndarray] = []
     y_rows = x_rows = 0
 
     for a in range(n_a):
@@ -170,8 +152,6 @@ def build_phase2(p: ProblemInstance, h: HermitianResult,
             yv = y_buf[y_rows : y_rows + n_l, :]
             yv[:] = _timed(ledger, "Loop 2", KernelKind.TRMM, (n_l, n_g),
                            lambda: kernels.trmm_left_conjtrans(factor, p.a_blocks[a]))
-            hpd_atoms.append(a)
-            y_views.append(yv)
             y_rows += n_l
         else:
             xv = x_buf[x_rows : x_rows + n_l, :]
@@ -179,12 +159,9 @@ def build_phase2(p: ProblemInstance, h: HermitianResult,
                    lambda: kernels.hemm_left(1, p.t_aa[a], p.a_blocks[a], 0, xv))
             av = a_buf[x_rows : x_rows + n_l, :]
             av[:] = p.a_blocks[a]
-            nonhpd_atoms.append(a)
-            x_views.append(xv)
-            a_views.append(av)
             x_rows += n_l
 
-    if nonhpd_atoms:
+    if x_rows:
         res = run_partitioned(
             KernelKind.GEMM,
             (1, "C", a_buf[:x_rows], "N", x_buf[:x_rows], 1, h.matrix),
@@ -192,20 +169,14 @@ def build_phase2(p: ProblemInstance, h: HermitianResult,
         )
         if ledger is not None:
             ledger.add(KernelKind.GEMM, (n_g, n_g, x_rows), res.seconds, "H2")
-    if hpd_atoms:
+    if y_rows:
         res = run_partitioned(
             KernelKind.HERK, (1, y_buf[:y_rows], 1, h.matrix), policy
         )
         if ledger is not None:
             ledger.add(KernelKind.HERK, (n_g, y_rows), res.seconds, "H3")
 
-    return CholeskySplit(
-        hpd_atoms,
-        nonhpd_atoms,
-        BlockStack(y_views, y_buf[:y_rows]),
-        BlockStack(x_views, x_buf[:x_rows]),
-        BlockStack(a_views, a_buf[:x_rows]),
-    )
+    return SplitCounts(y_rows // n_l, x_rows // n_l)
 
 
 def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
@@ -219,6 +190,4 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
     s = build_s(p, ledger, policy)
     split = build_phase2(p, h, ledger, policy, force_nonhpd=force_nonhpd)
     h_full = HermitianResult(hermitian_mirror(h.matrix), Fill.FULL)
-    return BuildOutput(
-        h_full, s, SplitCounts(len(split.hpd_atoms), len(split.nonhpd_atoms)), ledger
-    )
+    return BuildOutput(h_full, s, split, ledger)

@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--in", dest="indir", required=True)
     run.add_argument("--workers", type=int, default=_default_workers())
     run.add_argument("--tile", type=int, default=512)
-    run.add_argument("--mode", choices=("serial", "tiled"), default="tiled")
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")
 
     ver = sub.add_parser("verify", help="compare the assembly against the reference oracle")
@@ -146,7 +145,7 @@ def _section_report_json(r: SectionReport) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        policy = ExecPolicy(workers=args.workers, tile=args.tile, mode=args.mode)
+        policy = ExecPolicy(workers=args.workers, tile=args.tile)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -170,7 +169,7 @@ def cmd_run(args) -> int:
 
     sections = summarize(out.ledger, PEAK_GFLOPS_COMBINED)
     report = {
-        "policy": {"workers": policy.workers, "tile": policy.tile, "mode": policy.mode},
+        "policy": {"workers": policy.workers, "tile": policy.tile},
         "split": {"hpd": out.split.hpd, "nonhpd": out.split.nonhpd},
         "peak_gflops": PEAK_GFLOPS_COMBINED,
         "total_seconds": wall,

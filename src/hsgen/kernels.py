@@ -19,6 +19,11 @@ their sign and payload are not part of the contract: IEEE 754 leaves them
 unspecified, and numpy's SIMD body and scalar tail pick different operands
 to propagate.
 
+GEMM, HERK and HER2K share one per-tile engine: a checked list of product
+terms, the exact product of each term on one output tile, and one tail
+that writes the tile.  The public ``gemm``, ``herk`` and ``her2k`` run it
+on the one-tile plan; the executor runs it on a planned grid of tiles.
+
 Scalar conventions follow BLAS: beta == 0 means the output is write-only,
 alpha == 0 skips the product entirely, and exact unit scalars pass values
 through bitwise.
@@ -228,52 +233,88 @@ def _as_real(scalar, what: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# the per-tile engine
 
 
-def gemm(alpha, opa: str, a, opb: str, b, beta, c):
-    """c <- alpha*op(a)*op(b) + beta*c (ops: N, T, C). Updates c in place."""
-    a_ = _apply_op(opa, a, "a")
-    b_ = _apply_op(opb, b, "b")
-    if a_.shape[1] != b_.shape[0]:
-        raise DimensionError(
-            f"inner dimensions disagree: op(a) {a_.shape} vs op(b) {b_.shape}"
-        )
-    if c.shape != (a_.shape[0], b_.shape[1]):
-        raise DimensionError(
-            f"c has shape {c.shape}, expected {(a_.shape[0], b_.shape[1])}"
-        )
-    prod = None if alpha == 0 else _scaled(alpha, _acc_product(a_, b_))
-    if prod is None:
-        if beta == 0:
-            c[:] = 0
-        elif beta != 1:
-            c[:] = _cprod(beta, c)
-        return c
-    if beta == 0:
-        c[:] = prod
-    elif beta == 1:
-        c[:] = prod + c
+@dataclass(frozen=True)
+class Tile:
+    """Output rows [row0, row1) x columns [col0, col1); a diagonal tile of a
+    triangular output stores only its lower triangle."""
+
+    row0: int
+    row1: int
+    col0: int
+    col1: int
+    diagonal: bool = False
+
+
+def plan_tiles(rows: int, cols: int, tile: int, triangular: bool = False) -> list[Tile]:
+    """Canonical row-major tile grid over the stored output region.
+
+    For triangular outputs (square only) tiles strictly above the diagonal
+    block row are omitted and diagonal tiles are flagged.
+    """
+    if rows < 1 or cols < 1 or tile < 1:
+        raise InputError(f"rows, cols, tile must be positive, got {(rows, cols, tile)}")
+    if triangular and rows != cols:
+        raise InputError(f"triangular maps need a square output, got {(rows, cols)}")
+    tiles = []
+    for br in range((rows + tile - 1) // tile):
+        r0, r1 = br * tile, min((br + 1) * tile, rows)
+        for bc in range((cols + tile - 1) // tile):
+            if triangular and bc > br:
+                continue
+            c0, c1 = bc * tile, min((bc + 1) * tile, cols)
+            tiles.append(Tile(r0, r1, c0, c1, triangular and bc == br))
+    return tiles
+
+
+def _terms(kind: KernelKind, operands: tuple):
+    """Check one GEMM/HERK/HER2K update; return ``(terms, beta, c)``.
+
+    ``terms`` lists the ``(scalar, left, right)`` products whose sum, in
+    order, is the update's product: one for GEMM and HERK, two for HER2K
+    (alpha*z^H*b, then conj(alpha)*b^H*z).  The kind alone decides the term
+    count, so ``her2k(alpha, z, z, ...)`` still adds both terms.
+    """
+    if kind is KernelKind.GEMM:
+        alpha, opa, a, opb, b, beta, c = operands
+        a_ = _apply_op(opa, a, "a")
+        b_ = _apply_op(opb, b, "b")
+        if a_.shape[1] != b_.shape[0]:
+            raise DimensionError(
+                f"inner dimensions disagree: op(a) {a_.shape} vs op(b) {b_.shape}"
+            )
+        if c.shape != (a_.shape[0], b_.shape[1]):
+            raise DimensionError(
+                f"c has shape {c.shape}, expected {(a_.shape[0], b_.shape[1])}"
+            )
+        return [(alpha, a_, b_)], beta, c
+    if kind is KernelKind.HERK:
+        alpha, z, beta, c = operands
+        alpha = _as_real(alpha, "herk alpha")
+        beta = _as_real(beta, "herk beta")
+    elif kind is KernelKind.HER2K:
+        alpha, z, b, beta, c = operands
+        beta = _as_real(beta, "her2k beta")
+        if z.shape != b.shape:
+            raise DimensionError(f"z shape {z.shape} != b shape {b.shape}")
     else:
-        c[:] = prod + _cprod(beta, c)
-    return c
+        raise InputError(f"no tiled update for {kind!r}")
+    n = z.shape[1]
+    if c.shape != (n, n):
+        raise DimensionError(f"c has shape {c.shape}, expected {(n, n)}")
+    zh = np.conj(z).T
+    if kind is KernelKind.HERK:
+        return [(alpha, zh, z)], beta, c
+    return [(alpha, zh, b), (np.conj(complex(alpha)), np.conj(b).T, z)], beta, c
 
 
-def hemm_left(alpha, t, b, beta, c):
-    """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower triangle."""
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionError(f"t must be square, got {t.shape}")
-    if b.shape[0] != t.shape[0]:
-        raise DimensionError(f"t rows {t.shape[0]} != b rows {b.shape[0]}")
-    if c.shape != b.shape:
-        raise DimensionError(f"c shape {c.shape} != b shape {b.shape}")
-    return gemm(alpha, "N", hermitian_mirror(t), "N", b, beta, c)
-
-
-def _update_lower(c, prod, beta):
-    """Lower-triangle variant of the gemm tail; zeroes diagonal imaginaries."""
-    n = c.shape[0]
-    sel = np.tril_indices(n)
+def _tail(c, prod, beta, lower: bool) -> None:
+    """c <- prod + beta*c on c's stored region; ``prod`` None is a zero
+    product.  ``lower`` stores only the lower triangle and makes the
+    diagonal real."""
+    sel = np.tril_indices(c.shape[0]) if lower else ...
     if prod is None:
         if beta == 0:
             c[sel] = 0
@@ -287,37 +328,64 @@ def _update_lower(c, prod, beta):
             c[sel] = pv + c[sel]
         else:
             c[sel] = pv + _cprod(beta, c[sel])
-    d = np.diag_indices(n)
-    c[d] = c[d].real
+    if lower:
+        d = np.diag_indices(c.shape[0])
+        c[d] = c[d].real
+
+
+def _tile_worker(terms, beta, c):
+    """``work(tile)``: the exact product of every term on one output tile,
+    summed in order, then the tail; tiles never share an output element."""
+
+    def work(t: Tile) -> None:
+        rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
+        prod = None
+        for scalar, left, right in terms:
+            if scalar == 0:
+                continue
+            p = _scaled(scalar, _acc_product(left[rows], right[:, cols]))
+            prod = p if prod is None else prod + p
+        _tail(c[rows, cols], prod, beta, t.diagonal)
+
+    return work
+
+
+def _whole(kind: KernelKind, operands: tuple):
+    """Run one update as the one-tile plan; returns the output."""
+    terms, beta, c = _terms(kind, operands)
+    m, n = c.shape
+    _tile_worker(terms, beta, c)(Tile(0, m, 0, n, diagonal=kind is not KernelKind.GEMM))
     return c
+
+
+# ---------------------------------------------------------------------------
+# kernels
+
+
+def gemm(alpha, opa: str, a, opb: str, b, beta, c):
+    """c <- alpha*op(a)*op(b) + beta*c (ops: N, T, C). Updates c in place."""
+    return _whole(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c))
+
+
+def hemm_left(alpha, t, b, beta, c):
+    """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower triangle."""
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise DimensionError(f"t must be square, got {t.shape}")
+    if b.shape[0] != t.shape[0]:
+        raise DimensionError(f"t rows {t.shape[0]} != b rows {b.shape[0]}")
+    if c.shape != b.shape:
+        raise DimensionError(f"c shape {c.shape} != b shape {b.shape}")
+    return gemm(alpha, "N", hermitian_mirror(t), "N", b, beta, c)
 
 
 def herk(alpha, a, beta, c):
     """Lower triangle of c <- alpha*a^H*a + beta*c; alpha, beta real."""
-    alpha = _as_real(alpha, "herk alpha")
-    beta = _as_real(beta, "herk beta")
-    n = a.shape[1]
-    if c.shape != (n, n):
-        raise DimensionError(f"c has shape {c.shape}, expected {(n, n)}")
-    prod = None if alpha == 0 else _scaled(alpha, _acc_product(np.conj(a).T, a))
-    return _update_lower(c, prod, beta)
+    return _whole(KernelKind.HERK, (alpha, a, beta, c))
 
 
 def her2k(alpha, z, b, beta, c):
     """Lower triangle of c <- alpha*z^H*b + conj(alpha)*b^H*z + beta*c; beta real."""
-    beta = _as_real(beta, "her2k beta")
-    if z.shape != b.shape:
-        raise DimensionError(f"z shape {z.shape} != b shape {b.shape}")
-    n = z.shape[1]
-    if c.shape != (n, n):
-        raise DimensionError(f"c has shape {c.shape}, expected {(n, n)}")
-    if alpha == 0:
-        prod = None
-    else:
-        left = _scaled(alpha, _acc_product(np.conj(z).T, b))
-        right = _scaled(np.conj(complex(alpha)), _acc_product(np.conj(b).T, z))
-        prod = left + right
-    return _update_lower(c, prod, beta)
+    return _whole(KernelKind.HER2K, (alpha, z, b, beta, c))
 
 
 def trmm_left_conjtrans(c_factor, a):

@@ -8,7 +8,7 @@ mirrored once at the end of a build.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,22 +160,3 @@ class HermitianResult:
             if off > scale:
                 raise InvariantError("matrix is not Hermitian within tolerance")
 
-
-@dataclass
-class BlockStack:
-    """Ordered per-atom blocks sharing a column count.
-
-    ``realized`` caches the vertical concatenation; when supplied by a
-    builder it must equal ``stack(blocks)``.
-    """
-
-    blocks: list = field(default_factory=list)
-    realized: np.ndarray | None = None
-
-    def realize(self) -> np.ndarray:
-        if self.realized is None:
-            self.realized = stack(self.blocks)
-        return self.realized
-
-    def __len__(self) -> int:
-        return len(self.blocks)

@@ -31,7 +31,9 @@ def write_matrix(path, m) -> None:
         raise StorageError(f"{path}: only 2-D matrices can be written")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, _VERSION, _DTYPE_COMPLEX128, m.shape[0], m.shape[1]))
-        fh.write(np.asfortranarray(m).astype("<c16", copy=False).tobytes(order="F"))
+        # the transpose of the column-major array is C-contiguous, so its
+        # buffer is the column-major payload and is written without a copy
+        fh.write(np.asfortranarray(m).astype("<c16", copy=False).T)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -132,6 +134,8 @@ def load_instance(indir) -> ProblemInstance:
         files = manifest["files"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"{mpath}: malformed manifest ({exc})") from exc
+    if not isinstance(files, dict) or not all(isinstance(v, list) for v in files.values()):
+        raise StorageError(f"{mpath}: malformed manifest (files must map fields to lists)")
 
     shapes = {
         "a": (dims.n_l, dims.n_g),

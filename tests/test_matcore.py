@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hsgen.matcore import (
-    BlockStack,
     DimensionError,
     Dims,
     Fill,
@@ -153,10 +152,3 @@ def test_hermitian_result_mirrored():
     assert res.fill is Fill.FULL
     assert hermitian_defect(res.matrix) == 0.0
 
-
-def test_block_stack_realize():
-    rng = np.random.default_rng(11)
-    blocks = [random_complex(rng, 2, 4) for _ in range(3)]
-    bs = BlockStack(blocks)
-    np.testing.assert_array_equal(bs.realize(), stack(blocks))
-    assert len(bs) == 3

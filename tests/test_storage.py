@@ -121,6 +121,18 @@ def test_load_detects_malformed_manifest(tmp_path):
         load_instance(mpath.parent)
 
 
+@pytest.mark.parametrize("files", [[1, 2], "abc", {"a": 5}, None])
+def test_load_rejects_files_that_are_not_lists(tmp_path, files):
+    p = generate(ProblemSpec(Dims(2, 2, 3), seed=8))
+    save_instance(p, tmp_path)
+    mpath = tmp_path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["files"] = files
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="malformed"):
+        load_instance(tmp_path)
+
+
 @pytest.mark.parametrize("entry", ["absolute", "../outside.hsm"])
 def test_load_rejects_manifest_names_outside_the_directory(tmp_path, entry):
     inst = tmp_path / "inst"
@@ -153,3 +165,20 @@ def test_large_matrix_reads_without_payload_copies(tmp_path):
     assert back.tobytes(order="F") == m.tobytes(order="F")
     assert back.flags.f_contiguous
     assert peak < 1.5 * m.nbytes
+
+
+def test_large_matrix_writes_without_payload_copies(tmp_path):
+    rng = np.random.default_rng(4)
+    m = random_complex(rng, 512, 512)  # 4 MiB payload
+    path = tmp_path / "big.hsm"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_matrix(path, m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * m.nbytes
+    assert path.read_bytes()[25:] == m.tobytes(order="F")
+    assert read_matrix(path).tobytes() == m.tobytes()
