@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 runtime/tolerance failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
@@ -143,6 +145,27 @@ def _section_report_json(r: SectionReport) -> dict:
     }
 
 
+def _write_all(outputs) -> None:
+    """Write each ``(path, write)`` output as a set: ``write(tmp)`` fills a
+    temporary sibling of ``path``, and the temporaries replace their paths
+    only after every write succeeded.  On OSError no temporary is left and
+    every earlier output stays as it was."""
+    for path, _ in outputs:
+        if path.is_dir():  # os.replace cannot put a file there
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in outputs]
+    try:
+        for (_, write), tmp in zip(outputs, temps):
+            write(tmp)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except OSError:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_run(args) -> int:
     try:
         policy = ExecPolicy(workers=args.workers, tile=args.tile)
@@ -177,9 +200,11 @@ def cmd_run(args) -> int:
         "sections": [_section_report_json(r) for r in sections],
     }
     try:
-        write_matrix(indir / "H.hsm", out.h.matrix)
-        write_matrix(indir / "S.hsm", out.s.matrix)
-        report_path.write_text(json.dumps(report, indent=2) + "\n")
+        _write_all([
+            (indir / "H.hsm", lambda p: write_matrix(p, out.h.matrix)),
+            (indir / "S.hsm", lambda p: write_matrix(p, out.s.matrix)),
+            (report_path, lambda p: p.write_text(json.dumps(report, indent=2) + "\n")),
+        ])
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -19,6 +19,12 @@ their sign and payload are not part of the contract: IEEE 754 leaves them
 unspecified, and numpy's SIMD body and scalar tail pick different operands
 to propagate.
 
+POTRF is right-looking on the same two-plane layout: after each column
+it subtracts that column's rank-1 term from the whole trailing block.
+Every element still receives its subtractions one at a time in ascending
+column order, so the factor is bit-identical to the left-looking scalar
+loop it replaces.
+
 GEMM, HERK and HER2K share one per-tile engine: a checked list of product
 terms, the exact product of each term on one output tile, and one tail
 that writes the tile.  The public ``gemm``, ``herk`` and ``her2k`` run it
@@ -407,28 +413,37 @@ def potrf_lower(t):
     the matrix.  On failure returns ``(None, k)`` where k is the 1-based
     order of the first non-positive leading minor; failure is an expected
     data condition consumed by the builder's branch logic, not an error.
+
+    Right-looking on two float64 planes: once column j of the factor is
+    formed, ``L[i,j]*conj(L[m,j])`` is subtracted from the whole trailing
+    block with the separated formula.  Every element still receives the
+    same subtractions, in the same ascending column order, as the
+    left-looking scalar loop, and the diagonal's ``lr*lr - li*(-li)`` equals that loop's
+    ``lr*lr + li*li``, so factors and failure indices are bit-identical to
+    it.
     """
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionError(f"potrf needs a square matrix, got {t.shape}")
     n = t.shape[0]
-    low = np.tril(t)
-    if not np.isfinite(low).all():
+    w = np.array(np.tril(t), dtype=np.complex128, order="F")
+    if not np.isfinite(w).all():
         raise InputError("potrf input contains non-finite entries")
+    wr, wi = w.real, w.imag  # the trailing matrix as two float64 planes
     factor = zeros(n, n)
     for j in range(n):
-        d = float(t[j, j].real)
-        for k in range(j):
-            ljk = factor[j, k]
-            d -= ljk.real * ljk.real + ljk.imag * ljk.imag
+        d = float(wr[j, j])
         if not d > 0.0:
             return None, j + 1
         ljj = math.sqrt(d)
         factor[j, j] = ljj
         if j + 1 < n:
-            col = np.array(t[j + 1 :, j], dtype=np.complex128)
-            for k in range(j):
-                col -= _cprod(factor[j + 1 :, k], np.conj(factor[j, k]))
-            factor[j + 1 :, j] = col / ljj
+            r = slice(j + 1, n)
+            # complex-by-float division, as the scalar loop divides
+            np.divide(w[r, j], ljj, out=factor[r, j])
+            ur, ui = factor.real[r, j], factor.imag[r, j]
+            vi = -ui  # conj(L[m, j]).imag
+            wr[r, r] -= ur[:, None] * ur - ui[:, None] * vi
+            wi[r, r] -= ur[:, None] * vi + ui[:, None] * ur
     return factor, 0
 
 

@@ -86,20 +86,31 @@ def stack(blocks) -> np.ndarray:
     return out
 
 
+#: Columns per panel of ``hermitian_mirror``: bounds the index arrays of
+#: the diagonal block, the only fancy indexing left.
+_MIRROR_PANEL = 256
+
+
 def hermitian_mirror(m: np.ndarray) -> np.ndarray:
     """Full Hermitian matrix from the lower triangle of ``m``.
 
     The upper triangle is overwritten with the conjugate transpose of the
     strict lower triangle and diagonal imaginary parts are dropped; the
     lower triangle passes through bit-identically, which makes the
-    operation idempotent.
+    operation idempotent.  The upper triangle is filled one column panel
+    at a time, written in place from the panel's transposed rows, so the
+    working set beyond the copy stays at one diagonal block.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermitian_mirror needs a square matrix, got {m.shape}")
     n = m.shape[0]
     out = np.array(m, dtype=np.complex128, order="F", copy=True)
-    iu = np.triu_indices(n, k=1)
-    out[iu] = np.conj(out.T[iu])
+    for j0 in range(0, n, _MIRROR_PANEL):
+        j1 = min(j0 + _MIRROR_PANEL, n)
+        np.conj(out[j0:j1, :j0].T, out=out[:j0, j0:j1])
+        blk = out[j0:j1, j0:j1]
+        iu = np.triu_indices(j1 - j0, k=1)
+        blk[iu] = np.conj(blk.T[iu])
     d = np.diag_indices(n)
     out[d] = out[d].real
     return out

@@ -6,6 +6,8 @@ reads the output, exact unit scalars pass through).  No code is shared
 with the package under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -160,6 +162,53 @@ def acc_product_rank1(a, b):
         prod.imag = u.real * v.imag + u.imag * v.real
         acc += prod
     return acc
+
+
+def _cprod(u, v):
+    u = np.asarray(u)
+    v = np.asarray(v)
+    out = np.empty(np.broadcast(u, v).shape, dtype=np.complex128)
+    out.real = u.real * v.real - u.imag * v.imag
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
+
+
+def potrf_loops(t):
+    """Left-looking Cholesky, one column at a time with a scalar loop over k.
+
+    The right-looking plane update in hsgen.kernels.potrf_lower must match
+    this bit for bit: factors, and ``(None, k)`` failure indices.
+    """
+    n = t.shape[0]
+    factor = np.zeros((n, n), dtype=np.complex128, order="F")
+    for j in range(n):
+        d = float(t[j, j].real)
+        for k in range(j):
+            ljk = factor[j, k]
+            d -= ljk.real * ljk.real + ljk.imag * ljk.imag
+        if not d > 0.0:
+            return None, j + 1
+        ljj = math.sqrt(d)
+        factor[j, j] = ljj
+        if j + 1 < n:
+            col = np.array(t[j + 1 :, j], dtype=np.complex128)
+            for k in range(j):
+                col -= _cprod(factor[j + 1 :, k], np.conj(factor[j, k]))
+            factor[j + 1 :, j] = col / ljj
+    return factor, 0
+
+
+def mirror_triu_indices(m):
+    """Full Hermitian matrix from m's lower triangle by one fancy-indexed
+    assignment over all upper-triangle indices; the panel-wise
+    hsgen.matcore.hermitian_mirror must match it bit for bit."""
+    n = m.shape[0]
+    out = np.array(m, dtype=np.complex128, order="F", copy=True)
+    iu = np.triu_indices(n, k=1)
+    out[iu] = np.conj(out.T[iu])
+    d = np.diag_indices(n)
+    out[d] = out[d].real
+    return out
 
 
 def random_complex(rng, rows, cols, scale=1.0):

@@ -171,6 +171,40 @@ def test_run_unwritable_output_is_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write outputs")
 
 
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
+def test_failed_run_keeps_earlier_outputs_and_leaves_no_temporaries(tmp_path, monkeypatch):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    assert run_cli("run", "--in", str(inst)) == 0
+    (inst / "H.hsm").write_bytes(b"earlier H")  # a new run would replace it
+    earlier = _tree_bytes(tmp_path)
+
+    # S fails to write after H has gone to its temporary, as on a full disk
+    write_matrix = cli.write_matrix
+
+    def write_or_fail(path, m):
+        if "S.hsm" in path.name:
+            raise OSError(28, "No space left on device")
+        write_matrix(path, m)
+
+    monkeypatch.setattr(cli, "write_matrix", write_or_fail)
+    assert run_cli("run", "--in", str(inst)) == 1
+    assert _tree_bytes(tmp_path) == earlier
+    monkeypatch.undo()
+
+    # S.hsm taken by a directory, which no file can replace
+    (inst / "S.hsm").unlink()
+    (inst / "S.hsm").mkdir()
+    earlier = _tree_bytes(tmp_path)
+    assert run_cli("run", "--in", str(inst)) == 1
+    assert _tree_bytes(tmp_path) == earlier
+
+
 def test_run_bad_tile_is_usage_error(tmp_path):
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "1", "--nl", "1", "--ng", "1", "--seed", "1",

@@ -19,6 +19,7 @@ from hsgen.kernels import (
 )
 from hsgen.matcore import (
     DimensionError,
+    Dims,
     InputError,
     InvariantError,
     as_cmatrix,
@@ -26,6 +27,7 @@ from hsgen.matcore import (
     rel_frob_error,
     zeros,
 )
+from hsgen.probgen import ProblemSpec, generate
 
 import oracles
 from oracles import random_complex, random_hermitian
@@ -308,6 +310,47 @@ def test_potrf_reads_only_lower_triangle():
     f1, _ = potrf_lower(t)
     f2, _ = potrf_lower(junk)
     assert f1.tobytes() == f2.tobytes()
+
+
+def _potrf_bitwise_cases():
+    for n_l, seeds in ((49, (1, 2, 3)), (121, (4, 5))):
+        for seed in seeds:
+            spec = ProblemSpec(Dims(4, n_l, 1), seed=seed, nonhpd_fraction=0.25)
+            yield from generate(spec).t_aa
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 33, 64, 128):
+        eigs = rng.uniform(0.5, 2.0, n)
+        yield random_hermitian(rng, n, eigs)
+        eigs[int(rng.integers(0, n))] = -rng.uniform(0.01, 0.5)
+        yield random_hermitian(rng, n, eigs)
+    # exact-zero couplings, with negative zeros among them
+    diag = zeros(6, 6)
+    diag[np.diag_indices(6)] = rng.uniform(0.5, 2.0, 6)
+    diag[np.tril_indices(6, -1)] = complex(-0.0, -0.0)
+    yield diag
+    block = zeros(12, 12)
+    block[:5, :5] = random_hermitian(rng, 5, rng.uniform(0.5, 2.0, 5))
+    block[5:, 5:] = random_hermitian(rng, 7, rng.uniform(0.5, 2.0, 7))
+    block[5:, :5] = complex(0.0, -0.0)
+    yield block
+    bad = block.copy()
+    bad[5:, 5:] = random_hermitian(rng, 7, [1.0, 2.0, -0.3, 1.5, 0.7, 1.1, 0.9])
+    yield bad
+
+
+def test_potrf_matches_scalar_loop_bitwise():
+    cases = list(_potrf_bitwise_cases())
+    failures = 0
+    for t in cases:
+        got, info = potrf_lower(t)
+        want, want_info = oracles.potrf_loops(t)
+        assert info == want_info
+        if want is None:
+            assert got is None
+            failures += 1
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert 0 < failures < len(cases)
 
 
 # ---------------------------------------------------------------------------

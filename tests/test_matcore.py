@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hsgen.matcore import (
     stack,
 )
 
+import oracles
 from oracles import random_complex
 
 
@@ -107,6 +110,35 @@ def test_mirror_random_is_hermitian_and_idempotent():
 def test_mirror_requires_square():
     with pytest.raises(DimensionError):
         hermitian_mirror(as_cmatrix([[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 600])
+def test_mirror_matches_triu_indices_form_bitwise(n):
+    rng = np.random.default_rng(n)
+    values = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    m = np.empty((n, n), dtype=np.complex128, order="F")
+    m.real = rng.choice(values, (n, n))  # parts set apart: inf*1j would make NaNs
+    m.imag = rng.choice(values, (n, n))
+    before = m.tobytes()
+    out = hermitian_mirror(m)
+    assert m.tobytes() == before
+    assert out.tobytes() == oracles.mirror_triu_indices(m).tobytes()
+    assert hermitian_mirror(out).tobytes() == out.tobytes()
+
+
+def test_mirror_peak_memory_stays_near_matrix_size():
+    n = 1024
+    m = random_complex(np.random.default_rng(4), n, n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        hermitian_mirror(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # full-size upper-triangle index arrays and gathers peaked at 2.5x
+    assert peak <= 1.5 * m.nbytes
 
 
 def test_rel_frob_error():
