@@ -3,15 +3,7 @@ from per-atom coefficient and coupling blocks, with a brute-force
 reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 
-from .builder import (
-    BuildOutput,
-    SplitCounts,
-    build_hs,
-    build_phase1,
-    build_phase2,
-    build_s,
-    h_cross,
-)
+from .builder import BuildOutput, SplitCounts, build_hs
 from .executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
 from .kernels import (
     SECTIONS,
@@ -30,7 +22,6 @@ from .kernels import (
 from .matcore import (
     DimensionError,
     Dims,
-    Fill,
     HermitianResult,
     InputError,
     InvariantError,
@@ -39,7 +30,6 @@ from .matcore import (
     hermitian_mirror,
     is_hermitian,
     rel_frob_error,
-    stack,
     zeros,
 )
 from .probgen import (

@@ -9,9 +9,14 @@ FlopLedger with its section tag; the five large updates are dispatched
 through the executor under the caller's policy while the per-atom small
 kernels run inline on the coordinating thread.
 
-Scratch memory (the Z stack, the B snapshot, and the three split stacks)
-is allocated once per build and sized from the dimensions up front, so the
-allocation pattern stays compatible with pinned-buffer reuse.
+The atoms are processed in chunks of ``_CHUNK_BYTES // (16 n_l n_g)``
+atoms (at least one).  Each chunk copies its A and B rows into scratch
+buffers, runs the whole pipeline on them, adds its share of the five
+large updates to the lower triangles of H and S, and is dropped, so the
+scratch memory is three ``chunk·n_l × n_g`` buffers however many atoms
+there are.  The chunk grid depends only on the dimensions, never on the
+policy; a build that fits in one chunk calls every kernel on the same
+operands in the same order as one update over all atoms.
 """
 
 from __future__ import annotations
@@ -24,15 +29,11 @@ import numpy as np
 from . import kernels
 from .executor import ExecPolicy, run_partitioned
 from .kernels import FlopLedger, KernelKind
-from .matcore import (
-    DimensionError,
-    Fill,
-    HermitianResult,
-    hermitian_mirror,
-    stack,
-    zeros,
-)
+from .matcore import HermitianResult, hermitian_mirror, zeros
 from .probgen import ProblemInstance, validate_instance
+
+#: Bytes of one chunk's operand buffer; sets the atoms per chunk.
+_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -49,145 +50,89 @@ class BuildOutput:
     ledger: FlopLedger
 
 
-def _timed(ledger, section, kind, dims, fn):
-    t0 = time.perf_counter()
-    out = fn()
-    if ledger is not None:
-        ledger.add(kind, dims, time.perf_counter() - t0, section)
-    return out
-
-
-def build_phase1(p: ProblemInstance, ledger: FlopLedger | None = None):
-    """Per-atom Z_a = (T_ab)^H A_a + 1/2 T_bb B_a, stacked alongside B.
-
-    The conjugate-transpose op on the gemm realizes the BA coupling block
-    without materializing it.  Returns ``(z_stack, b_stack)``.
-    """
-    n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
-    z_stack = zeros(n_a * n_l, n_g)
-    b_stack = stack(p.b_blocks)
-    for a in range(n_a):
-        zv = z_stack[a * n_l : (a + 1) * n_l, :]
-        _timed(ledger, "Loop 1", KernelKind.GEMM, (n_l, n_g, n_l),
-               lambda: kernels.gemm(1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, zv))
-        _timed(ledger, "Loop 1", KernelKind.HEMM, (n_l, n_g),
-               lambda: kernels.hemm_left(0.5, p.t_bb[a], p.b_blocks[a], 1, zv))
-    return z_stack, b_stack
-
-
-def h_cross(z_stack, b_stack, ledger: FlopLedger | None = None,
-            policy: ExecPolicy | None = None) -> HermitianResult:
-    """Cross-term partial of H: lower triangle of Z^H B + B^H Z."""
-    if z_stack.shape != b_stack.shape:
-        raise DimensionError(
-            f"z stack {z_stack.shape} and b stack {b_stack.shape} must match"
-        )
-    policy = policy or ExecPolicy()
-    k, n_g = z_stack.shape
-    h = zeros(n_g, n_g)
-    res = run_partitioned(KernelKind.HER2K, (1, z_stack, b_stack, 0, h), policy)
-    if ledger is not None:
-        ledger.add(KernelKind.HER2K, (n_g, k), res.seconds, "H1")
-    return HermitianResult(h, Fill.LOWER)
-
-
-def build_s(p: ProblemInstance, ledger: FlopLedger | None = None,
-            policy: ExecPolicy | None = None) -> HermitianResult:
-    """S from the stacked A blocks and the norm-scaled stacked B blocks.
-
-    The scaling happens on a scratch copy, so the instance's B blocks are
-    observably unchanged.
-    """
-    policy = policy or ExecPolicy()
-    n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
-    k = n_a * n_l
-    s = zeros(n_g, n_g)
-
-    a_stack = stack(p.a_blocks)
-    res = run_partitioned(KernelKind.HERK, (1, a_stack, 0, s), policy)
-    if ledger is not None:
-        ledger.add(KernelKind.HERK, (n_g, k), res.seconds, "S1")
-
-    b_scratch = stack(p.b_blocks)
-    u_all = np.concatenate([np.asarray(u) for u in p.u_norms])
-    _timed(ledger, "U norm", KernelKind.DIAG_SCALE, (k, n_g),
-           lambda: kernels.diag_scale(u_all, b_scratch))
-
-    res = run_partitioned(KernelKind.HERK, (1, b_scratch, 1, s), policy)
-    if ledger is not None:
-        ledger.add(KernelKind.HERK, (n_g, k), res.seconds, "S2")
-    return HermitianResult(hermitian_mirror(s), Fill.FULL)
-
-
-def build_phase2(p: ProblemInstance, h: HermitianResult,
-                 ledger: FlopLedger | None = None,
-                 policy: ExecPolicy | None = None,
-                 force_nonhpd: bool = False) -> SplitCounts:
-    """Per-atom Cholesky split and the AA contribution to H (in place).
-
-    Atoms whose AA block factors go through the triangular-multiply path
-    and one stacked rank-k update ("H3"); the rest go through the
-    Hermitian-multiply path and one stacked gemm ("H2").  A failed
-    factorization is routing data, not an error, and is not charged to the
-    ledger.  ``force_nonhpd`` is a test hook that sends every atom down
-    the failure path without attempting the factorization.
-    """
-    policy = policy or ExecPolicy()
-    n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
-    k = n_a * n_l
-
-    y_buf = zeros(k, n_g)
-    x_buf = zeros(k, n_g)
-    a_buf = zeros(k, n_g)
-    y_rows = x_rows = 0
-
-    for a in range(n_a):
-        factor = None
-        if not force_nonhpd:
-            t0 = time.perf_counter()
-            factor, _ = kernels.potrf_lower(p.t_aa[a])
-            if factor is not None and ledger is not None:
-                ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
-        if factor is not None:
-            yv = y_buf[y_rows : y_rows + n_l, :]
-            yv[:] = _timed(ledger, "Loop 2", KernelKind.TRMM, (n_l, n_g),
-                           lambda: kernels.trmm_left_conjtrans(factor, p.a_blocks[a]))
-            y_rows += n_l
-        else:
-            xv = x_buf[x_rows : x_rows + n_l, :]
-            _timed(ledger, "Loop 2", KernelKind.HEMM, (n_l, n_g),
-                   lambda: kernels.hemm_left(1, p.t_aa[a], p.a_blocks[a], 0, xv))
-            av = a_buf[x_rows : x_rows + n_l, :]
-            av[:] = p.a_blocks[a]
-            x_rows += n_l
-
-    if x_rows:
-        res = run_partitioned(
-            KernelKind.GEMM,
-            (1, "C", a_buf[:x_rows], "N", x_buf[:x_rows], 1, h.matrix),
-            policy,
-        )
-        if ledger is not None:
-            ledger.add(KernelKind.GEMM, (n_g, n_g, x_rows), res.seconds, "H2")
-    if y_rows:
-        res = run_partitioned(
-            KernelKind.HERK, (1, y_buf[:y_rows], 1, h.matrix), policy
-        )
-        if ledger is not None:
-            ledger.add(KernelKind.HERK, (n_g, y_rows), res.seconds, "H3")
-
-    return SplitCounts(y_rows // n_l, x_rows // n_l)
-
-
 def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
              force_nonhpd: bool = False) -> BuildOutput:
-    """Full assembly of H and S with a complete, section-tagged ledger."""
+    """Full assembly of H and S with a complete, section-tagged ledger.
+
+    Z_a = (T_ab)^H A_a + 1/2 T_bb B_a gives the AB, BA and BB terms of H as
+    Z^H B + B^H Z; the conjugate-transpose op on the gemm realizes the BA
+    coupling block without materializing it.  Atoms whose AA block factors
+    go through the triangular-multiply path and the rank-k update H3; the
+    rest go through the Hermitian-multiply path and the gemm H2.  A failed
+    factorization is routing data, not an error, and is not charged to the
+    ledger.  ``force_nonhpd`` is a test hook that sends every atom down the
+    failure path without attempting the factorization.  The instance's
+    blocks are observably unchanged.
+    """
     validate_instance(p)
     policy = policy or ExecPolicy()
     ledger = FlopLedger()
-    z_stack, b_stack = build_phase1(p, ledger)
-    h = h_cross(z_stack, b_stack, ledger, policy)
-    s = build_s(p, ledger, policy)
-    split = build_phase2(p, h, ledger, policy, force_nonhpd=force_nonhpd)
-    h_full = HermitianResult(hermitian_mirror(h.matrix), Fill.FULL)
-    return BuildOutput(h_full, s, split, ledger)
+    n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
+    h = zeros(n_g, n_g)
+    s = zeros(n_g, n_g)
+    hpd = nonhpd = 0
+
+    def timed(section, kind, dims, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        ledger.add(kind, dims, time.perf_counter() - t0, section)
+        return out
+
+    def update(section, kind, dims, *operands):
+        ledger.add(kind, dims, run_partitioned(kind, operands, policy).seconds, section)
+
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n_l * n_g))
+    for a0 in range(0, n_a, per_chunk):
+        atoms = range(a0, min(a0 + per_chunk, n_a))
+        k = len(atoms) * n_l
+        beta = 0 if a0 == 0 else 1
+        a_buf, b_buf, z_buf = zeros(k, n_g), zeros(k, n_g), zeros(k, n_g)
+        for i, a in enumerate(atoms):
+            rows = slice(i * n_l, (i + 1) * n_l)
+            a_buf[rows] = p.a_blocks[a]
+            b_buf[rows] = p.b_blocks[a]
+            timed("Loop 1", KernelKind.GEMM, (n_l, n_g, n_l),
+                  kernels.gemm, 1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, z_buf[rows])
+            timed("Loop 1", KernelKind.HEMM, (n_l, n_g),
+                  kernels.hemm_left, 0.5, p.t_bb[a], p.b_blocks[a], 1, z_buf[rows])
+
+        update("H1", KernelKind.HER2K, (n_g, k), 1, z_buf, b_buf, beta, h)
+        update("S1", KernelKind.HERK, (n_g, k), 1, a_buf, beta, s)
+        u = np.concatenate([np.asarray(p.u_norms[a]) for a in atoms])
+        timed("U norm", KernelKind.DIAG_SCALE, (k, n_g), kernels.diag_scale, u, b_buf)
+        update("S2", KernelKind.HERK, (n_g, k), 1, b_buf, 1, s)
+
+        # Z and B are spent: Y rows go to the top of Z's buffer, X rows to
+        # the top of B's, and the A rows of failed atoms to the top of A's.
+        y_rows = x_rows = 0
+        for a in atoms:
+            factor = None
+            if not force_nonhpd:
+                t0 = time.perf_counter()
+                factor, _ = kernels.potrf_lower(p.t_aa[a])
+                if factor is not None:
+                    ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
+            if factor is not None:
+                z_buf[y_rows : y_rows + n_l] = timed(
+                    "Loop 2", KernelKind.TRMM, (n_l, n_g),
+                    kernels.trmm_left_conjtrans, factor, p.a_blocks[a])
+                y_rows += n_l
+            else:
+                timed("Loop 2", KernelKind.HEMM, (n_l, n_g), kernels.hemm_left,
+                      1, p.t_aa[a], p.a_blocks[a], 0, b_buf[x_rows : x_rows + n_l])
+                a_buf[x_rows : x_rows + n_l] = p.a_blocks[a]
+                x_rows += n_l
+
+        if x_rows:
+            update("H2", KernelKind.GEMM, (n_g, n_g, x_rows),
+                   1, "C", a_buf[:x_rows], "N", b_buf[:x_rows], 1, h)
+        if y_rows:
+            update("H3", KernelKind.HERK, (n_g, y_rows), 1, z_buf[:y_rows], 1, h)
+        hpd += y_rows // n_l
+        nonhpd += x_rows // n_l
+        del a_buf, b_buf, z_buf
+
+    h = hermitian_mirror(h)  # rebound first: one extra n_g² copy at a time
+    s = hermitian_mirror(s)
+    return BuildOutput(HermitianResult(h), HermitianResult(s),
+                       SplitCounts(hpd, nonhpd), ledger)

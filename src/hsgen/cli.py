@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -241,6 +242,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    if not (math.isfinite(args.peak) and args.peak > 0):
+        print(f"error: --peak must be positive and finite, got {args.peak}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         dims = preset_dims(args.preset, args.kmax)
     except InputError as exc:

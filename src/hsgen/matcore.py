@@ -7,7 +7,6 @@ mirrored once at the end of a build.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,6 @@ class Dims:
             object.__setattr__(self, name, int(v))
 
 
-class Fill(enum.Enum):
-    LOWER = "lower"
-    FULL = "full"
-
-
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.complex128, order="F")
 
@@ -63,27 +57,6 @@ def as_cmatrix(values) -> np.ndarray:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def stack(blocks) -> np.ndarray:
-    """Vertically concatenate blocks sharing a column count (explicit copy)."""
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionError("stack needs at least one block")
-    cols = blocks[0].shape[1]
-    rows = 0
-    for i, b in enumerate(blocks):
-        if b.ndim != 2 or b.shape[1] != cols:
-            raise DimensionError(
-                f"block {i} has shape {b.shape}, expected {cols} columns"
-            )
-        rows += b.shape[0]
-    out = np.empty((rows, cols), dtype=np.complex128, order="F")
-    r = 0
-    for b in blocks:
-        out[r : r + b.shape[0], :] = b
-        r += b.shape[0]
-    return out
 
 
 #: Columns per panel of ``hermitian_mirror``: bounds the index arrays of
@@ -138,26 +111,12 @@ def rel_frob_error(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class HermitianResult:
-    """Square complex matrix plus the triangle-storage contract it honors.
-
-    ``Fill.LOWER`` means only the lower triangle (with a real diagonal)
-    carries data; ``Fill.FULL`` promises hermiticity of the whole matrix.
-    """
+    """Square complex matrix that promises hermiticity of the whole matrix."""
 
     matrix: np.ndarray
-    fill: Fill
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-    def mirrored(self) -> "HermitianResult":
-        if self.fill is Fill.FULL:
-            return self
-        return HermitianResult(hermitian_mirror(self.matrix), Fill.FULL)
 
     def check(self, tol: float = 1e-12) -> None:
-        """Raise InvariantError unless the storage contract holds."""
+        """Raise InvariantError unless the matrix is Hermitian within tol."""
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantError(f"result matrix must be square, got {m.shape}")
@@ -166,8 +125,6 @@ class HermitianResult:
         scale = tol * (1.0 + frobenius(m))
         if float(np.abs(np.diagonal(m).imag).max(initial=0.0)) > scale:
             raise InvariantError("diagonal imaginary parts exceed tolerance")
-        if self.fill is Fill.FULL:
-            off = float(np.abs(m - np.conj(m.T)).max(initial=0.0))
-            if off > scale:
-                raise InvariantError("matrix is not Hermitian within tolerance")
-
+        off = float(np.abs(m - np.conj(m.T)).max(initial=0.0))
+        if off > scale:
+            raise InvariantError("matrix is not Hermitian within tolerance")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import Fill, HermitianResult
+from .matcore import HermitianResult
 from .probgen import ProblemInstance
 
 
@@ -40,7 +40,7 @@ def s_reference(p: ProblemInstance) -> HermitianResult:
                 si = s[i]
                 for j in range(n_g):
                     si[j] += cai * arow[j] + cbi * ubrow[j]
-    return HermitianResult(np.asfortranarray(np.array(s, dtype=np.complex128)), Fill.FULL)
+    return HermitianResult(np.asfortranarray(np.array(s, dtype=np.complex128)))
 
 
 def _mat_mul(t, x, n_l: int, n_g: int) -> list:
@@ -88,4 +88,4 @@ def h_reference(p: ProblemInstance) -> HermitianResult:
         _acc_sandwich(h, ab, _mat_mul(tab, bb, n_l, n_g), n_l, n_g)
         _acc_sandwich(h, bb, _mat_mul(tba, ab, n_l, n_g), n_l, n_g)
         _acc_sandwich(h, bb, _mat_mul(tbb, bb, n_l, n_g), n_l, n_g)
-    return HermitianResult(np.asfortranarray(np.array(h, dtype=np.complex128)), Fill.FULL)
+    return HermitianResult(np.asfortranarray(np.array(h, dtype=np.complex128)))

@@ -1,18 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hsgen.builder import build_hs, build_phase1, build_phase2, build_s, h_cross
+from hsgen import builder
+from hsgen.builder import build_hs
 from hsgen.executor import ExecPolicy
-from hsgen.kernels import FlopLedger, KernelKind, gemm, potrf_lower, trmm_left_conjtrans
+from hsgen.kernels import SECTIONS, KernelKind, gemm, potrf_lower, trmm_left_conjtrans
 from hsgen.matcore import (
     Dims,
-    Fill,
-    HermitianResult,
     InvariantError,
     frobenius,
     hermitian_mirror,
     rel_frob_error,
-    stack,
     zeros,
 )
 from hsgen.probgen import ProblemSpec, generate
@@ -35,47 +35,64 @@ def _scalar_instance(a, b, t, u, v, w):
     return inst
 
 
+def _zero(blocks):
+    for m in blocks:
+        m[:] = 0
+
+
+def _gram(blocks):
+    st = np.vstack(blocks)
+    return np.conj(st.T) @ st
+
+
+def _aa_term(p):
+    return sum(np.conj(a.T) @ hermitian_mirror(t) @ a for a, t in zip(p.a_blocks, p.t_aa))
+
+
 # ---------------------------------------------------------------------------
-# phase 1
+# Loop 1 (seen through H with every t_aa zero, so H is the H1 cross term)
 
 
 def test_phase1_identity_bb_recovers_b():
+    # t_ab = 0 and t_bb = 2I make Z = B, so the cross term is 2 B^H B
     p = generate(ProblemSpec(Dims(3, 4, 5), seed=1))
-    for m in p.t_ab:
-        m[:] = 0
+    _zero(p.t_ab)
+    _zero(p.t_aa)
     for m in p.t_bb:
         m[:] = 2 * np.eye(4)
-    z_stack, b_stack = build_phase1(p)
-    assert rel_frob_error(z_stack, b_stack) < 1e-15
-    np.testing.assert_array_equal(b_stack, stack(p.b_blocks))
+    out = build_hs(p)
+    assert rel_frob_error(out.h.matrix, 2 * _gram(p.b_blocks)) < 1e-13
 
 
 def test_phase1_scalar():
     a, b = 0.8 + 0.3j, -0.5 + 0.9j
     u, v = 0.2 - 0.4j, 1.1
-    p = _scalar_instance(a, b, 1.0, u, v, 1.0)
-    z_stack, _ = build_phase1(p)
-    expected = u.conjugate() * a + v * b / 2
-    np.testing.assert_allclose(z_stack, [[expected]], rtol=1e-15, atol=0)
+    p = _scalar_instance(a, b, 0.0, u, v, 1.0)
+    z = u.conjugate() * a + v * b / 2
+    out = build_hs(p)
+    np.testing.assert_allclose(out.h.matrix, [[2 * (z.conjugate() * b).real]],
+                               rtol=1e-14, atol=0)
 
 
 def test_phase1_matches_gemm_oracle_with_explicit_ba():
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=2))
-    z_stack, _ = build_phase1(p)
+    _zero(p.t_aa)
+    expected = np.zeros((4, 4), dtype=complex)
     for a in range(2):
         t_ba = np.asfortranarray(np.conj(p.t_ab[a].T))
-        expected = zeros(3, 4)
-        gemm(1, "N", t_ba, "N", p.a_blocks[a], 0, expected)
-        expected += 0.5 * (hermitian_mirror(p.t_bb[a]) @ p.b_blocks[a])
-        assert rel_frob_error(z_stack[a * 3 : (a + 1) * 3], expected) < 1e-13
+        z = zeros(3, 4)
+        gemm(1, "N", t_ba, "N", p.a_blocks[a], 0, z)
+        z += 0.5 * (hermitian_mirror(p.t_bb[a]) @ p.b_blocks[a])
+        b = p.b_blocks[a]
+        expected += np.conj(z.T) @ b + np.conj(b.T) @ z
+    assert rel_frob_error(build_hs(p).h.matrix, expected) < 1e-13
 
 
 def test_phase1_ledger_sections():
     p = generate(ProblemSpec(Dims(3, 2, 4), seed=3))
-    led = FlopLedger()
-    build_phase1(p, led)
-    assert [r.section for r in led.records] == ["Loop 1"] * 6
-    assert [r.kind for r in led.records] == [KernelKind.GEMM, KernelKind.HEMM] * 3
+    records = build_hs(p).ledger.records[:7]
+    assert [r.section for r in records] == ["Loop 1"] * 6 + ["H1"]
+    assert [r.kind for r in records[:6]] == [KernelKind.GEMM, KernelKind.HEMM] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +100,14 @@ def test_phase1_ledger_sections():
 
 
 def test_h_cross_zero_z():
-    b = random_complex(np.random.default_rng(4), 6, 5)
-    res = h_cross(zeros(6, 5), b)
-    assert res.fill is Fill.LOWER
-    np.testing.assert_array_equal(res.matrix, zeros(5, 5))
+    # t_ab = t_bb = 0 make Z = 0, and t_aa = 0 leaves nothing else in H
+    p = generate(ProblemSpec(Dims(2, 3, 5), seed=4))
+    _zero(p.t_ab)
+    _zero(p.t_bb)
+    _zero(p.t_aa)
+    out = build_hs(p)
+    np.testing.assert_array_equal(out.h.matrix, zeros(5, 5))
+    assert rel_frob_error(out.s.matrix, s_reference(p).matrix) < 1e-12
 
 
 def test_h_cross_scalar_closed_form():
@@ -94,31 +115,27 @@ def test_h_cross_scalar_closed_form():
     # 2 Re(u conj(a) b) + v |b|^2 for real v
     a, b = 0.8 + 0.3j, -0.5 + 0.9j
     u, v = 0.2 - 0.4j, 1.1
-    p = _scalar_instance(a, b, 0.9, u, v, 1.0)
-    z_stack, b_stack = build_phase1(p)
-    got = h_cross(z_stack, b_stack).matrix[0, 0]
+    got = build_hs(_scalar_instance(a, b, 0.0, u, v, 1.0)).h.matrix[0, 0]
     expected = 2 * (u * a.conjugate() * b).real + v * abs(b) ** 2
     assert got == pytest.approx(expected, rel=1e-14)
     # cross-check against the reference oracle minus its AA term
-    full = h_reference(p).matrix[0, 0]
+    full = h_reference(_scalar_instance(a, b, 0.9, u, v, 1.0)).matrix[0, 0]
     aa_term = (a.conjugate() * 0.9 * a).real
     assert got == pytest.approx(full.real - aa_term, rel=1e-12)
 
 
 def test_h_cross_equals_reference_minus_aa_term():
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=5))
-    z_stack, b_stack = build_phase1(p)
-    partial = h_cross(z_stack, b_stack).mirrored().matrix
-    aa = sum(np.conj(a.T) @ hermitian_mirror(t) @ a for a, t in zip(p.a_blocks, p.t_aa))
-    expected = h_reference(p).matrix - aa
-    assert rel_frob_error(partial, expected) < 1e-12
+    expected = h_reference(p).matrix - _aa_term(p)
+    _zero(p.t_aa)
+    assert rel_frob_error(build_hs(p).h.matrix, expected) < 1e-12
 
 
 def test_half_trick_identity_standalone():
     # z^H b + b^H z reproduces the AB + BA + BB cross sum
     p = generate(ProblemSpec(Dims(3, 4, 6), seed=6))
-    z_stack, b_stack = build_phase1(p)
-    got = h_cross(z_stack, b_stack).mirrored().matrix
+    _zero(p.t_aa)
+    got = build_hs(p).h.matrix
     expected = np.zeros((6, 6), dtype=complex)
     for a in range(3):
         A, B = p.a_blocks[a], p.b_blocks[a]
@@ -138,67 +155,59 @@ def test_build_s_unit_norms():
     p = generate(ProblemSpec(Dims(3, 2, 5), seed=7))
     for u in p.u_norms:
         u[:] = 1.0
-    s = build_s(p).matrix
-    a_st, b_st = stack(p.a_blocks), stack(p.b_blocks)
-    expected = np.conj(a_st.T) @ a_st + np.conj(b_st.T) @ b_st
-    assert rel_frob_error(s, expected) < 1e-13
+    expected = _gram(p.a_blocks) + _gram(p.b_blocks)
+    assert rel_frob_error(build_hs(p).s.matrix, expected) < 1e-13
 
 
 def test_build_s_scalar():
     a, b, w = 0.8 + 0.3j, -0.5 + 0.9j, 0.75
     p = _scalar_instance(a, b, 1.0, 0.0, 1.0, w)
-    s = build_s(p).matrix
+    s = build_hs(p).s.matrix
     np.testing.assert_allclose(s, [[abs(a) ** 2 + w**2 * abs(b) ** 2]], rtol=1e-14)
 
 
 def test_build_s_matches_reference():
     p = generate(ProblemSpec(Dims(3, 4, 6), seed=8))
-    s = build_s(p)
-    assert s.fill is Fill.FULL
-    assert rel_frob_error(s.matrix, s_reference(p).matrix) < 1e-12
+    assert rel_frob_error(build_hs(p).s.matrix, s_reference(p).matrix) < 1e-12
 
 
 def test_build_s_leaves_b_blocks_untouched():
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=9))
     before = [b.tobytes() for b in p.b_blocks]
-    build_s(p)
+    build_hs(p)
     assert [b.tobytes() for b in p.b_blocks] == before
 
 
 def test_build_s_ledger_sections():
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=10))
-    led = FlopLedger()
-    build_s(p, led)
-    assert [r.section for r in led.records] == ["S1", "U norm", "S2"]
+    sections = [r.section for r in build_hs(p).ledger.records]
+    assert [x for x in sections if x in ("S1", "U norm", "S2")] == ["S1", "U norm", "S2"]
 
 
 # ---------------------------------------------------------------------------
-# phase 2
+# Loop 2 and the AA term
 
 
 def test_phase2_identity_taa_reproduces_gram():
+    # t_ab = t_bb = 0 and t_aa = I leave H = sum A^H A
     p = generate(ProblemSpec(Dims(3, 4, 5), seed=11))
+    _zero(p.t_ab)
+    _zero(p.t_bb)
     for t in p.t_aa:
         t[:] = np.eye(4)
-    h = HermitianResult(zeros(5, 5), Fill.LOWER)
-    split = build_phase2(p, h)
-    assert split.nonhpd == 0
-    a_st = stack(p.a_blocks)
-    expected = np.tril(np.conj(a_st.T) @ a_st)
-    assert rel_frob_error(np.tril(h.matrix), expected) < 1e-13
+    out = build_hs(p)
+    assert out.split.nonhpd == 0
+    assert rel_frob_error(out.h.matrix, _gram(p.a_blocks)) < 1e-13
 
 
 def test_phase2_forced_branch_matches_hpd_path():
     p = generate(ProblemSpec(Dims(4, 3, 5), seed=12, nonhpd_fraction=0.0))
-    h1 = HermitianResult(zeros(5, 5), Fill.LOWER)
-    s1 = build_phase2(p, h1)
-    h2 = HermitianResult(zeros(5, 5), Fill.LOWER)
-    s2 = build_phase2(p, h2, force_nonhpd=True)
-    assert (s1.hpd, s1.nonhpd) == (4, 0)
-    assert (s2.hpd, s2.nonhpd) == (0, 4)
-    a = hermitian_mirror(h1.matrix)
-    b = hermitian_mirror(h2.matrix)
-    assert rel_frob_error(a, b) < 1e-10
+    o1 = build_hs(p)
+    o2 = build_hs(p, force_nonhpd=True)
+    assert (o1.split.hpd, o1.split.nonhpd) == (4, 0)
+    assert (o2.split.hpd, o2.split.nonhpd) == (0, 4)
+    assert rel_frob_error(o1.h.matrix, o2.h.matrix) < 1e-10
+    assert o1.s.matrix.tobytes() == o2.s.matrix.tobytes()
 
 
 def test_phase2_mixed_split():
@@ -210,9 +219,8 @@ def test_phase2_mixed_split():
 
 def test_phase2_stacks_follow_split_order():
     p = generate(ProblemSpec(Dims(5, 2, 4), seed=14, nonhpd_fraction=0.4))
-    h = HermitianResult(zeros(4, 4), Fill.LOWER)
-    split = build_phase2(p, h)
-    assert split.hpd + split.nonhpd == 5
+    split = build_hs(p).split
+    assert (split.hpd, split.nonhpd) == (3, 2)
 
 
 def test_cholesky_path_identity():
@@ -299,3 +307,98 @@ def test_build_hs_outputs_pass_hermitian_invariants():
     out = build_hs(p, ExecPolicy(workers=2, tile=32))
     out.h.check()
     out.s.check()
+
+
+# ---------------------------------------------------------------------------
+# more than one chunk: one atom per chunk, and 3 + 3 + 1 atoms
+
+
+def _set_chunk_atoms(monkeypatch, dims, atoms):
+    monkeypatch.setattr(builder, "_CHUNK_BYTES", atoms * 16 * dims.n_l * dims.n_g)
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_chunked_build_oracle_sweep(monkeypatch, atoms):
+    rng = np.random.default_rng(30 + atoms)
+    for trial in range(6):
+        dims = Dims(int(rng.integers(2, 8)), int(rng.integers(2, 7)), int(rng.integers(4, 25)))
+        _set_chunk_atoms(monkeypatch, dims, atoms)
+        frac = float(rng.choice([0.0, 0.5, 1.0]))
+        p = generate(ProblemSpec(dims, seed=trial, nonhpd_fraction=frac))
+        out = build_hs(p)
+        assert rel_frob_error(out.h.matrix, h_reference(p).matrix) <= 1e-9
+        assert rel_frob_error(out.s.matrix, s_reference(p).matrix) <= 1e-9
+        assert out.split.hpd + out.split.nonhpd == dims.n_atoms
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_chunked_forced_branch_matches_hpd_path(monkeypatch, atoms):
+    dims = Dims(7, 3, 6)
+    _set_chunk_atoms(monkeypatch, dims, atoms)
+    p = generate(ProblemSpec(dims, seed=32, nonhpd_fraction=0.0))
+    o1 = build_hs(p)
+    o2 = build_hs(p, force_nonhpd=True)
+    assert (o1.split.hpd, o2.split.nonhpd) == (7, 7)
+    assert rel_frob_error(o1.h.matrix, o2.h.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_chunked_build_is_worker_and_tile_invariant(monkeypatch, atoms):
+    dims = Dims(7, 3, 40)
+    _set_chunk_atoms(monkeypatch, dims, atoms)
+    p = generate(ProblemSpec(dims, seed=33, nonhpd_fraction=0.5))
+    outs = [build_hs(p, ExecPolicy(workers=w, tile=t)) for w in (1, 2) for t in (32, 512)]
+    for o in outs[1:]:
+        assert o.h.matrix.tobytes() == outs[0].h.matrix.tobytes()
+        assert o.s.matrix.tobytes() == outs[0].s.matrix.tobytes()
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_chunked_ledger_matches_closed_form_and_section_order(monkeypatch, atoms):
+    dims = Dims(7, 3, 6)
+    _set_chunk_atoms(monkeypatch, dims, atoms)
+    p = generate(ProblemSpec(dims, seed=34, nonhpd_fraction=0.5))
+    out = build_hs(p)
+    got = {k: v[0] for k, v in out.ledger.section_totals().items()}
+    expected = {k: v for k, v in section_flops(dims, out.split.nonhpd).items() if v}
+    assert got == expected
+    # every chunk runs the pipeline in order: a new chunk starts at Loop 1
+    chunks = []
+    for r in out.ledger.records:
+        if r.section == "Loop 1" and (not chunks or chunks[-1][-1] != "Loop 1"):
+            chunks.append([])
+        chunks[-1].append(r.section)
+    assert len(chunks) == -(-dims.n_atoms // atoms)
+    pipeline = ["Loop 1", "H1", "S1", "U norm", "S2", "Loop 2", "H2", "H3"]
+    assert set(pipeline) == set(SECTIONS)
+    for sections in chunks:
+        seen = list(dict.fromkeys(sections))
+        assert seen == [x for x in pipeline if x in seen]
+        assert seen[:6] == pipeline[:6]
+
+
+@pytest.mark.parametrize("atoms", [1, 3])
+def test_chunked_build_leaves_blocks_untouched(monkeypatch, atoms):
+    dims = Dims(7, 3, 6)
+    _set_chunk_atoms(monkeypatch, dims, atoms)
+    p = generate(ProblemSpec(dims, seed=35, nonhpd_fraction=0.5))
+    fields = ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms")
+    before = [[m.tobytes() for m in getattr(p, f)] for f in fields]
+    build_hs(p)
+    assert [[m.tobytes() for m in getattr(p, f)] for f in fields] == before
+
+
+def test_build_peak_does_not_grow_with_atoms(monkeypatch):
+    # at a fixed 2-atom chunk the scratch memory is the same for any atom count
+    def peak(n_atoms):
+        dims = Dims(n_atoms, 8, 64)
+        _set_chunk_atoms(monkeypatch, dims, 2)
+        p = generate(ProblemSpec(dims, seed=36, nonhpd_fraction=0.25))
+        tracemalloc.start()
+        try:
+            build_hs(p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.25 * peak(8)

@@ -6,7 +6,6 @@ import pytest
 from hsgen.matcore import (
     DimensionError,
     Dims,
-    Fill,
     HermitianResult,
     InputError,
     InvariantError,
@@ -15,7 +14,7 @@ from hsgen.matcore import (
     hermitian_mirror,
     is_hermitian,
     rel_frob_error,
-    stack,
+    zeros,
 )
 
 import oracles
@@ -35,51 +34,6 @@ def test_dims_validation():
 def test_dims_nl_may_exceed_ng():
     d = Dims(1, 8, 3)
     assert d.n_l > d.n_g
-
-
-def test_stack_two_rows():
-    out = stack([as_cmatrix([[1, 2]]), as_cmatrix([[3, 4]])])
-    np.testing.assert_array_equal(out, np.array([[1, 2], [3, 4]], dtype=complex))
-
-
-def test_stack_single_block_is_copy():
-    m = as_cmatrix([[1 + 2j, 3], [4, 5j]])
-    out = stack([m])
-    np.testing.assert_array_equal(out, m)
-    out[0, 0] = 0
-    assert m[0, 0] == 1 + 2j
-
-
-def test_stack_index_arithmetic():
-    # entries i + j*10 + a*100 for block a, local row i, column j
-    n_a, n_l, n_g = 3, 2, 4
-    blocks = [
-        as_cmatrix([[i + j * 10 + a * 100 for j in range(n_g)] for i in range(n_l)])
-        for a in range(n_a)
-    ]
-    out = stack(blocks)
-    assert out.shape == (n_a * n_l, n_g)
-    for a in range(n_a):
-        for i in range(n_l):
-            for j in range(n_g):
-                assert out[a * n_l + i, j] == i + j * 10 + a * 100
-
-
-def test_stack_errors():
-    with pytest.raises(DimensionError):
-        stack([])
-    with pytest.raises(DimensionError, match="block 1"):
-        stack([as_cmatrix([[1, 2]]), as_cmatrix([[1, 2, 3]])])
-
-
-def test_stack_associative():
-    rng = np.random.default_rng(3)
-    x = random_complex(rng, 2, 5)
-    y = random_complex(rng, 3, 5)
-    z = random_complex(rng, 1, 5)
-    a = stack([x, y, z])
-    b = stack([stack([x, y]), z])
-    assert a.tobytes() == b.tobytes()
 
 
 def test_mirror_simple():
@@ -164,23 +118,27 @@ def test_rel_frob_error_zero_iff_identical():
 def test_hermitian_result_check():
     rng = np.random.default_rng(9)
     m = hermitian_mirror(random_complex(rng, 6, 6))
-    HermitianResult(m, Fill.FULL).check()
+    HermitianResult(m).check()
     bad = m.copy()
     bad[0, 1] += 1.0
     with pytest.raises(InvariantError):
-        HermitianResult(bad, Fill.FULL).check()
+        HermitianResult(bad).check()
     bad2 = m.copy()
     bad2[2, 2] += 1j
     with pytest.raises(InvariantError):
-        HermitianResult(bad2, Fill.LOWER).check()
+        HermitianResult(bad2).check()
     with pytest.raises(InvariantError):
-        HermitianResult(np.full((2, 2), np.nan, dtype=complex), Fill.LOWER).check()
+        HermitianResult(np.full((2, 2), np.nan, dtype=complex)).check()
+    with pytest.raises(InvariantError):
+        HermitianResult(zeros(2, 3)).check()
 
 
 def test_hermitian_result_mirrored():
+    # a mirrored lower triangle meets the full contract, whatever the upper one held
     rng = np.random.default_rng(10)
     m = random_complex(rng, 4, 4)
-    res = HermitianResult(m, Fill.LOWER).mirrored()
-    assert res.fill is Fill.FULL
+    with pytest.raises(InvariantError):
+        HermitianResult(m).check()
+    res = HermitianResult(hermitian_mirror(m))
+    res.check(tol=0.0)
     assert hermitian_defect(res.matrix) == 0.0
-

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hsgen.matcore import Dims, Fill, frobenius, hermitian_defect, rel_frob_error
+from hsgen.matcore import Dims, frobenius, hermitian_defect, rel_frob_error
 from hsgen.probgen import ProblemInstance, ProblemSpec, generate
 from hsgen.reference import h_reference, s_reference
 
@@ -64,7 +64,6 @@ def _h_by_index_summation(p):
 def test_s_scalar_case():
     w = 0.75
     res = s_reference(_scalar_instance(1, 1, 0.5, 0.25j, 0.5, w))
-    assert res.fill is Fill.FULL
     np.testing.assert_allclose(res.matrix, [[1 + w**2]], rtol=0, atol=1e-15)
 
 
