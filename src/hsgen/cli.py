@@ -1,15 +1,19 @@
 """Command-line front end: generate instances, assemble H and S, verify
 against the brute-force reference, and analyze the flop model.
 
-Exit codes: 0 success, 1 runtime/tolerance failure, 2 usage error,
-3 data-invariant violation.
+Commands return 0 on success and 1 when ``verify`` exceeds its tolerance;
+every other failure is raised.  ``main`` maps it to an exit code through
+the one table ``_EXIT_CODES`` (the first matching class wins) and prints
+one ``error:`` line: 3 data-invariant violation, 2 usage error, 1 storage
+or other runtime failure.  Any other exception is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
+import dataclasses
 import json
 import math
 import os
@@ -35,24 +39,9 @@ from .report import (
 )
 from .storage import StorageError, load_instance, save_instance, write_matrix
 
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_INVARIANT = 3
-
 #: cmd_verify refuses larger basis sizes without --force; the reference
 #: oracle is deliberately slow.
 ORACLE_GUARD_NG = 512
-
-
-def _default_workers() -> int:
-    env = os.environ.get("HSGEN_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="assemble H and S from an instance directory")
     run.add_argument("--in", dest="indir", required=True)
-    run.add_argument("--workers", type=int, default=_default_workers())
+    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--tile", type=int, default=512)
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")
 
@@ -99,96 +88,54 @@ def cmd_generate(args) -> int:
     explicit = [v is not None for v in (args.na, args.nl, args.ng)]
     if args.preset is not None:
         if any(explicit):
-            print("error: give either --preset or --na/--nl/--ng, not both", file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError("give either --preset or --na/--nl/--ng, not both")
         if args.kmax is None:
-            print("error: --preset requires --kmax", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            dims = preset_dims(args.preset, args.kmax)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError("--preset requires --kmax")
+        dims = preset_dims(args.preset, args.kmax)
     elif all(explicit):
-        try:
-            dims = Dims(args.na, args.nl, args.ng)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        dims = Dims(args.na, args.nl, args.ng)
     else:
-        print("error: give either --preset --kmax or all of --na/--nl/--ng", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("give either --preset --kmax or all of --na/--nl/--ng")
 
-    try:
-        spec = ProblemSpec(dims, seed=args.seed, nonhpd_fraction=args.nonhpd_frac)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    inst = generate(spec)
-    try:
-        save_instance(inst, args.out, seed=spec.seed, nonhpd_fraction=spec.nonhpd_fraction)
-    except OSError as exc:
-        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    spec = ProblemSpec(dims, seed=args.seed, nonhpd_fraction=args.nonhpd_frac)
+    save_instance(generate(spec), args.out, seed=spec.seed,
+                  nonhpd_fraction=spec.nonhpd_fraction)
     total = sum(f.stat().st_size for f in Path(args.out).iterdir() if f.is_file())
     print(f"wrote instance: n_atoms={dims.n_atoms} n_l={dims.n_l} n_g={dims.n_g} "
           f"seed={spec.seed} ({total} bytes)")
-    return EXIT_OK
-
-
-def _section_report_json(r: SectionReport) -> dict:
-    return {
-        "section": r.section,
-        "seconds": r.seconds,
-        "flops": r.flops,
-        "gflops_per_s": r.gflops_per_s,
-        "efficiency": r.efficiency,
-    }
+    return 0
 
 
 def _write_all(outputs) -> None:
     """Write each ``(path, write)`` output as a set: ``write(tmp)`` fills a
     temporary sibling of ``path``, and the temporaries replace their paths
-    only after every write succeeded.  On OSError no temporary is left and
-    every earlier output stays as it was."""
+    only after every write succeeded.  On failure raise StorageError; no
+    temporary is left and every earlier output stays as it was."""
     for path, _ in outputs:
         if path.is_dir():  # os.replace cannot put a file there
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            raise StorageError(f"cannot write outputs: {path} is a directory")
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in outputs]
     try:
         for (_, write), tmp in zip(outputs, temps):
             write(tmp)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
         for tmp in temps:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-        raise
+        raise StorageError(f"cannot write outputs: {exc}") from exc
 
 
 def cmd_run(args) -> int:
-    try:
-        policy = ExecPolicy(workers=args.workers, tile=args.tile)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        inst = load_instance(args.indir)
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    policy = ExecPolicy(workers=args.workers, tile=args.tile)
+    inst = load_instance(args.indir)
     indir = Path(args.indir)
     report_path = Path(args.report) if args.report else indir / "report.json"
     if not report_path.parent.is_dir():
-        print(f"error: report directory {report_path.parent} does not exist", file=sys.stderr)
-        return EXIT_FAILURE
+        raise StorageError(f"report directory {report_path.parent} does not exist")
     t0 = time.perf_counter()
-    try:
-        out = build_hs(inst, policy)
-    except InvariantError as exc:
-        print(f"error: instance invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    out = build_hs(inst, policy)
     wall = time.perf_counter() - t0
 
     sections = summarize(out.ledger, PEAK_GFLOPS_COMBINED)
@@ -198,61 +145,42 @@ def cmd_run(args) -> int:
         "peak_gflops": PEAK_GFLOPS_COMBINED,
         "total_seconds": wall,
         "total_flops": out.ledger.total_flops(),
-        "sections": [_section_report_json(r) for r in sections],
+        "sections": [dataclasses.asdict(r) for r in sections],
     }
-    try:
-        _write_all([
-            (indir / "H.hsm", lambda p: write_matrix(p, out.h.matrix)),
-            (indir / "S.hsm", lambda p: write_matrix(p, out.s.matrix)),
-            (report_path, lambda p: p.write_text(json.dumps(report, indent=2) + "\n")),
-        ])
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    _write_all([
+        (indir / "H.hsm", lambda p: write_matrix(p, out.h.matrix)),
+        (indir / "S.hsm", lambda p: write_matrix(p, out.s.matrix)),
+        (report_path, lambda p: p.write_text(json.dumps(report, indent=2) + "\n")),
+    ])
     print(format_table(sections))
     print(f"split: {out.split.hpd} factored, {out.split.nonhpd} fallback; "
           f"wall time {wall:.3f} s; wrote {indir / 'H.hsm'}, {indir / 'S.hsm'}, {report_path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst = load_instance(args.indir)
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    inst = load_instance(args.indir)
     if inst.dims.n_g > ORACLE_GUARD_NG and not args.force:
-        print(f"error: n_g={inst.dims.n_g} exceeds the oracle guard "
-              f"({ORACLE_GUARD_NG}); pass --force to run anyway", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        out = build_hs(inst)
-    except InvariantError as exc:
-        print(f"error: instance invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InputError(f"n_g={inst.dims.n_g} exceeds the oracle guard "
+                         f"({ORACLE_GUARD_NG}); pass --force to run anyway")
+    out = build_hs(inst)
     err_h = rel_frob_error(out.h.matrix, h_reference(inst).matrix)
     err_s = rel_frob_error(out.s.matrix, s_reference(inst).matrix)
     print(f"rel_frob_error H: {err_h:.3e}")
     print(f"rel_frob_error S: {err_s:.3e}")
     if err_h <= args.tol and err_s <= args.tol:
         print(f"OK (tol {args.tol:.1e})")
-        return EXIT_OK
+        return 0
     print(f"FAIL (tol {args.tol:.1e})")
-    return EXIT_FAILURE
+    return 1
 
 
 def cmd_flops(args) -> int:
     if not (math.isfinite(args.peak) and args.peak > 0):
-        print(f"error: --peak must be positive and finite, got {args.peak}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dims = preset_dims(args.preset, args.kmax)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"--peak must be positive and finite, got {args.peak}")
+    dims = preset_dims(args.preset, args.kmax)
     if not 0 <= args.nonhpd_count <= dims.n_atoms:
-        print(f"error: --nonhpd-count must be in [0, {dims.n_atoms}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"--nonhpd-count must be in [0, {dims.n_atoms}]")
     per = section_flops(dims, args.nonhpd_count)
     print(f"{args.preset} k_max={args.kmax}: n_atoms={dims.n_atoms} "
           f"n_l={dims.n_l} n_g={dims.n_g} nonhpd_count={args.nonhpd_count}")
@@ -282,19 +210,26 @@ def cmd_flops(args) -> int:
         ]
         print(f"recorded breakdown replay (efficiency vs {args.peak:.0f} GFlops/s):")
         print(format_table(replay))
-    return EXIT_OK
+    return 0
+
+
+_COMMANDS = {"generate": cmd_generate, "run": cmd_run, "verify": cmd_verify,
+             "flops": cmd_flops}
+
+#: (exception class, exit code): the first class that matches decides
+_EXIT_CODES = ((InvariantError, 3), (InputError, 2), (StorageError, 1), (OSError, 1))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_flops(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except Exception as exc:
+        for cls, code in _EXIT_CODES:
+            if isinstance(exc, cls):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

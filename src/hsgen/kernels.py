@@ -320,23 +320,15 @@ def _tail(c, prod, beta, lower: bool) -> None:
     """c <- prod + beta*c on c's stored region; ``prod`` None is a zero
     product.  ``lower`` stores only the lower triangle and makes the
     diagonal real."""
-    sel = np.tril_indices(c.shape[0]) if lower else ...
-    if prod is None:
-        if beta == 0:
-            c[sel] = 0
-        elif beta != 1:
-            c[sel] = _cprod(beta, c[sel])
+    if beta == 0:
+        new = 0 if prod is None else prod
     else:
-        pv = prod[sel]
-        if beta == 0:
-            c[sel] = pv
-        elif beta == 1:
-            c[sel] = pv + c[sel]
-        else:
-            c[sel] = pv + _cprod(beta, c[sel])
+        new = c if beta == 1 else _cprod(beta, c)
+        if prod is not None:
+            new = prod + new
+    np.copyto(c, new, where=np.tri(*c.shape, dtype=bool) if lower else True)
     if lower:
-        d = np.diag_indices(c.shape[0])
-        c[d] = c[d].real
+        np.fill_diagonal(c.imag, 0)
 
 
 def _tile_worker(terms, beta, c):

@@ -38,9 +38,13 @@ class Dims:
     def __post_init__(self):
         for name in ("n_atoms", "n_l", "n_g"):
             v = getattr(self, name)
-            if int(v) != v or int(v) < 1:
+            try:
+                n = int(v)
+            except (OverflowError, ValueError):  # inf, nan
+                n = 0
+            if n != v or n < 1:
                 raise InputError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, n)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:

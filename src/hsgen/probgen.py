@@ -137,19 +137,25 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     return inst
 
 
+def instance_shapes(dims: Dims) -> dict:
+    """``{field: shape}`` of each per-atom entry of a ProblemInstance; every
+    field holds ``dims.n_atoms`` entries."""
+    n_l, n_g = dims.n_l, dims.n_g
+    return {
+        "a_blocks": (n_l, n_g),
+        "b_blocks": (n_l, n_g),
+        "t_aa": (n_l, n_l),
+        "t_ab": (n_l, n_l),
+        "t_bb": (n_l, n_l),
+        "u_norms": (n_l,),
+    }
+
+
 def validate_instance(p: ProblemInstance) -> None:
     """Raise InvariantError if the instance violates its declared invariants."""
-    dims = p.dims
-    n_a, n_l, n_g = dims.n_atoms, dims.n_l, dims.n_g
-    fields = {
-        "a_blocks": (p.a_blocks, (n_l, n_g)),
-        "b_blocks": (p.b_blocks, (n_l, n_g)),
-        "t_aa": (p.t_aa, (n_l, n_l)),
-        "t_ab": (p.t_ab, (n_l, n_l)),
-        "t_bb": (p.t_bb, (n_l, n_l)),
-        "u_norms": (p.u_norms, (n_l,)),
-    }
-    for name, (blocks, shape) in fields.items():
+    n_a = p.dims.n_atoms
+    for name, shape in instance_shapes(p.dims).items():
+        blocks = getattr(p, name)
         if len(blocks) != n_a:
             raise InvariantError(f"{name} has {len(blocks)} blocks, expected {n_a}")
         for a, blk in enumerate(blocks):

@@ -1,6 +1,12 @@
 """On-disk formats: the 'HSM1' binary container for complex column-major
 matrices, raw float64 vectors, and the JSON manifest tying an instance
-directory together."""
+directory together.
+
+An instance directory holds ``{key}_{atom:04d}.hsm`` (``.f64`` for ``u``)
+per manifest key of ``_FIELDS``; ``save_instance`` and ``load_instance``
+are each one loop over that table, with shapes from
+``probgen.instance_shapes``.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .matcore import Dims
-from .probgen import ProblemInstance
+from .probgen import ProblemInstance, instance_shapes
 
 MAGIC = b"HSM1"
 #: magic, version (u32), dtype tag (u8), rows (u64), cols (u64) - 25 bytes
@@ -22,7 +28,8 @@ _DTYPE_COMPLEX128 = 1
 
 
 class StorageError(ValueError):
-    """A file is missing, truncated, or inconsistent with its manifest."""
+    """A file is missing, truncated, inconsistent with its manifest, or
+    cannot be written."""
 
 
 def write_matrix(path, m) -> None:
@@ -72,7 +79,10 @@ def read_vector(path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
 
-_BLOCK_FIELDS = ("a", "b", "t_aa", "t_ab", "t_bb")
+#: manifest key, which is also the file-name prefix -> ProblemInstance
+#: field; ``u`` holds raw float64 vectors, every other key HSM1 matrices
+_FIELDS = {"a": "a_blocks", "b": "b_blocks", "t_aa": "t_aa", "t_ab": "t_ab",
+           "t_bb": "t_bb", "u": "u_norms"}
 
 MANIFEST_NAME = "manifest.json"
 
@@ -82,24 +92,13 @@ def save_instance(p: ProblemInstance, outdir, seed: int = 0,
     """Write per-atom block files plus the manifest; returns the manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    blocks = {
-        "a": p.a_blocks,
-        "b": p.b_blocks,
-        "t_aa": p.t_aa,
-        "t_ab": p.t_ab,
-        "t_bb": p.t_bb,
-    }
-    files: dict[str, list[str]] = {name: [] for name in _BLOCK_FIELDS}
-    files["u"] = []
-    for name in _BLOCK_FIELDS:
-        for a, blk in enumerate(blocks[name]):
-            fname = f"{name}_{a + 1:04d}.hsm"
-            write_matrix(outdir / fname, blk)
-            files[name].append(fname)
-    for a, u in enumerate(p.u_norms):
-        fname = f"u_{a + 1:04d}.f64"
-        write_vector(outdir / fname, u)
-        files["u"].append(fname)
+    files: dict[str, list[str]] = {key: [] for key in _FIELDS}
+    for key, field in _FIELDS.items():
+        vector = key == "u"
+        for a, x in enumerate(getattr(p, field)):
+            fname = f"{key}_{a + 1:04d}" + (".f64" if vector else ".hsm")
+            (write_vector if vector else write_matrix)(outdir / fname, x)
+            files[key].append(fname)
     manifest = {
         "dims": {"n_atoms": p.dims.n_atoms, "n_l": p.dims.n_l, "n_g": p.dims.n_g},
         "seed": seed,
@@ -132,55 +131,28 @@ def load_instance(indir) -> ProblemInstance:
         manifest = json.loads(mpath.read_text())
         dims = Dims(**manifest["dims"])
         files = manifest["files"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise StorageError(f"{mpath}: malformed manifest ({exc})") from exc
     if not isinstance(files, dict) or not all(isinstance(v, list) for v in files.values()):
         raise StorageError(f"{mpath}: malformed manifest (files must map fields to lists)")
 
-    shapes = {
-        "a": (dims.n_l, dims.n_g),
-        "b": (dims.n_l, dims.n_g),
-        "t_aa": (dims.n_l, dims.n_l),
-        "t_ab": (dims.n_l, dims.n_l),
-        "t_bb": (dims.n_l, dims.n_l),
-    }
     inst = ProblemInstance(dims)
-    lists = {
-        "a": inst.a_blocks,
-        "b": inst.b_blocks,
-        "t_aa": inst.t_aa,
-        "t_ab": inst.t_ab,
-        "t_bb": inst.t_bb,
-    }
-    for name in _BLOCK_FIELDS:
-        names = files.get(name, [])
+    shapes = instance_shapes(dims)
+    for key, field in _FIELDS.items():
+        names = files.get(key, [])
         if len(names) != dims.n_atoms:
             raise StorageError(
-                f"{mpath}: {len(names)} {name} files listed, expected {dims.n_atoms}"
+                f"{mpath}: {len(names)} {key} files listed, expected {dims.n_atoms}"
             )
         for fname in names:
             path = _member(indir, mpath, fname)
             if not path.is_file():
                 raise StorageError(f"{path}: referenced by manifest but missing")
-            blk = read_matrix(path)
-            if blk.shape != shapes[name]:
+            x = read_vector(path) if key == "u" else read_matrix(path)
+            if x.shape != shapes[field]:
                 raise StorageError(
-                    f"{path}: shape {blk.shape} does not match manifest {shapes[name]}"
+                    f"{path}: shape {x.shape} does not match manifest {shapes[field]}"
                 )
-            lists[name].append(blk)
-    unames = files.get("u", [])
-    if len(unames) != dims.n_atoms:
-        raise StorageError(
-            f"{mpath}: {len(unames)} u files listed, expected {dims.n_atoms}"
-        )
-    for fname in unames:
-        path = _member(indir, mpath, fname)
-        if not path.is_file():
-            raise StorageError(f"{path}: referenced by manifest but missing")
-        u = read_vector(path)
-        if u.shape != (dims.n_l,):
-            raise StorageError(
-                f"{path}: length {u.shape[0]} does not match manifest {dims.n_l}"
-            )
-        inst.u_norms.append(u)
+            getattr(inst, field).append(x)
     return inst

@@ -173,6 +173,30 @@ def _cprod(u, v):
     return out
 
 
+def tail_tril_indices(c, prod, beta, lower):
+    """c <- prod + beta*c gathered and scattered through ``tril_indices``
+    when ``lower`` (then the diagonal is made real); ``prod`` None is a
+    zero product.  The masked copy in hsgen.kernels._tail must match this
+    bit for bit, including the border of a tile that is a view."""
+    sel = np.tril_indices(c.shape[0]) if lower else ...
+    if prod is None:
+        if beta == 0:
+            c[sel] = 0
+        elif beta != 1:
+            c[sel] = _cprod(beta, c[sel])
+    else:
+        pv = prod[sel]
+        if beta == 0:
+            c[sel] = pv
+        elif beta == 1:
+            c[sel] = pv + c[sel]
+        else:
+            c[sel] = pv + _cprod(beta, c[sel])
+    if lower:
+        d = np.diag_indices(c.shape[0])
+        c[d] = c[d].real
+
+
 def potrf_loops(t):
     """Left-looking Cholesky, one column at a time with a scalar loop over k.
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hsgen import cli
-from hsgen.storage import load_instance, read_matrix, save_instance
+from hsgen.storage import StorageError, load_instance, read_matrix, save_instance
 from hsgen.probgen import ProblemSpec, generate
-from hsgen.matcore import Dims
+from hsgen.matcore import Dims, InputError, InvariantError
 
 
 def run_cli(*args):
@@ -136,6 +136,20 @@ def test_run_malformed_manifest_files_is_failure(tmp_path, capsys):
     assert run_cli("run", "--in", str(inst)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("manifest", ['{"dims": {"n_atoms": 1e400, "n_l": 1, "n_g": 1}}',
+                                      "[" * 200_000], ids=["infinite-dims", "deep-nesting"])
+def test_hostile_manifest_is_failure_without_traceback(tmp_path, capsys, command, manifest):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "1", "--nl", "1", "--ng", "1", "--out", str(inst)) == 0
+    capsys.readouterr()
+    (inst / "manifest.json").write_text(manifest)
+    assert run_cli(command, "--in", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed manifest" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_run_invariant_violation(tmp_path):
@@ -296,11 +310,30 @@ def test_flops_rejects_bad_peak(capsys, peak):
     assert err.startswith("error: --peak")
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("HSGEN_WORKERS", "7")
-    parser = cli.build_parser()
-    args = parser.parse_args(["run", "--in", "x"])
-    assert args.workers == 7
-    monkeypatch.setenv("HSGEN_WORKERS", "junk")
-    args = cli.build_parser().parse_args(["run", "--in", "x"])
-    assert args.workers == 1
+# ---------------------------------------------------------------------------
+# exit-code table
+
+
+@pytest.mark.parametrize("exc,code", [
+    (InvariantError("bad block"), 3),
+    (InputError("bad value"), 2),
+    (StorageError("bad file"), 1),
+    (OSError(28, "No space left on device"), 1),
+])
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "flops", fail)
+    assert run_cli("flops", "--preset", "NaCl", "--kmax", "4.0") == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc}\n"
+
+
+def test_main_lets_other_exceptions_propagate(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "flops", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.main(["flops", "--preset", "NaCl", "--kmax", "4.0"])

@@ -8,6 +8,7 @@ from hsgen.kernels import (
     FlopRecord,
     KernelKind,
     _acc_product,
+    _tail,
     diag_scale,
     flops_of,
     gemm,
@@ -512,6 +513,25 @@ def test_acc_product_peak_memory_stays_near_output_size():
         tracemalloc.stop()
     # copying whole a/b panels would add 4 * 8 * k * (m + n) bytes (3.2 MB)
     assert peak <= 3.1 * 16 * m * n
+
+
+# ---------------------------------------------------------------------------
+# output tail: one masked copy vs the tril_indices gather/scatter
+
+
+@pytest.mark.parametrize("with_prod", [True, False])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("beta", [0, 1, 2, 0.5 - 1j])
+def test_tail_bitwise_matches_gather_scatter(beta, lower, with_prod):
+    rng = np.random.default_rng(41)
+    big = random_complex(rng, 12, 11)
+    big[4, 3] = big[3, 6] = big[7, 2] = np.nan  # diagonal, upper, lower of the tile
+    expected = big.copy(order="F")
+    prod = random_complex(rng, 7, 7) if with_prod else None
+    tile = (slice(2, 9), slice(1, 8))  # a view with a border on every side
+    _tail(big[tile], prod, beta, lower)
+    oracles.tail_tril_indices(expected[tile], prod, beta, lower)
+    assert big.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

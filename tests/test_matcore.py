@@ -24,7 +24,8 @@ from oracles import random_complex
 def test_dims_validation():
     d = Dims(2, 3, 4)
     assert (d.n_atoms, d.n_l, d.n_g) == (2, 3, 4)
-    for bad in [(0, 1, 1), (1, -2, 1), (1, 1, 0)]:
+    for bad in [(0, 1, 1), (1, -2, 1), (1, 1, 0), (float("inf"), 1, 1),
+                (1, float("-inf"), 1), (1, 1, float("nan"))]:
         with pytest.raises(InputError):
             Dims(*bad)
     with pytest.raises(InputError):

@@ -121,6 +121,24 @@ def test_load_detects_malformed_manifest(tmp_path):
         load_instance(mpath.parent)
 
 
+def test_load_detects_wrong_length_u_vector(tmp_path):
+    p = generate(ProblemSpec(Dims(2, 3, 4), seed=7))
+    save_instance(p, tmp_path)
+    write_vector(tmp_path / "u_0001.f64", np.ones(4))
+    with pytest.raises(StorageError, match="u_0001.f64"):
+        load_instance(tmp_path)
+
+
+@pytest.mark.parametrize("text", ['{"dims": {"n_atoms": 1e400, "n_l": 1, "n_g": 1}}',
+                                  '{"dims": {"n_atoms": NaN, "n_l": 1, "n_g": 1}}',
+                                  "[" * 200_000],
+                         ids=["infinite-dims", "nan-dims", "deep-nesting"])
+def test_load_rejects_hostile_manifest_text(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(StorageError, match="malformed"):
+        load_instance(tmp_path)
+
+
 @pytest.mark.parametrize("files", [[1, 2], "abc", {"a": 5}, None])
 def test_load_rejects_files_that_are_not_lists(tmp_path, files):
     p = generate(ProblemSpec(Dims(2, 2, 3), seed=8))
