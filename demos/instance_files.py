@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Instance directories on disk: per-atom block files plus a JSON manifest.
+"""Instance directories on disk: one file per field plus a JSON manifest.
 
 Matrices use a small binary container ('HSM1' magic, 25-byte header,
 column-major complex128 payload); norm vectors are raw little-endian
-float64.  Round-trips are bit-exact, and regeneration from the same seed
-reproduces every file byte for byte.
+float64.  Each field is stored whole: its row-major bytes are the HSM1
+payload, so ``a.hsm`` is an (n_g, n_atoms * n_l) matrix whose column
+a * n_l + l is row l of atom a's A block.  Round-trips are bit-exact, and
+regeneration from the same seed reproduces every file byte for byte.
 """
 
 import struct
@@ -16,26 +18,29 @@ from hsgen.storage import load_instance, read_matrix, save_instance
 
 spec = ProblemSpec(Dims(2, 3, 5), seed=11, nonhpd_fraction=0.5)
 inst = generate(spec)
+print(f"a_blocks: shape {inst.a_blocks.shape}, C-contiguous "
+      f"{inst.a_blocks.flags.c_contiguous}")
 
 with tempfile.TemporaryDirectory() as tmp:
     outdir = Path(tmp) / "instance"
     manifest = save_instance(inst, outdir, seed=spec.seed,
                              nonhpd_fraction=spec.nonhpd_fraction)
     files = sorted(f.name for f in outdir.iterdir())
-    print(f"wrote {len(files)} files: {files[:4]} ... {files[-2:]}")
+    print(f"wrote {len(files)} files: {files}")
 
     # the header is 25 bytes: magic, version, dtype tag, rows, cols
-    raw = (outdir / "a_0001.hsm").read_bytes()
+    raw = (outdir / "a.hsm").read_bytes()
     magic, version, dtype, rows, cols = struct.unpack_from("<4sIBQQ", raw)
-    print(f"a_0001.hsm: magic={magic}, version={version}, dtype={dtype}, "
+    print(f"a.hsm: magic={magic}, version={version}, dtype={dtype}, "
           f"shape=({rows}, {cols}), {len(raw)} bytes = 25 + 16*{rows}*{cols}")
 
     back = load_instance(outdir)
     same = all(
-        x.tobytes() == y.tobytes()
-        for x, y in zip(inst.a_blocks + inst.t_aa, back.a_blocks + back.t_aa)
+        getattr(inst, name).tobytes() == getattr(back, name).tobytes()
+        for name in ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms")
     )
-    print(f"round-trip bit-exact: {same}")
+    print(f"round-trip bit-exact: {same}; loaded a_blocks is a view: "
+          f"{back.a_blocks.base is not None}")
 
     # regeneration from the same spec reproduces the bytes exactly
     again = Path(tmp) / "again"
@@ -46,5 +51,7 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print(f"regenerated directory byte-identical: {identical}")
 
-    print(f"manifest keys: {sorted(manifest)}")
-    print(f"a_0001.hsm as loaded:\n{read_matrix(outdir / 'a_0001.hsm').round(3)}")
+    print(f"manifest: format {manifest['format']}, files {manifest['files']}")
+    a = read_matrix(outdir / "a.hsm")
+    print(f"a.hsm as read, transposed: atom 0's A block is rows 0..2\n{a.T.round(3)}")
+    print(f"equals inst.a_blocks[0]: {(a.T[:3] == inst.a_blocks[0]).all()}")

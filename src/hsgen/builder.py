@@ -10,21 +10,21 @@ through the executor under the caller's policy while the per-atom small
 kernels run inline on the coordinating thread.
 
 The atoms are processed in chunks of ``_CHUNK_BYTES // (16 n_l n_g)``
-atoms (at least one).  Each chunk copies its A and B rows into scratch
-buffers, runs the whole pipeline on them, adds its share of the five
-large updates to the lower triangles of H and S, and is dropped, so the
-scratch memory is three ``chunk·n_l × n_g`` buffers however many atoms
-there are.  The chunk grid depends only on the dimensions, never on the
-policy; a build that fits in one chunk calls every kernel on the same
-operands in the same order as one update over all atoms.
+atoms (at least one).  A chunk's A rows, B rows and norm weights are
+views of the instance's stacked fields; its scratch is Z's buffer, one
+scaled copy of B (for S2, then X's buffer) and, for H2, a gather of the
+A rows of atoms that failed to factor.  Each chunk adds its share of the
+five large updates to the lower triangles of H and S and is dropped, so
+the scratch is at most three ``chunk·n_l × n_g`` buffers however many
+atoms there are.  The chunk grid depends only on the dimensions, never
+on the policy; a build that fits in one chunk calls every kernel on the
+same operands in the same order as one update over all atoms.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .executor import ExecPolicy, run_partitioned
@@ -70,7 +70,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
     n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
     h = zeros(n_g, n_g)
     s = zeros(n_g, n_g)
-    hpd = nonhpd = 0
+    nonhpd = 0
 
     def timed(section, kind, dims, fn, *args):
         t0 = time.perf_counter()
@@ -83,28 +83,32 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
 
     per_chunk = max(1, _CHUNK_BYTES // (16 * n_l * n_g))
     for a0 in range(0, n_a, per_chunk):
-        atoms = range(a0, min(a0 + per_chunk, n_a))
-        k = len(atoms) * n_l
+        a1 = min(a0 + per_chunk, n_a)
+        atoms = range(a0, a1)
+        k = (a1 - a0) * n_l
         beta = 0 if a0 == 0 else 1
-        a_buf, b_buf, z_buf = zeros(k, n_g), zeros(k, n_g), zeros(k, n_g)
+        # the chunk's rows of the stacked fields, as views
+        a_rows = p.a_blocks[a0:a1].reshape(k, n_g)
+        b_rows = p.b_blocks[a0:a1].reshape(k, n_g)
+        u = p.u_norms[a0:a1].reshape(k)
+        z_buf = zeros(k, n_g)
         for i, a in enumerate(atoms):
             rows = slice(i * n_l, (i + 1) * n_l)
-            a_buf[rows] = p.a_blocks[a]
-            b_buf[rows] = p.b_blocks[a]
             timed("Loop 1", KernelKind.GEMM, (n_l, n_g, n_l),
                   kernels.gemm, 1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, z_buf[rows])
             timed("Loop 1", KernelKind.HEMM, (n_l, n_g),
                   kernels.hemm_left, 0.5, p.t_bb[a], p.b_blocks[a], 1, z_buf[rows])
 
-        update("H1", KernelKind.HER2K, (n_g, k), 1, z_buf, b_buf, beta, h)
-        update("S1", KernelKind.HERK, (n_g, k), 1, a_buf, beta, s)
-        u = np.concatenate([np.asarray(p.u_norms[a]) for a in atoms])
+        update("H1", KernelKind.HER2K, (n_g, k), 1, z_buf, b_rows, beta, h)
+        update("S1", KernelKind.HERK, (n_g, k), 1, a_rows, beta, s)
+        b_buf = b_rows.copy()  # scaled for S2, then X's buffer
         timed("U norm", KernelKind.DIAG_SCALE, (k, n_g), kernels.diag_scale, u, b_buf)
         update("S2", KernelKind.HERK, (n_g, k), 1, b_buf, 1, s)
 
-        # Z and B are spent: Y rows go to the top of Z's buffer, X rows to
-        # the top of B's, and the A rows of failed atoms to the top of A's.
+        # Z and B are spent: Y rows go to the top of Z's buffer and X rows
+        # to the top of B's; H2 gathers the failed atoms' A rows.
         y_rows = x_rows = 0
+        failed = []
         for a in atoms:
             factor = None
             if not force_nonhpd:
@@ -120,19 +124,18 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
             else:
                 timed("Loop 2", KernelKind.HEMM, (n_l, n_g), kernels.hemm_left,
                       1, p.t_aa[a], p.a_blocks[a], 0, b_buf[x_rows : x_rows + n_l])
-                a_buf[x_rows : x_rows + n_l] = p.a_blocks[a]
+                failed.append(a)
                 x_rows += n_l
 
-        if x_rows:
-            update("H2", KernelKind.GEMM, (n_g, n_g, x_rows),
-                   1, "C", a_buf[:x_rows], "N", b_buf[:x_rows], 1, h)
+        if failed:  # the gathered A rows are freed when H2 returns
+            update("H2", KernelKind.GEMM, (n_g, n_g, x_rows), 1, "C",
+                   p.a_blocks[failed].reshape(x_rows, n_g), "N", b_buf[:x_rows], 1, h)
         if y_rows:
             update("H3", KernelKind.HERK, (n_g, y_rows), 1, z_buf[:y_rows], 1, h)
-        hpd += y_rows // n_l
-        nonhpd += x_rows // n_l
-        del a_buf, b_buf, z_buf
+        nonhpd += len(failed)
+        del b_buf, z_buf
 
     h = hermitian_mirror(h)  # rebound first: one extra n_g² copy at a time
     s = hermitian_mirror(s)
     return BuildOutput(HermitianResult(h), HermitianResult(s),
-                       SplitCounts(hpd, nonhpd), ledger)
+                       SplitCounts(n_a - nonhpd, nonhpd), ledger)

@@ -98,9 +98,12 @@ def cmd_generate(args) -> int:
         raise InputError("give either --preset --kmax or all of --na/--nl/--ng")
 
     spec = ProblemSpec(dims, seed=args.seed, nonhpd_fraction=args.nonhpd_frac)
-    save_instance(generate(spec), args.out, seed=spec.seed,
+    out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise InputError(f"{out} is not empty; give a new or empty directory")
+    save_instance(generate(spec), out, seed=spec.seed,
                   nonhpd_fraction=spec.nonhpd_fraction)
-    total = sum(f.stat().st_size for f in Path(args.out).iterdir() if f.is_file())
+    total = sum(f.stat().st_size for f in out.iterdir() if f.is_file())  # DIR was empty
     print(f"wrote instance: n_atoms={dims.n_atoms} n_l={dims.n_l} n_g={dims.n_g} "
           f"seed={spec.seed} ({total} bytes)")
     return 0

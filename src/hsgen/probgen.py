@@ -6,7 +6,9 @@ bit-for-bit within one build of numpy.  Draw order is fixed: first the
 non-HPD atom permutation, then per atom (in index order) the A block, the
 B block, the AB coupling block, the AA block's unitary/eigenvalues (plus
 one negative replacement draw for non-HPD atoms), the BB block's
-unitary/eigenvalues, and finally the norm weights.
+unitary/eigenvalues, and finally the norm weights.  Each field is one
+C-contiguous array with a leading atom axis (``instance_shapes``), so
+``p.a_blocks[a]`` is atom a's block and atoms a0..a1 are one slice.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import Dims, InputError, InvariantError, frobenius, hermitian_defect
+from .matcore import Dims, InputError, InvariantError, is_hermitian
 
 #: Basis sizes per test case and plane-wave cutoff.
 _PRESET_TABLE = {
@@ -77,43 +79,32 @@ class ProblemSpec:
 
 @dataclass
 class ProblemInstance:
-    """Per-atom coefficient blocks, coupling blocks, and norm weights.
-
-    The BA coupling block is never stored; it is the conjugate transpose of
-    ``t_ab`` everywhere it is needed.
-    """
+    """Coefficient blocks, coupling blocks, and norm weights, stacked over
+    atoms.  The BA coupling block is never stored; it is the conjugate
+    transpose of ``t_ab`` everywhere it is needed."""
 
     dims: Dims
-    a_blocks: list = field(repr=False, default_factory=list)
-    b_blocks: list = field(repr=False, default_factory=list)
-    t_aa: list = field(repr=False, default_factory=list)
-    t_ab: list = field(repr=False, default_factory=list)
-    t_bb: list = field(repr=False, default_factory=list)
-    u_norms: list = field(repr=False, default_factory=list)
+    a_blocks: np.ndarray = field(repr=False)
+    b_blocks: np.ndarray = field(repr=False)
+    t_aa: np.ndarray = field(repr=False)
+    t_ab: np.ndarray = field(repr=False)
+    t_bb: np.ndarray = field(repr=False)
+    u_norms: np.ndarray = field(repr=False)
 
 
 def _complex_gaussians(rng, rows: int, cols: int, scale: float) -> np.ndarray:
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return np.asfortranarray((re + 1j * im) * scale)
-
-
-def _random_unitary(rng, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(_complex_gaussians(rng, n, n, 1.0))
-    return q
-
-
-def _exact_hermitian(m: np.ndarray) -> np.ndarray:
-    # (m + m^H)/2 is bitwise Hermitian with an exactly real diagonal
-    return np.asfortranarray((m + np.conj(m.T)) / 2.0)
+    return (re + 1j * im) * scale
 
 
 def _spectral_hermitian(rng, n, eig_lo, eig_hi, force_indefinite) -> np.ndarray:
-    q = _random_unitary(rng, n)
+    q, _ = np.linalg.qr(_complex_gaussians(rng, n, n, 1.0))  # unitary
     d = rng.uniform(eig_lo, eig_hi, size=n)
     if force_indefinite:
         d[int(np.argmin(d))] = rng.uniform(-0.1, -0.01)
-    return _exact_hermitian((q * d) @ np.conj(q).T)
+    m = (q * d) @ np.conj(q).T
+    return (m + np.conj(m.T)) / 2.0  # bitwise Hermitian, exactly real diagonal
 
 
 def generate(spec: ProblemSpec) -> ProblemInstance:
@@ -126,49 +117,45 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     lo, hi = spec.eigenvalue_range
     scale = 1.0 / math.sqrt(n_l)
 
-    inst = ProblemInstance(dims)
+    inst = ProblemInstance(dims, **{
+        name: np.empty(shape, dtype=np.float64 if name == "u_norms" else np.complex128)
+        for name, shape in instance_shapes(dims).items()
+    })
     for a in range(n_a):
-        inst.a_blocks.append(_complex_gaussians(rng, n_l, n_g, scale))
-        inst.b_blocks.append(_complex_gaussians(rng, n_l, n_g, scale))
-        inst.t_ab.append(_complex_gaussians(rng, n_l, n_l, scale))
-        inst.t_aa.append(_spectral_hermitian(rng, n_l, lo, hi, a in nonhpd))
-        inst.t_bb.append(_spectral_hermitian(rng, n_l, lo, hi, False))
-        inst.u_norms.append(rng.uniform(0.5, 1.5, size=n_l))
+        inst.a_blocks[a] = _complex_gaussians(rng, n_l, n_g, scale)
+        inst.b_blocks[a] = _complex_gaussians(rng, n_l, n_g, scale)
+        inst.t_ab[a] = _complex_gaussians(rng, n_l, n_l, scale)
+        inst.t_aa[a] = _spectral_hermitian(rng, n_l, lo, hi, a in nonhpd)
+        inst.t_bb[a] = _spectral_hermitian(rng, n_l, lo, hi, False)
+        inst.u_norms[a] = rng.uniform(0.5, 1.5, size=n_l)
     return inst
 
 
 def instance_shapes(dims: Dims) -> dict:
-    """``{field: shape}`` of each per-atom entry of a ProblemInstance; every
-    field holds ``dims.n_atoms`` entries."""
-    n_l, n_g = dims.n_l, dims.n_g
+    """``{field: shape}`` of each ProblemInstance field; the leading axis
+    is the atom."""
+    n_a, n_l, n_g = dims.n_atoms, dims.n_l, dims.n_g
     return {
-        "a_blocks": (n_l, n_g),
-        "b_blocks": (n_l, n_g),
-        "t_aa": (n_l, n_l),
-        "t_ab": (n_l, n_l),
-        "t_bb": (n_l, n_l),
-        "u_norms": (n_l,),
+        "a_blocks": (n_a, n_l, n_g),
+        "b_blocks": (n_a, n_l, n_g),
+        "t_aa": (n_a, n_l, n_l),
+        "t_ab": (n_a, n_l, n_l),
+        "t_bb": (n_a, n_l, n_l),
+        "u_norms": (n_a, n_l),
     }
 
 
 def validate_instance(p: ProblemInstance) -> None:
     """Raise InvariantError if the instance violates its declared invariants."""
-    n_a = p.dims.n_atoms
     for name, shape in instance_shapes(p.dims).items():
-        blocks = getattr(p, name)
-        if len(blocks) != n_a:
-            raise InvariantError(f"{name} has {len(blocks)} blocks, expected {n_a}")
-        for a, blk in enumerate(blocks):
-            if blk.shape != shape:
-                raise InvariantError(
-                    f"{name}[{a}] has shape {blk.shape}, expected {shape}"
-                )
-            if not np.isfinite(blk).all():
-                raise InvariantError(f"{name}[{a}] contains non-finite entries")
-    for name, blocks in (("t_aa", p.t_aa), ("t_bb", p.t_bb)):
-        for a, blk in enumerate(blocks):
-            if hermitian_defect(blk) > 1e-14 * (1.0 + frobenius(blk)):
+        x = getattr(p, name)
+        if (got := getattr(x, "shape", None)) != shape:
+            raise InvariantError(f"{name} has shape {got}, expected {shape}")
+        if not np.isfinite(x).all():
+            raise InvariantError(f"{name} contains non-finite entries")
+    for name in ("t_aa", "t_bb"):
+        for a, blk in enumerate(getattr(p, name)):
+            if not is_hermitian(blk, tol=1e-14):
                 raise InvariantError(f"{name}[{a}] is not Hermitian within 1e-14")
-    for a, u in enumerate(p.u_norms):
-        if not (np.asarray(u) > 0).all():
-            raise InvariantError(f"u_norms[{a}] has non-positive entries")
+    if not (p.u_norms > 0).all():
+        raise InvariantError("u_norms has non-positive entries")

@@ -2,10 +2,11 @@
 matrices, raw float64 vectors, and the JSON manifest tying an instance
 directory together.
 
-An instance directory holds ``{key}_{atom:04d}.hsm`` (``.f64`` for ``u``)
-per manifest key of ``_FIELDS``; ``save_instance`` and ``load_instance``
-are each one loop over that table, with shapes from
-``probgen.instance_shapes``.
+An instance directory holds ``manifest.json`` and one file per key of
+``_FIELDS``: ``u.f64`` raw, every other field one HSM1 matrix of shape
+``(last dim, n_atoms * n_l)`` whose column-major payload is the field's
+row-major bytes, so atoms a0..a1 are one contiguous byte range.  Fields
+are written straight from their buffers and loaded as views.
 """
 
 from __future__ import annotations
@@ -79,27 +80,32 @@ def read_vector(path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
 
-#: manifest key, which is also the file-name prefix -> ProblemInstance
-#: field; ``u`` holds raw float64 vectors, every other key HSM1 matrices
+#: manifest key, which is also the file-name stem -> ProblemInstance field
 _FIELDS = {"a": "a_blocks", "b": "b_blocks", "t_aa": "t_aa", "t_ab": "t_ab",
            "t_bb": "t_bb", "u": "u_norms"}
 
 MANIFEST_NAME = "manifest.json"
+FORMAT = 2  # 1, with no "format" key, was one file per atom and field
 
 
 def save_instance(p: ProblemInstance, outdir, seed: int = 0,
                   nonhpd_fraction: float = 0.0) -> dict:
-    """Write per-atom block files plus the manifest; returns the manifest."""
+    """Check every field's shape, then write one file per field plus the
+    manifest; returns the manifest."""
+    for field, shape in instance_shapes(p.dims).items():
+        if (got := getattr(getattr(p, field), "shape", None)) != shape:
+            raise StorageError(f"cannot save: {field} has shape {got}, expected {shape}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, list[str]] = {key: [] for key in _FIELDS}
+    files = {key: key + (".f64" if key == "u" else ".hsm") for key in _FIELDS}
     for key, field in _FIELDS.items():
-        vector = key == "u"
-        for a, x in enumerate(getattr(p, field)):
-            fname = f"{key}_{a + 1:04d}" + (".f64" if vector else ".hsm")
-            (write_vector if vector else write_matrix)(outdir / fname, x)
-            files[key].append(fname)
+        x = getattr(p, field)
+        if key == "u":
+            write_vector(outdir / files[key], x.reshape(-1))
+        else:
+            write_matrix(outdir / files[key], x.reshape(-1, x.shape[-1]).T)
     manifest = {
+        "format": FORMAT,
         "dims": {"n_atoms": p.dims.n_atoms, "n_l": p.dims.n_l, "n_g": p.dims.n_g},
         "seed": seed,
         "nonhpd_fraction": nonhpd_fraction,
@@ -114,15 +120,15 @@ def save_instance(p: ProblemInstance, outdir, seed: int = 0,
 def _member(indir: Path, mpath: Path, fname) -> Path:
     """indir / fname for a manifest entry that names a file inside indir."""
     if (not isinstance(fname, str) or fname in ("", ".", "..")
-            or Path(fname).name != fname):
-        raise StorageError(
-            f"{mpath}: file name {fname!r} escapes the instance directory"
-        )
+            or Path(fname).name != fname or not fname.isprintable()):
+        raise StorageError(f"{mpath}: file name {fname!r} is not printable or "
+                           f"escapes the instance directory")
     return indir / fname
 
 
 def load_instance(indir) -> ProblemInstance:
-    """Read an instance directory back, checking shapes against the manifest."""
+    """Read an instance directory back as views of the buffers read,
+    checking shapes against the manifest."""
     indir = Path(indir)
     mpath = indir / MANIFEST_NAME
     if not mpath.is_file():
@@ -130,29 +136,28 @@ def load_instance(indir) -> ProblemInstance:
     try:
         manifest = json.loads(mpath.read_text())
         dims = Dims(**manifest["dims"])
-        files = manifest["files"]
+        version = manifest.get("format")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
             RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise StorageError(f"{mpath}: malformed manifest ({exc})") from exc
-    if not isinstance(files, dict) or not all(isinstance(v, list) for v in files.values()):
-        raise StorageError(f"{mpath}: malformed manifest (files must map fields to lists)")
+    if version != FORMAT:
+        raise StorageError(f"{mpath}: instance format {version!r} is not {FORMAT}; "
+                           f"regenerate the instance with 'hsgen generate'")
+    files = manifest.get("files")
+    if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in _FIELDS):
+        raise StorageError(f"{mpath}: malformed manifest (files must name one file per field)")
 
-    inst = ProblemInstance(dims)
-    shapes = instance_shapes(dims)
+    shapes, rows = instance_shapes(dims), dims.n_atoms * dims.n_l
+    fields = {}
     for key, field in _FIELDS.items():
-        names = files.get(key, [])
-        if len(names) != dims.n_atoms:
-            raise StorageError(
-                f"{mpath}: {len(names)} {key} files listed, expected {dims.n_atoms}"
-            )
-        for fname in names:
-            path = _member(indir, mpath, fname)
-            if not path.is_file():
-                raise StorageError(f"{path}: referenced by manifest but missing")
+        path = _member(indir, mpath, files[key])
+        try:
             x = read_vector(path) if key == "u" else read_matrix(path)
-            if x.shape != shapes[field]:
-                raise StorageError(
-                    f"{path}: shape {x.shape} does not match manifest {shapes[field]}"
-                )
-            getattr(inst, field).append(x)
-    return inst
+        except OSError as exc:  # missing, a directory, a name too long, ...
+            raise StorageError(f"{path}: cannot read ({exc.strerror})") from exc
+        shape = shapes[field]
+        want = (rows,) if key == "u" else (shape[-1], rows)
+        if x.shape != want:
+            raise StorageError(f"{path}: shape {x.shape} does not match manifest {want}")
+        fields[field] = x.T.reshape(shape)  # x.T is C-contiguous: a view
+    return ProblemInstance(dims, **fields)

@@ -18,6 +18,7 @@ from hsgen.matcore import (
 from hsgen.probgen import ProblemSpec, generate
 from hsgen.reference import h_reference, s_reference
 from hsgen.report import section_flops
+from hsgen.storage import load_instance, save_instance
 
 from oracles import random_complex, random_hermitian
 
@@ -25,14 +26,9 @@ from oracles import random_complex, random_hermitian
 def _scalar_instance(a, b, t, u, v, w):
     from hsgen.probgen import ProblemInstance
 
-    inst = ProblemInstance(Dims(1, 1, 1))
-    inst.a_blocks.append(np.array([[a]], dtype=complex, order="F"))
-    inst.b_blocks.append(np.array([[b]], dtype=complex, order="F"))
-    inst.t_aa.append(np.array([[t]], dtype=complex, order="F"))
-    inst.t_ab.append(np.array([[u]], dtype=complex, order="F"))
-    inst.t_bb.append(np.array([[v]], dtype=complex, order="F"))
-    inst.u_norms.append(np.array([w], dtype=float))
-    return inst
+    return ProblemInstance(
+        Dims(1, 1, 1), *(np.array([[[x]]], dtype=complex) for x in (a, b, t, u, v)),
+        u_norms=np.array([[w]], dtype=float))
 
 
 def _zero(blocks):
@@ -402,3 +398,30 @@ def test_build_peak_does_not_grow_with_atoms(monkeypatch):
             tracemalloc.stop()
 
     assert peak(32) <= 1.25 * peak(8)
+
+
+def test_build_peak_is_the_same_for_a_generated_and_a_loaded_instance(tmp_path):
+    # one chunk: A's rows are a view of the stacked field and B is copied
+    # once, for S2; a field whose reshape silently copied would add a
+    # k x n_g stack to one of the two peaks
+    dims = Dims(8, 16, 32)
+    p = generate(ProblemSpec(dims, seed=37))
+    save_instance(p, tmp_path)
+    q = load_instance(tmp_path)
+    build_hs(p)  # first-call allocations stay out of the peaks
+
+    def peak(inst):
+        tracemalloc.start()
+        try:
+            build_hs(inst)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    generated, loaded = peak(p), peak(q)
+    stack = 16 * dims.n_atoms * dims.n_l * dims.n_g
+    outputs = 3 * 16 * dims.n_g**2  # H, S and the mirror's copy
+    assert abs(generated - loaded) < 0.01 * stack
+    # Z, H1's two conjugated operands and tile scratch read about 4 stacks;
+    # copying A and B into chunk buffers as well reads about 6
+    assert (loaded - outputs) / stack < 4.5

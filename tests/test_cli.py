@@ -30,9 +30,9 @@ def test_generate_explicit_dims(tmp_path, capsys):
                    "--seed", "1", "--out", str(out)) == 0
     assert "n_atoms=2 n_l=3 n_g=4" in capsys.readouterr().out
     assert (out / "manifest.json").is_file()
-    a = read_matrix(out / "a_0001.hsm")
-    assert a.shape == (3, 4)
-    assert read_matrix(out / "a_0002.hsm").shape == (3, 4)
+    # one file per field: a's HSM1 matrix is (n_g, n_atoms * n_l)
+    assert read_matrix(out / "a.hsm").shape == (4, 6)
+    assert len(list(out.iterdir())) == 7
 
 
 def test_generate_preset_dims(tmp_path, capsys):
@@ -66,6 +66,29 @@ def test_generate_unwritable_dir(tmp_path):
     blocker.write_text("a file, not a directory")
     assert run_cli("generate", "--na", "1", "--nl", "1", "--ng", "1",
                    "--out", str(blocker)) == 1
+
+
+def test_generate_into_a_non_empty_directory_writes_nothing(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--out", str(inst)) == 0
+    assert run_cli("run", "--in", str(inst)) == 0
+    before = _dir_bytes(inst)
+    capsys.readouterr()
+    assert run_cli("generate", "--na", "1", "--nl", "2", "--ng", "3", "--out", str(inst)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert _dir_bytes(inst) == before
+
+
+def test_generate_counts_the_bytes_it_wrote(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    inst.mkdir()  # an existing empty directory is accepted
+    assert run_cli("generate", "--na", "3", "--nl", "2", "--ng", "5", "--out", str(inst)) == 0
+    files = _dir_bytes(inst)
+    assert len(files) == 7
+    total = sum(len(data) for data in files.values())
+    assert f"({total} bytes)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +175,33 @@ def test_hostile_manifest_is_failure_without_traceback(tmp_path, capsys, command
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_old_format_instance_is_failure_without_traceback(tmp_path, capsys, command):
+    # the per-atom layout: one file per atom per field, no "format" key
+    manifest = {
+        "dims": {"n_atoms": 1, "n_l": 1, "n_g": 1},
+        "seed": 0,
+        "nonhpd_fraction": 0.0,
+        "files": {"a": ["a_0001.hsm"], "b": ["b_0001.hsm"], "t_aa": ["t_aa_0001.hsm"],
+                  "t_ab": ["t_ab_0001.hsm"], "t_bb": ["t_bb_0001.hsm"], "u": ["u_0001.f64"]},
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli(command, "--in", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "regenerate" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_run_invariant_violation(tmp_path):
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "6",
                    "--out", str(inst)) == 0
     # corrupt one AA block so it is no longer Hermitian
-    bad = read_matrix(inst / "t_aa_0001.hsm")
-    bad[0, 1] += 3.0
+    bad = read_matrix(inst / "t_aa.hsm")
+    bad[0, 1] += 3.0  # atom 0, row 1, column 0
     from hsgen.storage import write_matrix
 
-    write_matrix(inst / "t_aa_0001.hsm", bad)
+    write_matrix(inst / "t_aa.hsm", bad)
     assert run_cli("run", "--in", str(inst)) == 3
 
 
@@ -252,9 +292,9 @@ def test_verify_corrupted_block_is_invariant_violation(tmp_path):
                    "--out", str(inst)) == 0
     from hsgen.storage import write_matrix
 
-    bad = read_matrix(inst / "t_aa_0002.hsm")
-    bad[1, 0] += 2.0j
-    write_matrix(inst / "t_aa_0002.hsm", bad)
+    bad = read_matrix(inst / "t_aa.hsm")
+    bad[1, 2] += 2.0j  # atom 1, row 0, column 1
+    write_matrix(inst / "t_aa.hsm", bad)
     assert run_cli("verify", "--in", str(inst)) == 3
 
 

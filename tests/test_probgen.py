@@ -152,6 +152,6 @@ def test_validate_instance_catches_corruption():
         validate_instance(q)
 
     r = generate(ProblemSpec(Dims(2, 3, 4), seed=9))
-    r.a_blocks[0] = r.a_blocks[0][:, :2]
+    r.a_blocks = r.a_blocks[:, :, :2]
     with pytest.raises(InvariantError, match="a_blocks"):
         validate_instance(r)

@@ -9,26 +9,23 @@ from oracles import random_complex, random_hermitian
 
 def _scalar_instance(a, b, t, u, v, w):
     """One atom, all dimensions 1."""
-    inst = ProblemInstance(Dims(1, 1, 1))
-    inst.a_blocks.append(np.array([[a]], dtype=complex, order="F"))
-    inst.b_blocks.append(np.array([[b]], dtype=complex, order="F"))
-    inst.t_aa.append(np.array([[t]], dtype=complex, order="F"))
-    inst.t_ab.append(np.array([[u]], dtype=complex, order="F"))
-    inst.t_bb.append(np.array([[v]], dtype=complex, order="F"))
-    inst.u_norms.append(np.array([w], dtype=float))
-    return inst
+    return ProblemInstance(
+        Dims(1, 1, 1), *(np.array([[[x]]], dtype=complex) for x in (a, b, t, u, v)),
+        u_norms=np.array([[w]], dtype=float))
 
 
 def _random_instance(rng, n_a, n_l, n_g):
-    inst = ProblemInstance(Dims(n_a, n_l, n_g))
-    for _ in range(n_a):
-        inst.a_blocks.append(random_complex(rng, n_l, n_g))
-        inst.b_blocks.append(random_complex(rng, n_l, n_g))
-        inst.t_aa.append(random_hermitian(rng, n_l, rng.uniform(0.5, 2.0, n_l)))
-        inst.t_ab.append(random_complex(rng, n_l, n_l))
-        inst.t_bb.append(random_hermitian(rng, n_l, rng.uniform(0.5, 2.0, n_l)))
-        inst.u_norms.append(rng.uniform(0.5, 1.5, n_l))
-    return inst
+    atoms = [
+        (random_complex(rng, n_l, n_g),
+         random_complex(rng, n_l, n_g),
+         random_hermitian(rng, n_l, rng.uniform(0.5, 2.0, n_l)),
+         random_complex(rng, n_l, n_l),
+         random_hermitian(rng, n_l, rng.uniform(0.5, 2.0, n_l)),
+         rng.uniform(0.5, 1.5, n_l))
+        for _ in range(n_a)
+    ]
+    # one stacked array per field, in ProblemInstance's field order
+    return ProblemInstance(Dims(n_a, n_l, n_g), *map(np.stack, zip(*atoms)))
 
 
 def _s_by_index_summation(p):
@@ -140,11 +137,9 @@ def test_s_positive_semidefinite_order_64():
 def test_atom_linearity():
     rng = np.random.default_rng(26)
     p = _random_instance(rng, 4, 3, 5)
-    first = ProblemInstance(p.dims.__class__(2, 3, 5))
-    second = ProblemInstance(p.dims.__class__(2, 3, 5))
-    for name in ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms"):
-        getattr(first, name).extend(getattr(p, name)[:2])
-        getattr(second, name).extend(getattr(p, name)[2:])
+    fields = ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms")
+    first = ProblemInstance(Dims(2, 3, 5), *(getattr(p, name)[:2] for name in fields))
+    second = ProblemInstance(Dims(2, 3, 5), *(getattr(p, name)[2:] for name in fields))
     for fn in (s_reference, h_reference):
         whole = fn(p).matrix
         parts = fn(first).matrix + fn(second).matrix

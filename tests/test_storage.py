@@ -1,9 +1,13 @@
+import contextlib
+import dataclasses
 import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsgen.matcore import Dims
 from hsgen.probgen import ProblemSpec, generate
@@ -81,8 +85,10 @@ def test_instance_roundtrip(tmp_path):
     manifest = save_instance(p, tmp_path, seed=5, nonhpd_fraction=0.5)
     assert manifest["dims"] == {"n_atoms": 3, "n_l": 2, "n_g": 4}
     assert manifest["seed"] == 5
-    assert len(manifest["files"]["a"]) == 3
-    assert manifest["files"]["u"][0] == "u_0001.f64"
+    assert manifest["format"] == 2
+    assert manifest["files"] == {"a": "a.hsm", "b": "b.hsm", "t_aa": "t_aa.hsm",
+                                 "t_ab": "t_ab.hsm", "t_bb": "t_bb.hsm", "u": "u.f64"}
+    assert len(list(tmp_path.iterdir())) == 7
     back = load_instance(tmp_path)
     for name in ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms"):
         for x, y in zip(getattr(p, name), getattr(back, name)):
@@ -97,16 +103,16 @@ def test_load_missing_manifest(tmp_path):
 def test_load_detects_missing_file(tmp_path):
     p = generate(ProblemSpec(Dims(2, 2, 3), seed=6))
     save_instance(p, tmp_path)
-    (tmp_path / "t_aa_0002.hsm").unlink()
-    with pytest.raises(StorageError, match="t_aa_0002.hsm"):
+    (tmp_path / "t_aa.hsm").unlink()
+    with pytest.raises(StorageError, match="t_aa.hsm"):
         load_instance(tmp_path)
 
 
 def test_load_detects_dimension_mismatch(tmp_path):
     p = generate(ProblemSpec(Dims(2, 2, 3), seed=7))
     save_instance(p, tmp_path)
-    write_matrix(tmp_path / "a_0001.hsm", np.zeros((5, 5), dtype=complex))
-    with pytest.raises(StorageError, match="a_0001.hsm"):
+    write_matrix(tmp_path / "a.hsm", np.zeros((5, 5), dtype=complex))
+    with pytest.raises(StorageError, match="a.hsm"):
         load_instance(tmp_path)
 
 
@@ -124,8 +130,8 @@ def test_load_detects_malformed_manifest(tmp_path):
 def test_load_detects_wrong_length_u_vector(tmp_path):
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=7))
     save_instance(p, tmp_path)
-    write_vector(tmp_path / "u_0001.f64", np.ones(4))
-    with pytest.raises(StorageError, match="u_0001.f64"):
+    write_vector(tmp_path / "u.f64", np.ones(4))
+    with pytest.raises(StorageError, match="u.f64"):
         load_instance(tmp_path)
 
 
@@ -157,11 +163,11 @@ def test_load_rejects_manifest_names_outside_the_directory(tmp_path, entry):
     p = generate(ProblemSpec(Dims(2, 2, 3), seed=9))
     save_instance(p, inst)
     outside = tmp_path / "outside.hsm"
-    (inst / "a_0001.hsm").rename(outside)
+    (inst / "a.hsm").rename(outside)
     name = str(outside) if entry == "absolute" else entry
     mpath = inst / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    manifest["files"]["a"][0] = name
+    manifest["files"]["a"] = name
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(StorageError, match="escapes the instance directory"):
         load_instance(inst)
@@ -200,3 +206,114 @@ def test_large_matrix_writes_without_payload_copies(tmp_path):
     assert peak < 0.25 * m.nbytes
     assert path.read_bytes()[25:] == m.tobytes(order="F")
     assert read_matrix(path).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("field", ["a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms"])
+def test_save_rejects_a_field_one_atom_short_before_writing(tmp_path, field):
+    p = generate(ProblemSpec(Dims(3, 2, 4), seed=13))
+    short = dataclasses.replace(p, **{field: getattr(p, field)[:-1]})
+    out = tmp_path / "inst"
+    with pytest.raises(StorageError, match=field):
+        save_instance(short, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [None, 1, "2"])
+def test_load_rejects_an_old_or_unknown_format(tmp_path, version):
+    # the per-atom layout: one file per atom per field, no "format" key
+    manifest = {
+        "dims": {"n_atoms": 2, "n_l": 2, "n_g": 3},
+        "seed": 0,
+        "nonhpd_fraction": 0.0,
+        "files": {key: [f"{key}_{a:04d}.{'f64' if key == 'u' else 'hsm'}" for a in (1, 2)]
+                  for key in ("a", "b", "t_aa", "t_ab", "t_bb", "u")},
+    }
+    if version is not None:
+        manifest["format"] = version
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="regenerate"):
+        load_instance(tmp_path)
+
+
+def test_loaded_fields_are_c_contiguous_views(tmp_path):
+    p = generate(ProblemSpec(Dims(3, 2, 4), seed=14))
+    save_instance(p, tmp_path)
+    back = load_instance(tmp_path)
+    for name in ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb"):
+        x = getattr(back, name)
+        assert x.flags.c_contiguous and x.base is not None
+        assert x.tobytes() == getattr(p, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# property tests: a damaged instance directory ends in StorageError
+
+_FIELD_FILES = ["a.hsm", "b.hsm", "t_aa.hsm", "t_ab.hsm", "t_bb.hsm", "u.f64"]
+_FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """An instance directory and the original bytes of each of its files."""
+    d = tmp_path_factory.mktemp("fuzz")
+    save_instance(generate(ProblemSpec(Dims(2, 3, 4), seed=15)), d)
+    return d, {f.name: f.read_bytes() for f in d.iterdir()}
+
+
+@contextlib.contextmanager
+def _replaced(path, data: bytes):
+    original = path.read_bytes()
+    path.write_bytes(data)
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+@_FUZZ
+@given(name=st.sampled_from(_FIELD_FILES), data=st.data())
+def test_truncated_field_file_is_storage_error(saved, name, data):
+    d, files = saved
+    size = data.draw(st.integers(0, len(files[name]) - 1), label="size")
+    with _replaced(d / name, files[name][:size]), pytest.raises(StorageError):
+        load_instance(d)
+
+
+@_FUZZ
+@given(name=st.sampled_from(_FIELD_FILES[:-1]), pos=st.integers(0, 24),
+       value=st.integers(0, 255))
+def test_overwritten_header_byte_is_storage_error(saved, name, pos, value):
+    d, files = saved
+    raw = bytearray(files[name])
+    assume(raw[pos] != value)
+    raw[pos] = value
+    with _replaced(d / name, bytes(raw)), pytest.raises(StorageError):
+        load_instance(d)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@_FUZZ
+@given(data=st.data(), value=_JSON)
+def test_manifest_value_replaced_by_any_json_is_storage_error(saved, data, value):
+    d, files = saved
+    manifest = json.loads(files["manifest.json"])
+    paths = [(k,) for k in manifest] + [
+        (k, sub) for k, v in manifest.items() if isinstance(v, dict) for sub in v]
+    path = data.draw(st.sampled_from(sorted(paths)), label="path")
+    parent = manifest
+    for k in path[:-1]:
+        parent = parent[k]
+    assume(parent[path[-1]] != value)
+    parent[path[-1]] = value
+    with _replaced(d / "manifest.json", json.dumps(manifest).encode()):
+        if path[0] in ("seed", "nonhpd_fraction"):  # recorded, never read
+            assert load_instance(d).a_blocks.shape == (2, 3, 4)
+        else:
+            with pytest.raises(StorageError):
+                load_instance(d)
