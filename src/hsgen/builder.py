@@ -135,7 +135,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
         nonhpd += len(failed)
         del b_buf, z_buf
 
-    h = hermitian_mirror(h)  # rebound first: one extra n_g² copy at a time
-    s = hermitian_mirror(s)
+    hermitian_mirror(h)
+    hermitian_mirror(s)
     return BuildOutput(HermitianResult(h), HermitianResult(s),
                        SplitCounts(n_a - nonhpd, nonhpd), ledger)

@@ -3,7 +3,9 @@
 Emulates output-partitioned multi-device BLAS on a thread pool: the output
 is cut into tiles, every tile consumes the full inner dimension, and each
 tile is computed by exactly one worker with the per-tile engine of
-``kernels``, the same one the public kernels run as a single tile.  No
+``kernels``, the same one the public kernels run as a single tile.  The
+engine works on the output's fixed ``kernels._BLOCK`` grid, so tiles only
+group blocks across workers, and it skips blocks above the diagonal.  No
 cross-tile reduction exists, so results are bit-identical for every worker
 count and every tile size; a tile edge of at least the output order runs
 the whole update as one tile.
@@ -15,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .kernels import KernelKind, Tile, _terms, _tile_worker, plan_tiles
+from .kernels import KernelKind, Tile, _blocks, _terms, _tile_worker, plan_tiles
 from .matcore import InputError
 
 __all__ = ["ExecPolicy", "ExecResult", "Tile", "plan_tiles", "run_partitioned"]
@@ -49,9 +51,9 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
 
     Operand tuples mirror the public kernels: GEMM
     ``(alpha, opa, a, opb, b, beta, c)``, HERK ``(alpha, a, beta, c)``,
-    HER2K ``(alpha, z, b, beta, c)``.  ``bytes_touched`` counts, per tile,
-    the output tile plus one row and one column panel of the inner
-    dimension per product term.
+    HER2K ``(alpha, z, b, beta, c)``.  ``bytes_touched`` counts, per block
+    computed, the output block plus one row and one column panel of the
+    inner dimension per product term with a nonzero scalar.
     """
     t0 = time.perf_counter()
     terms, beta, c = _terms(kind, operands)
@@ -64,10 +66,10 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
         with ThreadPoolExecutor(max_workers=policy.workers) as pool:
             # list() propagates worker exceptions
             list(pool.map(work, tiles))
-    k = terms[0][1].shape[1]
+    panels = sum(1 for term in terms if term[0] != 0) * terms[0][1].shape[1]
     bytes_touched = sum(
-        ((t.row1 - t.row0) * (t.col1 - t.col0)
-         + len(terms) * (t.row1 - t.row0 + t.col1 - t.col0) * k) * _ITEMSIZE
-        for t in tiles
+        ((b.row1 - b.row0) * (b.col1 - b.col0)
+         + panels * (b.row1 - b.row0 + b.col1 - b.col0)) * _ITEMSIZE
+        for t in tiles for b in _blocks(t)
     )
     return ExecResult(time.perf_counter() - t0, len(tiles), bytes_touched)

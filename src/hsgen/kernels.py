@@ -26,9 +26,14 @@ column order, so the factor is bit-identical to the left-looking scalar
 loop it replaces.
 
 GEMM, HERK and HER2K share one per-tile engine: a checked list of product
-terms, the exact product of each term on one output tile, and one tail
-that writes the tile.  The public ``gemm``, ``herk`` and ``her2k`` run it
-on the one-tile plan; the executor runs it on a planned grid of tiles.
+terms, then per block of a tile the exact product of each term and one
+tail.  Blocks are the tile cut by the fixed ``_BLOCK`` grid of the whole
+output, so each block's accumulator stays in cache; on a diagonal tile of
+a triangular output, blocks above the diagonal are never computed.  A
+conjugated operand is a view with a flag, negated as its column or row is
+copied.  Every element still gets the same operations, so the grid does
+not change the bits.  The public kernels run the engine on the one-tile
+plan; the executor runs it on a planned grid of tiles.
 
 Scalar conventions follow BLAS: beta == 0 means the output is write-only,
 alpha == 0 skips the product entirely, and exact unit scalars pass values
@@ -175,8 +180,8 @@ def _cprod(u, v):
     return out
 
 
-def _acc_product(a, b):
-    """a @ b accumulated with ascending-k rank-1 updates.
+def _acc_product(a, b, conj_a=False, conj_b=False):
+    """a @ b, either conjugated by its flag, with ascending-k rank-1 updates.
 
     Per step only the k-th column of a and row of b are copied, into small
     contiguous vectors; whole panels are never copied, so the working set
@@ -193,11 +198,13 @@ def _acc_product(a, b):
     row = np.empty((2, n))
     xr, xi = col[0, :, None], col[1, :, None]
     yr, yi = row[0], row[1]
+    sign_a = np.negative if conj_a else np.positive  # both exact
+    sign_b = np.negative if conj_b else np.positive
     for k in range(kk):
         np.copyto(col[0], ar[:, k])
-        np.copyto(col[1], ai[:, k])
+        sign_a(ai[:, k], out=col[1])
         np.copyto(yr, br[k])
-        np.copyto(yi, bi[k])
+        sign_b(bi[k], out=yi)
         np.multiply(xr, yr, out=t1)
         np.multiply(xi, yi, out=t2)
         np.subtract(t1, t2, out=t1)
@@ -223,12 +230,11 @@ def _scaled(scalar, m):
 
 
 def _apply_op(op: str, m, name: str):
+    """``(view, conj)``: op(m) is the view, conjugated when ``conj``."""
     if op == "N":
-        return m
-    if op == "T":
-        return m.T
-    if op == "C":
-        return np.conj(m).T
+        return m, False
+    if op in ("T", "C"):
+        return m.T, op == "C"
     raise InputError(f"unknown op {op!r} for operand {name}")
 
 
@@ -275,18 +281,38 @@ def plan_tiles(rows: int, cols: int, tile: int, triangular: bool = False) -> lis
     return tiles
 
 
+#: Edge of the output block grid; a block's four float64 planes are 2 MiB.
+_BLOCK = 256
+
+
+def _blocks(t: Tile) -> list[Tile]:
+    """Tile ``t`` cut by the output's ``_BLOCK`` grid; a diagonal tile
+    drops its blocks above the diagonal and flags those on it."""
+    if t.row0 // _BLOCK == (t.row1 - 1) // _BLOCK and t.col0 // _BLOCK == (t.col1 - 1) // _BLOCK:
+        return [t]  # one block: no per-call objects, e.g. every update at n_g <= 256
+
+    def cuts(lo, hi):
+        edges = [lo, *range((lo // _BLOCK + 1) * _BLOCK, hi, _BLOCK), hi]
+        return list(zip(edges, edges[1:]))
+
+    return [Tile(r0, r1, c0, c1, t.diagonal and c0 == r0)
+            for r0, r1 in cuts(t.row0, t.row1) for c0, c1 in cuts(t.col0, t.col1)
+            if not (t.diagonal and c0 > r0)]
+
+
 def _terms(kind: KernelKind, operands: tuple):
     """Check one GEMM/HERK/HER2K update; return ``(terms, beta, c)``.
 
-    ``terms`` lists the ``(scalar, left, right)`` products whose sum, in
-    order, is the update's product: one for GEMM and HERK, two for HER2K
-    (alpha*z^H*b, then conj(alpha)*b^H*z).  The kind alone decides the term
-    count, so ``her2k(alpha, z, z, ...)`` still adds both terms.
+    ``terms`` lists the ``(scalar, left, right, conj_left, conj_right)``
+    products whose sum, in order, is the update's product: one for GEMM
+    and HERK, two for HER2K (alpha*z^H*b, then conj(alpha)*b^H*z).  The
+    kind alone decides the term count, so ``her2k(alpha, z, z, ...)``
+    still adds both terms.
     """
     if kind is KernelKind.GEMM:
         alpha, opa, a, opb, b, beta, c = operands
-        a_ = _apply_op(opa, a, "a")
-        b_ = _apply_op(opb, b, "b")
+        a_, ca = _apply_op(opa, a, "a")
+        b_, cb = _apply_op(opb, b, "b")
         if a_.shape[1] != b_.shape[0]:
             raise DimensionError(
                 f"inner dimensions disagree: op(a) {a_.shape} vs op(b) {b_.shape}"
@@ -295,7 +321,7 @@ def _terms(kind: KernelKind, operands: tuple):
             raise DimensionError(
                 f"c has shape {c.shape}, expected {(a_.shape[0], b_.shape[1])}"
             )
-        return [(alpha, a_, b_)], beta, c
+        return [(alpha, a_, b_, ca, cb)], beta, c
     if kind is KernelKind.HERK:
         alpha, z, beta, c = operands
         alpha = _as_real(alpha, "herk alpha")
@@ -310,10 +336,9 @@ def _terms(kind: KernelKind, operands: tuple):
     n = z.shape[1]
     if c.shape != (n, n):
         raise DimensionError(f"c has shape {c.shape}, expected {(n, n)}")
-    zh = np.conj(z).T
     if kind is KernelKind.HERK:
-        return [(alpha, zh, z)], beta, c
-    return [(alpha, zh, b), (np.conj(complex(alpha)), np.conj(b).T, z)], beta, c
+        return [(alpha, z.T, z, True, False)], beta, c
+    return [(alpha, z.T, b, True, False), (np.conj(complex(alpha)), b.T, z, True, False)], beta, c
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
@@ -332,18 +357,19 @@ def _tail(c, prod, beta, lower: bool) -> None:
 
 
 def _tile_worker(terms, beta, c):
-    """``work(tile)``: the exact product of every term on one output tile,
-    summed in order, then the tail; tiles never share an output element."""
+    """``work(tile)``: per block, the exact product of every term, summed
+    in order, then the tail; blocks never share an output element."""
 
     def work(t: Tile) -> None:
-        rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
-        prod = None
-        for scalar, left, right in terms:
-            if scalar == 0:
-                continue
-            p = _scaled(scalar, _acc_product(left[rows], right[:, cols]))
-            prod = p if prod is None else prod + p
-        _tail(c[rows, cols], prod, beta, t.diagonal)
+        for blk in _blocks(t):
+            rows, cols = slice(blk.row0, blk.row1), slice(blk.col0, blk.col1)
+            prod = None
+            for scalar, left, right, conj_l, conj_r in terms:
+                if scalar == 0:
+                    continue
+                p = _scaled(scalar, _acc_product(left[rows], right[:, cols], conj_l, conj_r))
+                prod = p if prod is None else prod + p
+            _tail(c[rows, cols], prod, beta, blk.diagonal)
 
     return work
 
@@ -373,7 +399,7 @@ def hemm_left(alpha, t, b, beta, c):
         raise DimensionError(f"t rows {t.shape[0]} != b rows {b.shape[0]}")
     if c.shape != b.shape:
         raise DimensionError(f"c shape {c.shape} != b shape {b.shape}")
-    return gemm(alpha, "N", hermitian_mirror(t), "N", b, beta, c)
+    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c)
 
 
 def herk(alpha, a, beta, c):

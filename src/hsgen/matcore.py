@@ -2,7 +2,7 @@
 
 Conventions: matrices are numpy ``complex128`` arrays in column-major
 (Fortran) order; Hermitian matrices are produced lower-triangle-first and
-mirrored once at the end of a build.
+mirrored once, in place, at the end of a build.
 """
 
 from __future__ import annotations
@@ -69,28 +69,28 @@ _MIRROR_PANEL = 256
 
 
 def hermitian_mirror(m: np.ndarray) -> np.ndarray:
-    """Full Hermitian matrix from the lower triangle of ``m``.
+    """Make ``m`` the full Hermitian matrix of its lower triangle, in place;
+    returns ``m``.
 
     The upper triangle is overwritten with the conjugate transpose of the
     strict lower triangle and diagonal imaginary parts are dropped; the
     lower triangle passes through bit-identically, which makes the
     operation idempotent.  The upper triangle is filled one column panel
-    at a time, written in place from the panel's transposed rows, so the
-    working set beyond the copy stays at one diagonal block.
+    at a time from the panel's transposed rows, so the working set beyond
+    ``m`` stays at one diagonal block.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermitian_mirror needs a square matrix, got {m.shape}")
     n = m.shape[0]
-    out = np.array(m, dtype=np.complex128, order="F", copy=True)
     for j0 in range(0, n, _MIRROR_PANEL):
         j1 = min(j0 + _MIRROR_PANEL, n)
-        np.conj(out[j0:j1, :j0].T, out=out[:j0, j0:j1])
-        blk = out[j0:j1, j0:j1]
+        np.conj(m[j0:j1, :j0].T, out=m[:j0, j0:j1])
+        blk = m[j0:j1, j0:j1]
         iu = np.triu_indices(j1 - j0, k=1)
         blk[iu] = np.conj(blk.T[iu])
     d = np.diag_indices(n)
-    out[d] = out[d].real
-    return out
+    m[d] = m[d].real
+    return m
 
 
 def hermitian_defect(m: np.ndarray) -> float:

@@ -146,6 +146,8 @@ def load_instance(indir) -> ProblemInstance:
     files = manifest.get("files")
     if not isinstance(files, dict) or not all(isinstance(files.get(k), str) for k in _FIELDS):
         raise StorageError(f"{mpath}: malformed manifest (files must name one file per field)")
+    if len({files[k] for k in _FIELDS}) != len(_FIELDS):
+        raise StorageError(f"{mpath}: files names one file for two fields")
 
     shapes, rows = instance_shapes(dims), dims.n_atoms * dims.n_l
     fields = {}

@@ -420,8 +420,9 @@ def test_build_peak_is_the_same_for_a_generated_and_a_loaded_instance(tmp_path):
 
     generated, loaded = peak(p), peak(q)
     stack = 16 * dims.n_atoms * dims.n_l * dims.n_g
-    outputs = 3 * 16 * dims.n_g**2  # H, S and the mirror's copy
+    outputs = 2 * 16 * dims.n_g**2  # H and S, mirrored in place
     assert abs(generated - loaded) < 0.01 * stack
-    # Z, H1's two conjugated operands and tile scratch read about 4 stacks;
-    # copying A and B into chunk buffers as well reads about 6
-    assert (loaded - outputs) / stack < 4.5
+    # Z, the scaled copy of B and tile scratch read about 3.1 stacks; a
+    # conjugated copy of H1's operands and the mirror's copy of an output
+    # read 4.2, and copying A and B into chunk buffers adds 2 more
+    assert (loaded - outputs) / stack < 3.6

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hsgen import kernels
 from hsgen.executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
 from hsgen.kernels import KernelKind, gemm, her2k, herk
 from hsgen.matcore import InputError, zeros
 
+import oracles
 from oracles import random_complex
 
 
@@ -201,3 +207,101 @@ def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
     run_partitioned(kk, ops, _policy(workers, tile=tile))
     kernel(*ops[:-1], c_plain)
     assert c_part.tobytes() == c_plain.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the fixed block grid inside every tile, patched small so that small
+# outputs cross many blocks
+
+
+def _op(op, x):
+    return {"N": x, "T": x.T, "C": np.conj(x).T}[op]
+
+
+def _oracle_update(kind, ops):
+    """The update as ascending-k complex rank-1 products and the
+    tril_indices tail, sharing no code with the engine."""
+    if kind is KernelKind.GEMM:
+        alpha, opa, a, opb, b, beta, c = ops
+        terms = [(alpha, _op(opa, a), _op(opb, b))]
+    elif kind is KernelKind.HERK:
+        alpha, a, beta, c = ops
+        terms = [(alpha, _op("C", a), a)]
+    else:
+        alpha, z, b, beta, c = ops
+        terms = [(alpha, _op("C", z), b), (np.conj(complex(alpha)), _op("C", b), z)]
+    prod = None
+    for scalar, left, right in terms:
+        if scalar == 0:
+            continue
+        p = oracles.acc_product_rank1(left, right)
+        p = p if scalar == 1 else oracles._cprod(scalar, p)
+        prod = p if prod is None else prod + p
+    oracles.tail_tril_indices(c, prod, beta, kind is not KernelKind.GEMM)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from([KernelKind.GEMM, KernelKind.HERK, KernelKind.HER2K]),
+       rows=st.integers(1, 300), cols=st.integers(1, 300), k=st.integers(1, 3),
+       tile=st.integers(32, 320), workers=st.integers(1, 3),
+       beta=st.sampled_from([0.0, 1.0, 0.5]), alpha=st.sampled_from([0, 1, 0.5 - 1j]),
+       opa=st.sampled_from("NTC"), opb=st.sampled_from("NC"), seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("block", [32, 48])
+def test_block_grid_matches_one_tile_kernel_and_oracle(
+        block, kind, rows, cols, k, tile, workers, beta, alpha, opa, opb, seed):
+    rng = np.random.default_rng(seed)
+    if kind is KernelKind.GEMM:
+        a = random_complex(rng, *((rows, k) if opa == "N" else (k, rows)))
+        b = random_complex(rng, *((k, cols) if opb == "N" else (cols, k)))
+        ops, kernel = (alpha, opa, a, opb, b, beta, random_complex(rng, rows, cols)), gemm
+    elif kind is KernelKind.HERK:
+        alpha = {0.5 - 1j: -0.75}.get(alpha, alpha)  # herk scalars are real
+        ops, kernel = (alpha, random_complex(rng, k, rows), beta,
+                       random_complex(rng, rows, rows)), herk
+    else:
+        ops, kernel = (alpha, random_complex(rng, k, rows), random_complex(rng, k, rows),
+                       beta, random_complex(rng, rows, rows)), her2k
+    c_grid, c_kernel, c_oracle = ops[-1], ops[-1].copy(), ops[-1].copy()
+    kernel(*ops[:-1], c_kernel)  # the unpatched one-tile kernel
+    _oracle_update(kind, ops[:-1] + (c_oracle,))
+    with mock.patch.object(kernels, "_BLOCK", block):
+        run_partitioned(kind, ops, ExecPolicy(workers=workers, tile=tile))
+    assert c_grid.tobytes() == c_kernel.tobytes() == c_oracle.tobytes()
+
+
+@pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kind, terms, beta):
+    # order 100 at tile 80 and block 32: tiles [0,80) and [80,100) are cut
+    # at 32, 64 and 96, leaving 6 + 6 + 3 lower or diagonal blocks
+    monkeypatch.setattr(kernels, "_BLOCK", 32)
+    calls = []
+    acc = kernels._acc_product
+    monkeypatch.setattr(kernels, "_acc_product", lambda *a: calls.append(1) or acc(*a))
+    rng = np.random.default_rng(44)
+    c = random_complex(rng, 100, 100)
+    c[np.triu_indices(100, k=1)] = np.nan
+    upper = c[np.triu_indices(100, k=1)].tobytes()
+    z = random_complex(rng, 3, 100)
+    ops = (1.0, z, beta, c) if kind is KernelKind.HERK else (1.0, z, z, beta, c)
+    run_partitioned(kind, ops, _policy(2, tile=80))
+    assert len(calls) == 15 * terms
+    assert c[np.triu_indices(100, k=1)].tobytes() == upper
+    assert np.isfinite(np.tril(c)).all()
+
+
+@pytest.mark.parametrize("alpha,panels", [(1.0, 2), (0.0, 0)])
+def test_bytes_touched_counts_the_computed_blocks(monkeypatch, alpha, panels):
+    # the ragged blocks of the test above, (rows, cols) per tile
+    monkeypatch.setattr(kernels, "_BLOCK", 32)
+    blocks = [(32, 32), (32, 32), (32, 32), (16, 32), (16, 32), (16, 16),
+              (16, 32), (16, 32), (16, 16), (4, 32), (4, 32), (4, 16),
+              (16, 16), (4, 16), (4, 4)]
+    k = 3
+    rng = np.random.default_rng(45)
+    z, b = random_complex(rng, k, 100), random_complex(rng, k, 100)
+    res = run_partitioned(KernelKind.HER2K, (alpha, z, b, 1.0, zeros(100, 100)),
+                          _policy(1, tile=80))
+    assert res.n_tiles == 3
+    assert type(res.bytes_touched) is int  # reports serialize it as JSON
+    assert res.bytes_touched == 16 * sum(h * w + panels * (h + w) * k for h, w in blocks)

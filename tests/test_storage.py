@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hsgen import cli
 from hsgen.matcore import Dims
 from hsgen.probgen import ProblemSpec, generate
 from hsgen.storage import (
@@ -171,6 +172,19 @@ def test_load_rejects_manifest_names_outside_the_directory(tmp_path, entry):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(StorageError, match="escapes the instance directory"):
         load_instance(inst)
+
+
+def test_load_rejects_one_file_named_for_two_fields(tmp_path, capsys):
+    # t_ab has t_aa's shape, so no shape check could see the alias
+    save_instance(generate(ProblemSpec(Dims(2, 3, 4), seed=10)), tmp_path)
+    mpath = tmp_path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["files"]["t_ab"] = "t_aa.hsm"
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="one file for two fields"):
+        load_instance(tmp_path)
+    assert cli.main(["run", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_large_matrix_reads_without_payload_copies(tmp_path):
