@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Instance directories on disk: one file per field plus a JSON manifest.
 
-Matrices use a small binary container ('HSM1' magic, 25-byte header,
-column-major complex128 payload); norm vectors are raw little-endian
-float64.  Each field is stored whole: its row-major bytes are the HSM1
-payload, so ``a.hsm`` is an (n_g, n_atoms * n_l) matrix whose column
-a * n_l + l is row l of atom a's A block.  Round-trips are bit-exact, and
+Every field is one matrix in a small binary container ('HSM1' magic,
+25-byte header with a dtype tag, column-major payload): complex128 for
+the blocks, float64 for the norm weights in ``u.hsm``.  Each field is
+stored whole: its row-major bytes are the HSM1 payload, so ``a.hsm`` is
+an (n_g, n_atoms * n_l) matrix whose column a * n_l + l is row l of atom
+a's A block.  The manifest holds one CRC-32 per field and atom chunk, so
+a flipped byte is refused on load.  Round-trips are bit-exact, and
 regeneration from the same seed reproduces every file byte for byte.
 """
 
@@ -14,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from hsgen import Dims, ProblemSpec, generate
-from hsgen.storage import load_instance, read_matrix, save_instance
+from hsgen.storage import StorageError, load_instance, read_matrix, save_instance
 
 spec = ProblemSpec(Dims(2, 3, 5), seed=11, nonhpd_fraction=0.5)
 inst = generate(spec)
@@ -51,7 +53,24 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print(f"regenerated directory byte-identical: {identical}")
 
-    print(f"manifest: format {manifest['format']}, files {manifest['files']}")
+    print(f"manifest: format {manifest['format']}, one CRC-32 per atom chunk:")
+    for key, crcs in manifest["crc32"].items():
+        print(f"  {key}.hsm: {crcs}")
+    tag = struct.unpack_from("<4sIBQQ", (outdir / "u.hsm").read_bytes())[2]
+    print(f"u.hsm dtype tag: {tag} (float64); the blocks use 1 (complex128)")
+
+    # one flipped payload byte no longer matches its chunk's CRC
+    path = outdir / "t_ab.hsm"
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    try:
+        load_instance(outdir)
+    except StorageError as exc:
+        print(f"one byte flipped in t_ab.hsm, refused: {exc}")
+    else:
+        raise SystemExit("a flipped byte was loaded")
+
     a = read_matrix(outdir / "a.hsm")
     print(f"a.hsm as read, transposed: atom 0's A block is rows 0..2\n{a.T.round(3)}")
     print(f"equals inst.a_blocks[0]: {(a.T[:3] == inst.a_blocks[0]).all()}")

@@ -60,10 +60,8 @@ from .storage import (
     StorageError,
     load_instance,
     read_matrix,
-    read_vector,
     save_instance,
     write_matrix,
-    write_vector,
 )
 
 __version__ = "0.1.0"

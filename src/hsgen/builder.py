@@ -9,16 +9,17 @@ FlopLedger with its section tag; the five large updates are dispatched
 through the executor under the caller's policy while the per-atom small
 kernels run inline on the coordinating thread.
 
-The atoms are processed in chunks of ``_CHUNK_BYTES // (16 n_l n_g)``
-atoms (at least one).  A chunk's A rows, B rows and norm weights are
-views of the instance's stacked fields; its scratch is Z's buffer, one
-scaled copy of B (for S2, then X's buffer) and, for H2, a gather of the
-A rows of atoms that failed to factor.  Each chunk adds its share of the
-five large updates to the lower triangles of H and S and is dropped, so
-the scratch is at most three ``chunk·n_l × n_g`` buffers however many
-atoms there are.  The chunk grid depends only on the dimensions, never
-on the policy; a build that fits in one chunk calls every kernel on the
-same operands in the same order as one update over all atoms.
+The atoms are processed in the chunks of ``probgen.atom_chunks``, the
+grid the instance files are checksummed on.  A chunk's A rows, B rows
+and norm weights are views of the instance's stacked fields; its scratch
+is Z's buffer, one scaled copy of B (for S2, then X's buffer) and, for
+H2, a gather of the A rows of atoms that failed to factor.  Each chunk
+adds its share of the five large updates to the lower triangles of H and
+S and is dropped, so the scratch is at most three ``chunk·n_l × n_g``
+buffers however many atoms there are.  The grid depends only on the
+dimensions, never on the policy; a build that fits in one chunk calls
+every kernel on the same operands in the same order as one update over
+all atoms.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from . import kernels
 from .executor import ExecPolicy, run_partitioned
 from .kernels import FlopLedger, KernelKind
 from .matcore import HermitianResult, hermitian_mirror, zeros
-from .probgen import ProblemInstance, validate_instance
-
-#: Bytes of one chunk's operand buffer; sets the atoms per chunk.
-_CHUNK_BYTES = 32 << 20
+from .probgen import ProblemInstance, atom_chunks, validate_instance
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,7 @@ class BuildOutput:
     ledger: FlopLedger
 
 
-def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
-             force_nonhpd: bool = False) -> BuildOutput:
+def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutput:
     """Full assembly of H and S with a complete, section-tagged ledger.
 
     Z_a = (T_ab)^H A_a + 1/2 T_bb B_a gives the AB, BA and BB terms of H as
@@ -60,9 +57,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
     go through the triangular-multiply path and the rank-k update H3; the
     rest go through the Hermitian-multiply path and the gemm H2.  A failed
     factorization is routing data, not an error, and is not charged to the
-    ledger.  ``force_nonhpd`` is a test hook that sends every atom down the
-    failure path without attempting the factorization.  The instance's
-    blocks are observably unchanged.
+    ledger.  The instance's blocks are observably unchanged.
     """
     validate_instance(p)
     policy = policy or ExecPolicy()
@@ -81,9 +76,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
     def update(section, kind, dims, *operands):
         ledger.add(kind, dims, run_partitioned(kind, operands, policy).seconds, section)
 
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n_l * n_g))
-    for a0 in range(0, n_a, per_chunk):
-        a1 = min(a0 + per_chunk, n_a)
+    for a0, a1 in atom_chunks(p.dims):
         atoms = range(a0, a1)
         k = (a1 - a0) * n_l
         beta = 0 if a0 == 0 else 1
@@ -110,13 +103,10 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None,
         y_rows = x_rows = 0
         failed = []
         for a in atoms:
-            factor = None
-            if not force_nonhpd:
-                t0 = time.perf_counter()
-                factor, _ = kernels.potrf_lower(p.t_aa[a])
-                if factor is not None:
-                    ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
+            t0 = time.perf_counter()
+            factor, _ = kernels.potrf_lower(p.t_aa[a])
             if factor is not None:
+                ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
                 z_buf[y_rows : y_rows + n_l] = timed(
                     "Loop 2", KernelKind.TRMM, (n_l, n_g),
                     kernels.trmm_left_conjtrans, factor, p.a_blocks[a])

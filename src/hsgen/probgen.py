@@ -7,8 +7,10 @@ non-HPD atom permutation, then per atom (in index order) the A block, the
 B block, the AB coupling block, the AA block's unitary/eigenvalues (plus
 one negative replacement draw for non-HPD atoms), the BB block's
 unitary/eigenvalues, and finally the norm weights.  Each field is one
-C-contiguous array with a leading atom axis (``instance_shapes``), so
+C-contiguous array with a leading atom axis (``instance_fields``), so
 ``p.a_blocks[a]`` is atom a's block and atoms a0..a1 are one slice.
+``atom_chunks`` cuts the atoms into the one chunk grid that the builder
+loops over and the instance files checksum.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     scale = 1.0 / math.sqrt(n_l)
 
     inst = ProblemInstance(dims, **{
-        name: np.empty(shape, dtype=np.float64 if name == "u_norms" else np.complex128)
-        for name, shape in instance_shapes(dims).items()
+        name: np.empty(shape, dtype) for name, (shape, dtype) in instance_fields(dims).items()
     })
     for a in range(n_a):
         inst.a_blocks[a] = _complex_gaussians(rng, n_l, n_g, scale)
@@ -131,23 +132,33 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     return inst
 
 
-def instance_shapes(dims: Dims) -> dict:
-    """``{field: shape}`` of each ProblemInstance field; the leading axis
-    is the atom."""
+def instance_fields(dims: Dims) -> dict:
+    """``{field: (shape, dtype)}`` of each ProblemInstance field; the
+    leading axis is the atom."""
     n_a, n_l, n_g = dims.n_atoms, dims.n_l, dims.n_g
-    return {
-        "a_blocks": (n_a, n_l, n_g),
-        "b_blocks": (n_a, n_l, n_g),
-        "t_aa": (n_a, n_l, n_l),
-        "t_ab": (n_a, n_l, n_l),
-        "t_bb": (n_a, n_l, n_l),
-        "u_norms": (n_a, n_l),
-    }
+    c16 = np.dtype(np.complex128)
+    blocks, coupling = ((n_a, n_l, n_g), c16), ((n_a, n_l, n_l), c16)
+    return {"a_blocks": blocks, "b_blocks": blocks, "t_aa": coupling, "t_ab": coupling,
+            "t_bb": coupling, "u_norms": ((n_a, n_l), np.dtype(np.float64))}
+
+
+#: Bytes of one chunk's A rows; sets the atoms per chunk.
+_CHUNK_BYTES = 32 << 20
+
+
+def atom_chunks(dims: Dims) -> list:
+    """``[(a0, a1), ...]``: consecutive atom ranges of at most
+    ``_CHUNK_BYTES // (16 n_l n_g)`` atoms (at least one) covering every
+    atom.  The grid depends on the dims alone.  It is part of the instance
+    format, whose checksums are per chunk: changing it needs a
+    ``storage.FORMAT`` bump."""
+    per = max(1, _CHUNK_BYTES // (16 * dims.n_l * dims.n_g))
+    return [(a0, min(a0 + per, dims.n_atoms)) for a0 in range(0, dims.n_atoms, per)]
 
 
 def validate_instance(p: ProblemInstance) -> None:
     """Raise InvariantError if the instance violates its declared invariants."""
-    for name, shape in instance_shapes(p.dims).items():
+    for name, (shape, _) in instance_fields(p.dims).items():
         x = getattr(p, name)
         if (got := getattr(x, "shape", None)) != shape:
             raise InvariantError(f"{name} has shape {got}, expected {shape}")

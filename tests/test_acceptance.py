@@ -5,7 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import numpy as np
 
-from hsgen import cli
+from hsgen import cli, kernels
 from hsgen.builder import build_hs
 from hsgen.executor import ExecPolicy
 from hsgen.matcore import Dims, frobenius, rel_frob_error
@@ -69,14 +69,16 @@ def test_criterion_3_oracle_equivalence_sweep(capsys):
                    f"worst rel error H {worst_h:.2e}, S {worst_s:.2e} (tol 1e-9)")
 
 
-def test_criterion_4_cholesky_path_equivalence(capsys):
+def test_criterion_4_cholesky_path_equivalence(capsys, monkeypatch):
     rng = np.random.default_rng(77)
     worst = 0.0
     for trial in range(50):
         dims = Dims(int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(4, 25)))
         p = generate(ProblemSpec(dims, seed=1000 + trial, nonhpd_fraction=0.0))
         normal = build_hs(p)
-        forced = build_hs(p, force_nonhpd=True)
+        with monkeypatch.context() as m:  # every factorization fails
+            m.setattr(kernels, "potrf_lower", lambda t: (None, 1))
+            forced = build_hs(p)
         assert normal.split.nonhpd == 0
         assert forced.split.hpd == 0
         err = rel_frob_error(forced.h.matrix, normal.h.matrix)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsgen import builder
+from hsgen import kernels, probgen
 from hsgen.builder import build_hs
 from hsgen.executor import ExecPolicy
 from hsgen.kernels import SECTIONS, KernelKind, gemm, potrf_lower, trmm_left_conjtrans
@@ -196,10 +196,16 @@ def test_phase2_identity_taa_reproduces_gram():
     assert rel_frob_error(out.h.matrix, _gram(p.a_blocks)) < 1e-13
 
 
-def test_phase2_forced_branch_matches_hpd_path():
+def _fail_every_factorization(monkeypatch):
+    """Send every atom down the fallback path of Loop 2."""
+    monkeypatch.setattr(kernels, "potrf_lower", lambda t: (None, 1))
+
+
+def test_phase2_forced_branch_matches_hpd_path(monkeypatch):
     p = generate(ProblemSpec(Dims(4, 3, 5), seed=12, nonhpd_fraction=0.0))
     o1 = build_hs(p)
-    o2 = build_hs(p, force_nonhpd=True)
+    _fail_every_factorization(monkeypatch)
+    o2 = build_hs(p)
     assert (o1.split.hpd, o1.split.nonhpd) == (4, 0)
     assert (o2.split.hpd, o2.split.nonhpd) == (0, 4)
     assert rel_frob_error(o1.h.matrix, o2.h.matrix) < 1e-10
@@ -310,7 +316,7 @@ def test_build_hs_outputs_pass_hermitian_invariants():
 
 
 def _set_chunk_atoms(monkeypatch, dims, atoms):
-    monkeypatch.setattr(builder, "_CHUNK_BYTES", atoms * 16 * dims.n_l * dims.n_g)
+    monkeypatch.setattr(probgen, "_CHUNK_BYTES", atoms * 16 * dims.n_l * dims.n_g)
 
 
 @pytest.mark.parametrize("atoms", [1, 3])
@@ -333,7 +339,8 @@ def test_chunked_forced_branch_matches_hpd_path(monkeypatch, atoms):
     _set_chunk_atoms(monkeypatch, dims, atoms)
     p = generate(ProblemSpec(dims, seed=32, nonhpd_fraction=0.0))
     o1 = build_hs(p)
-    o2 = build_hs(p, force_nonhpd=True)
+    _fail_every_factorization(monkeypatch)
+    o2 = build_hs(p)
     assert (o1.split.hpd, o2.split.nonhpd) == (7, 7)
     assert rel_frob_error(o1.h.matrix, o2.h.matrix) <= 1e-10
 
@@ -426,3 +433,34 @@ def test_build_peak_is_the_same_for_a_generated_and_a_loaded_instance(tmp_path):
     # conjugated copy of H1's operands and the mirror's copy of an output
     # read 4.2, and copying A and B into chunk buffers adds 2 more
     assert (loaded - outputs) / stack < 3.6
+
+
+#: Scratch one worker holds while it computes one block of a large update:
+#: the two accumulator and two product planes, the packed product, the
+#: term summed before it and the tail's temporaries, at most four complex
+#: blocks of the output's grid.
+_BLOCK_SCRATCH = 4 * 16 * kernels._BLOCK**2
+
+
+@pytest.mark.parametrize("atoms", [None, 2], ids=["one-chunk", "2-atom-chunks"])
+def test_build_peak_is_outputs_plus_chunk_buffers(monkeypatch, atoms):
+    # H and S, three chunk buffers (Z, scaled B / X, the H2 gather) and
+    # each worker's block scratch; no copy of H or S fits under the bound
+    dims = Dims(9, 4, 1024)
+    if atoms is not None:
+        _set_chunk_atoms(monkeypatch, dims, atoms)
+    chunks = probgen.atom_chunks(dims)
+    assert len(chunks) == (1 if atoms is None else 5)
+    k = dims.n_l * max(a1 - a0 for a0, a1 in chunks)
+    policy = ExecPolicy(workers=2, tile=256)
+    p = generate(ProblemSpec(dims, seed=37, nonhpd_fraction=0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build_hs(p, policy)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < out.split.nonhpd < dims.n_atoms  # both H2 and H3 ran
+    bound = 2 * 16 * dims.n_g**2 + 3 * 16 * k * dims.n_g + policy.workers * _BLOCK_SCRATCH
+    assert peak <= bound, (peak, bound)

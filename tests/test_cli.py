@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsgen import cli
-from hsgen.storage import StorageError, load_instance, read_matrix, save_instance
+from hsgen.storage import StorageError, load_instance, read_matrix, save_instance, write_matrix
 from hsgen.probgen import ProblemSpec, generate
 from hsgen.matcore import Dims, InputError, InvariantError
 
@@ -148,19 +148,6 @@ def test_run_missing_instance(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def test_run_malformed_manifest_files_is_failure(tmp_path, capsys):
-    inst = tmp_path / "inst"
-    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "6",
-                   "--out", str(inst)) == 0
-    mpath = inst / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest["files"] = {"a": 5}
-    mpath.write_text(json.dumps(manifest))
-    assert run_cli("run", "--in", str(inst)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-
-
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("manifest", ['{"dims": {"n_atoms": 1e400, "n_l": 1, "n_g": 1}}',
                                       "[" * 200_000], ids=["infinite-dims", "deep-nesting"])
@@ -192,17 +179,34 @@ def test_old_format_instance_is_failure_without_traceback(tmp_path, capsys, comm
     assert len(err.splitlines()) == 1
 
 
+def _save_non_hermitian(inst, seed, atom, entry, delta):
+    """Save an instance whose AA block of ``atom`` is not Hermitian; its
+    files and checksums agree, so only the build can refuse it."""
+    p = generate(ProblemSpec(Dims(2, 2, 3), seed=seed))
+    p.t_aa[atom][entry] += delta
+    save_instance(p, inst, seed=seed)
+
+
 def test_run_invariant_violation(tmp_path):
+    inst = tmp_path / "inst"
+    _save_non_hermitian(inst, 6, 0, (1, 0), 3.0)
+    assert run_cli("run", "--in", str(inst)) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_hand_edited_field_file_is_failure_without_traceback(tmp_path, capsys, command):
+    # a block rewritten behind the manifest's back fails its checksum
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "6",
                    "--out", str(inst)) == 0
-    # corrupt one AA block so it is no longer Hermitian
+    capsys.readouterr()
     bad = read_matrix(inst / "t_aa.hsm")
     bad[0, 1] += 3.0  # atom 0, row 1, column 0
-    from hsgen.storage import write_matrix
-
     write_matrix(inst / "t_aa.hsm", bad)
-    assert run_cli("run", "--in", str(inst)) == 3
+    assert run_cli(command, "--in", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_aa.hsm: checksum mismatch" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_run_missing_report_directory_fails_before_writing(tmp_path, capsys):
@@ -288,13 +292,7 @@ def test_verify_strict_tolerance_fails(tmp_path):
 
 def test_verify_corrupted_block_is_invariant_violation(tmp_path):
     inst = tmp_path / "inst"
-    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "10",
-                   "--out", str(inst)) == 0
-    from hsgen.storage import write_matrix
-
-    bad = read_matrix(inst / "t_aa.hsm")
-    bad[1, 2] += 2.0j  # atom 1, row 0, column 1
-    write_matrix(inst / "t_aa.hsm", bad)
+    _save_non_hermitian(inst, 10, 1, (0, 1), 2.0j)
     assert run_cli("verify", "--in", str(inst)) == 3
 
 

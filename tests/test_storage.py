@@ -9,18 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsgen import cli
+from hsgen import cli, probgen
 from hsgen.matcore import Dims
 from hsgen.probgen import ProblemSpec, generate
-from hsgen.storage import (
-    StorageError,
-    load_instance,
-    read_matrix,
-    read_vector,
-    save_instance,
-    write_matrix,
-    write_vector,
-)
+from hsgen.storage import StorageError, load_instance, read_matrix, save_instance, write_matrix
 
 from oracles import random_complex
 
@@ -71,14 +63,19 @@ def test_matrix_read_errors(tmp_path):
 
 
 def test_vector_roundtrip(tmp_path):
-    v = np.random.default_rng(2).uniform(0.5, 1.5, 7)
-    path = tmp_path / "u.f64"
-    write_vector(path, v)
-    back = read_vector(path)
+    # a float64 matrix is stored as itself, dtype tag 2, 8 bytes a value
+    v = np.random.default_rng(2).uniform(0.5, 1.5, (1, 7))
+    path = tmp_path / "u.hsm"
+    write_matrix(path, v)
+    data = path.read_bytes()
+    assert len(data) == 25 + 8 * 7
+    assert struct.unpack_from("<4sIBQQ", data) == (b"HSM1", 1, 2, 1, 7)
+    back = read_matrix(path)
+    assert back.dtype == np.float64 and back.shape == (1, 7)
     assert back.tobytes() == v.tobytes()
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(StorageError, match="multiple of 8"):
-        read_vector(path)
+    path.write_bytes(data[:-3])
+    with pytest.raises(StorageError, match="payload"):
+        read_matrix(path)
 
 
 def test_instance_roundtrip(tmp_path):
@@ -86,10 +83,13 @@ def test_instance_roundtrip(tmp_path):
     manifest = save_instance(p, tmp_path, seed=5, nonhpd_fraction=0.5)
     assert manifest["dims"] == {"n_atoms": 3, "n_l": 2, "n_g": 4}
     assert manifest["seed"] == 5
-    assert manifest["format"] == 2
-    assert manifest["files"] == {"a": "a.hsm", "b": "b.hsm", "t_aa": "t_aa.hsm",
-                                 "t_ab": "t_ab.hsm", "t_bb": "t_bb.hsm", "u": "u.f64"}
-    assert len(list(tmp_path.iterdir())) == 7
+    assert manifest["format"] == 3
+    assert "files" not in manifest
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "a.hsm", "b.hsm", "manifest.json", "t_aa.hsm", "t_ab.hsm", "t_bb.hsm", "u.hsm"]
+    # one CRC per field and atom chunk: here one chunk
+    assert sorted(manifest["crc32"]) == ["a", "b", "t_aa", "t_ab", "t_bb", "u"]
+    assert all(len(crcs) == 1 for crcs in manifest["crc32"].values())
     back = load_instance(tmp_path)
     for name in ("a_blocks", "b_blocks", "t_aa", "t_ab", "t_bb", "u_norms"):
         for x, y in zip(getattr(p, name), getattr(back, name)):
@@ -131,8 +131,12 @@ def test_load_detects_malformed_manifest(tmp_path):
 def test_load_detects_wrong_length_u_vector(tmp_path):
     p = generate(ProblemSpec(Dims(2, 3, 4), seed=7))
     save_instance(p, tmp_path)
-    write_vector(tmp_path / "u.f64", np.ones(4))
-    with pytest.raises(StorageError, match="u.f64"):
+    write_matrix(tmp_path / "u.hsm", np.ones((1, 4)))
+    with pytest.raises(StorageError, match="u.hsm"):
+        load_instance(tmp_path)
+    # the right length as complex128 is the wrong dtype
+    write_matrix(tmp_path / "u.hsm", np.ones((1, 6), dtype=complex))
+    with pytest.raises(StorageError, match="u.hsm.*float64"):
         load_instance(tmp_path)
 
 
@@ -146,45 +150,46 @@ def test_load_rejects_hostile_manifest_text(tmp_path, text):
         load_instance(tmp_path)
 
 
-@pytest.mark.parametrize("files", [[1, 2], "abc", {"a": 5}, None])
-def test_load_rejects_files_that_are_not_lists(tmp_path, files):
-    p = generate(ProblemSpec(Dims(2, 2, 3), seed=8))
-    save_instance(p, tmp_path)
-    mpath = tmp_path / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest["files"] = files
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(StorageError, match="malformed"):
-        load_instance(tmp_path)
-
-
-@pytest.mark.parametrize("entry", ["absolute", "../outside.hsm"])
-def test_load_rejects_manifest_names_outside_the_directory(tmp_path, entry):
-    inst = tmp_path / "inst"
-    p = generate(ProblemSpec(Dims(2, 2, 3), seed=9))
-    save_instance(p, inst)
-    outside = tmp_path / "outside.hsm"
-    (inst / "a.hsm").rename(outside)
-    name = str(outside) if entry == "absolute" else entry
-    mpath = inst / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest["files"]["a"] = name
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(StorageError, match="escapes the instance directory"):
-        load_instance(inst)
-
-
-def test_load_rejects_one_file_named_for_two_fields(tmp_path, capsys):
-    # t_ab has t_aa's shape, so no shape check could see the alias
+@pytest.mark.parametrize("pair", [("a", "b"), ("t_aa", "t_ab")], ids=["a-b", "t_aa-t_ab"])
+def test_load_rejects_swapped_field_files(tmp_path, capsys, pair):
+    # each pair has one shape, so no shape check could see the swap
     save_instance(generate(ProblemSpec(Dims(2, 3, 4), seed=10)), tmp_path)
-    mpath = tmp_path / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest["files"]["t_ab"] = "t_aa.hsm"
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(StorageError, match="one file for two fields"):
+    one, two = (tmp_path / f"{key}.hsm" for key in pair)
+    data_one, data_two = one.read_bytes(), two.read_bytes()
+    one.write_bytes(data_two)
+    two.write_bytes(data_one)
+    with pytest.raises(StorageError, match="checksum"):
         load_instance(tmp_path)
     assert cli.main(["run", "--in", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_checksum_error_names_the_file_and_the_atom_range(tmp_path, monkeypatch):
+    dims = Dims(5, 2, 3)
+    monkeypatch.setattr(probgen, "_CHUNK_BYTES", 2 * 16 * dims.n_l * dims.n_g)
+    manifest = save_instance(generate(ProblemSpec(dims, seed=11)), tmp_path)
+    assert [len(crcs) for crcs in manifest["crc32"].values()] == [3] * 6
+    raw = bytearray((tmp_path / "b.hsm").read_bytes())
+    raw[25 + 16 * 2 * 3 * 2] ^= 1  # the first byte of atom 2's rows
+    (tmp_path / "b.hsm").write_bytes(bytes(raw))
+    with pytest.raises(StorageError, match=r"b\.hsm: checksum mismatch in atoms 2\.\.3"):
+        load_instance(tmp_path)
+
+
+@pytest.mark.parametrize("crcs", ["missing", "not-a-list", "one-short", "one-long"])
+def test_load_rejects_missing_or_malformed_crc_lists(tmp_path, crcs):
+    save_instance(generate(ProblemSpec(Dims(2, 2, 3), seed=12)), tmp_path)
+    mpath = tmp_path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    listed = manifest["crc32"]["t_bb"]
+    if crcs == "missing":
+        del manifest["crc32"]["t_bb"]
+    else:
+        manifest["crc32"]["t_bb"] = {"not-a-list": listed[0], "one-short": listed[:-1],
+                                     "one-long": listed * 2}[crcs]
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="malformed manifest.*crc32"):
+        load_instance(tmp_path)
 
 
 def test_large_matrix_reads_without_payload_copies(tmp_path):
@@ -249,6 +254,38 @@ def test_load_rejects_an_old_or_unknown_format(tmp_path, version):
         load_instance(tmp_path)
 
 
+def test_load_rejects_a_format_2_instance(tmp_path, capsys):
+    # format 2: one file per field, named in the manifest, u as raw float64
+    files = {key: f"{key}.hsm" for key in ("a", "b", "t_aa", "t_ab", "t_bb")}
+    manifest = {"format": 2, "dims": {"n_atoms": 1, "n_l": 1, "n_g": 1}, "seed": 0,
+                "nonhpd_fraction": 0.0, "files": {**files, "u": "u.f64"}}
+    for name in files.values():
+        write_matrix(tmp_path / name, np.ones((1, 1), dtype=complex))
+    (tmp_path / "u.f64").write_bytes(np.ones(1).tobytes())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="format 2 is not 3.*regenerate"):
+        load_instance(tmp_path)
+    assert cli.main(["run", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "regenerate" in err
+
+
+def test_load_checks_checksums_without_copying_fields(tmp_path):
+    p = generate(ProblemSpec(Dims(2, 8, 2048), seed=16))  # 1 MiB of A and B rows
+    save_instance(p, tmp_path)
+    payload = sum(getattr(p, f).nbytes for f in ("a_blocks", "b_blocks", "t_aa", "t_ab",
+                                                 "t_bb", "u_norms"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = load_instance(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.a_blocks.tobytes() == p.a_blocks.tobytes()
+    assert peak < 1.1 * payload
+
+
 def test_loaded_fields_are_c_contiguous_views(tmp_path):
     p = generate(ProblemSpec(Dims(3, 2, 4), seed=14))
     save_instance(p, tmp_path)
@@ -262,7 +299,7 @@ def test_loaded_fields_are_c_contiguous_views(tmp_path):
 # ---------------------------------------------------------------------------
 # property tests: a damaged instance directory ends in StorageError
 
-_FIELD_FILES = ["a.hsm", "b.hsm", "t_aa.hsm", "t_ab.hsm", "t_bb.hsm", "u.f64"]
+_FIELD_FILES = ["a.hsm", "b.hsm", "t_aa.hsm", "t_ab.hsm", "t_bb.hsm", "u.hsm"]
 _FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
 
@@ -294,7 +331,7 @@ def test_truncated_field_file_is_storage_error(saved, name, data):
 
 
 @_FUZZ
-@given(name=st.sampled_from(_FIELD_FILES[:-1]), pos=st.integers(0, 24),
+@given(name=st.sampled_from(_FIELD_FILES), pos=st.integers(0, 24),
        value=st.integers(0, 255))
 def test_overwritten_header_byte_is_storage_error(saved, name, pos, value):
     d, files = saved
@@ -302,6 +339,17 @@ def test_overwritten_header_byte_is_storage_error(saved, name, pos, value):
     assume(raw[pos] != value)
     raw[pos] = value
     with _replaced(d / name, bytes(raw)), pytest.raises(StorageError):
+        load_instance(d)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(_FIELD_FILES), data=st.data())
+def test_flipped_payload_bit_is_storage_error(saved, name, data):
+    d, files = saved
+    raw = bytearray(files[name])
+    pos = data.draw(st.integers(25, len(raw) - 1), label="pos")
+    raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    with _replaced(d / name, bytes(raw)), pytest.raises(StorageError, match="checksum"):
         load_instance(d)
 
 
