@@ -33,8 +33,6 @@ from .matcore import (
     zeros,
 )
 from .probgen import (
-    PRESETS,
-    Preset,
     ProblemInstance,
     ProblemSpec,
     generate,

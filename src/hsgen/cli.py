@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="assemble H and S from an instance directory")
     run.add_argument("--in", dest="indir", required=True)
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--tile", type=int, default=512)
+    run.add_argument("--tile", type=int, default=512,
+                     help="output-tile edge, at least 32; an edge above 256 runs as 256")
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")
 
     ver = sub.add_parser("verify", help="compare the assembly against the reference oracle")
@@ -162,6 +163,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     inst = load_instance(args.indir)
     if inst.dims.n_g > ORACLE_GUARD_NG and not args.force:
         raise InputError(f"n_g={inst.dims.n_g} exceeds the oracle guard "

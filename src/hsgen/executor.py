@@ -2,13 +2,12 @@
 
 Emulates output-partitioned multi-device BLAS on a thread pool: the output
 is cut into tiles, every tile consumes the full inner dimension, and each
-tile is computed by exactly one worker with the per-tile engine of
-``kernels``, the same one the public kernels run as a single tile.  The
-engine works on the output's fixed ``kernels._BLOCK`` grid, so tiles only
-group blocks across workers, and it skips blocks above the diagonal.  No
-cross-tile reduction exists, so results are bit-identical for every worker
-count and every tile size; a tile edge of at least the output order runs
-the whole update as one tile.
+tile is computed whole by exactly one worker with the per-tile engine of
+``kernels``, the one the public kernels run serially.  A tile is at most
+one block of the output's fixed ``kernels._BLOCK`` grid: a policy tile
+above it plans the block grid, and tiles above the diagonal of a
+triangular output are never planned.  No cross-tile reduction exists, so
+results are bit-identical for every worker count and every tile size.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .kernels import KernelKind, Tile, _blocks, _terms, _tile_worker, plan_tiles
+from . import kernels
+from .kernels import KernelKind, Tile, _terms, _tile_worker, plan_tiles
 from .matcore import InputError
 
 __all__ = ["ExecPolicy", "ExecResult", "Tile", "plan_tiles", "run_partitioned"]
@@ -33,10 +33,15 @@ class ExecPolicy:
     tile: int = 512
 
     def __post_init__(self):
-        if int(self.workers) != self.workers or self.workers < 1:
-            raise InputError(f"workers must be a positive integer, got {self.workers!r}")
-        if int(self.tile) != self.tile or self.tile < 32:
-            raise InputError(f"tile must be an integer >= 32, got {self.tile!r}")
+        for name, least in (("workers", 1), ("tile", 32)):
+            v = getattr(self, name)
+            try:
+                n = int(v)
+            except (OverflowError, ValueError):  # inf, nan
+                n = 0
+            if n != v or n < least:
+                raise InputError(f"{name} must be an integer >= {least}, got {v!r}")
+            object.__setattr__(self, name, n)
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,15 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
 
     Operand tuples mirror the public kernels: GEMM
     ``(alpha, opa, a, opb, b, beta, c)``, HERK ``(alpha, a, beta, c)``,
-    HER2K ``(alpha, z, b, beta, c)``.  ``bytes_touched`` counts, per block
-    computed, the output block plus one row and one column panel of the
-    inner dimension per product term with a nonzero scalar.
+    HER2K ``(alpha, z, b, beta, c)``.  The tile edge is
+    ``min(policy.tile, kernels._BLOCK)``.  ``bytes_touched`` counts, per
+    tile, the output tile plus one row and one column panel of the inner
+    dimension per product term with a nonzero scalar.
     """
     t0 = time.perf_counter()
     terms, beta, c = _terms(kind, operands)
-    tiles = plan_tiles(*c.shape, policy.tile, triangular=kind is not KernelKind.GEMM)
+    tiles = plan_tiles(*c.shape, min(policy.tile, kernels._BLOCK),
+                       triangular=kind is not KernelKind.GEMM)
     work = _tile_worker(terms, beta, c)
     if policy.workers == 1:
         for t in tiles:
@@ -68,8 +75,8 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
             list(pool.map(work, tiles))
     panels = sum(1 for term in terms if term[0] != 0) * terms[0][1].shape[1]
     bytes_touched = sum(
-        ((b.row1 - b.row0) * (b.col1 - b.col0)
-         + panels * (b.row1 - b.row0 + b.col1 - b.col0)) * _ITEMSIZE
-        for t in tiles for b in _blocks(t)
+        ((t.row1 - t.row0) * (t.col1 - t.col0)
+         + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * _ITEMSIZE
+        for t in tiles
     )
     return ExecResult(time.perf_counter() - t0, len(tiles), bytes_touched)

@@ -26,14 +26,14 @@ column order, so the factor is bit-identical to the left-looking scalar
 loop it replaces.
 
 GEMM, HERK and HER2K share one per-tile engine: a checked list of product
-terms, then per block of a tile the exact product of each term and one
-tail.  Blocks are the tile cut by the fixed ``_BLOCK`` grid of the whole
-output, so each block's accumulator stays in cache; on a diagonal tile of
-a triangular output, blocks above the diagonal are never computed.  A
-conjugated operand is a view with a flag, negated as its column or row is
-copied.  Every element still gets the same operations, so the grid does
-not change the bits.  The public kernels run the engine on the one-tile
-plan; the executor runs it on a planned grid of tiles.
+terms, then per tile the exact product of each term and one tail.  A tile
+is at most one block of the fixed ``_BLOCK`` grid, so its accumulator
+stays in cache; tiles above the diagonal of a triangular output are never
+planned.  A conjugated operand is a view with a flag, negated as its
+column or row is copied.  Every element gets the same operations on any
+grid, so the grid does not change the bits.  The public kernels, and TRMM
+as a GEMM, run the engine serially on the ``_BLOCK`` grid; the executor
+runs it on the policy's grid, never coarser than ``_BLOCK``.
 
 Scalar conventions follow BLAS: beta == 0 means the output is write-only,
 alpha == 0 skips the product entirely, and exact unit scalars pass values
@@ -281,23 +281,9 @@ def plan_tiles(rows: int, cols: int, tile: int, triangular: bool = False) -> lis
     return tiles
 
 
-#: Edge of the output block grid; a block's four float64 planes are 2 MiB.
+#: Edge of the output block grid and the largest tile; a block's four
+#: float64 planes are 2 MiB.
 _BLOCK = 256
-
-
-def _blocks(t: Tile) -> list[Tile]:
-    """Tile ``t`` cut by the output's ``_BLOCK`` grid; a diagonal tile
-    drops its blocks above the diagonal and flags those on it."""
-    if t.row0 // _BLOCK == (t.row1 - 1) // _BLOCK and t.col0 // _BLOCK == (t.col1 - 1) // _BLOCK:
-        return [t]  # one block: no per-call objects, e.g. every update at n_g <= 256
-
-    def cuts(lo, hi):
-        edges = [lo, *range((lo // _BLOCK + 1) * _BLOCK, hi, _BLOCK), hi]
-        return list(zip(edges, edges[1:]))
-
-    return [Tile(r0, r1, c0, c1, t.diagonal and c0 == r0)
-            for r0, r1 in cuts(t.row0, t.row1) for c0, c1 in cuts(t.col0, t.col1)
-            if not (t.diagonal and c0 > r0)]
 
 
 def _terms(kind: KernelKind, operands: tuple):
@@ -357,28 +343,29 @@ def _tail(c, prod, beta, lower: bool) -> None:
 
 
 def _tile_worker(terms, beta, c):
-    """``work(tile)``: per block, the exact product of every term, summed
-    in order, then the tail; blocks never share an output element."""
+    """``work(tile)``: the exact product of every term, summed in order,
+    then the tail; tiles never share an output element."""
 
     def work(t: Tile) -> None:
-        for blk in _blocks(t):
-            rows, cols = slice(blk.row0, blk.row1), slice(blk.col0, blk.col1)
-            prod = None
-            for scalar, left, right, conj_l, conj_r in terms:
-                if scalar == 0:
-                    continue
-                p = _scaled(scalar, _acc_product(left[rows], right[:, cols], conj_l, conj_r))
-                prod = p if prod is None else prod + p
-            _tail(c[rows, cols], prod, beta, blk.diagonal)
+        rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
+        prod = None
+        for scalar, left, right, conj_l, conj_r in terms:
+            if scalar == 0:
+                continue
+            p = _scaled(scalar, _acc_product(left[rows], right[:, cols], conj_l, conj_r))
+            prod = p if prod is None else prod + p
+        _tail(c[rows, cols], prod, beta, t.diagonal)
 
     return work
 
 
 def _whole(kind: KernelKind, operands: tuple):
-    """Run one update as the one-tile plan; returns the output."""
+    """Run one update serially on the ``_BLOCK`` grid; returns the output."""
     terms, beta, c = _terms(kind, operands)
-    m, n = c.shape
-    _tile_worker(terms, beta, c)(Tile(0, m, 0, n, diagonal=kind is not KernelKind.GEMM))
+    work = _tile_worker(terms, beta, c)
+    if c.size:  # plan_tiles rejects an empty output, which needs no work
+        for t in plan_tiles(*c.shape, _BLOCK, triangular=kind is not KernelKind.GEMM):
+            work(t)
     return c
 
 
@@ -420,8 +407,7 @@ def trmm_left_conjtrans(c_factor, a):
         raise DimensionError(
             f"c_factor order {c_factor.shape[0]} != a rows {a.shape[0]}"
         )
-    ch = np.conj(np.tril(c_factor)).T
-    return _acc_product(np.asfortranarray(ch), a)
+    return _whole(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, zeros(*a.shape)))
 
 
 def potrf_lower(t):

@@ -31,19 +31,8 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 KMAX_VALUES = (2.5, 3.0, 3.5, 4.0)
 
-
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    k_max: float
-    dims: Dims
-
-
-PRESETS = tuple(
-    Preset(name, k, Dims(na, nl, ng_by_k[k]))
-    for name, (na, nl, ng_by_k) in _PRESET_TABLE.items()
-    for k in KMAX_VALUES
-)
+#: Eigenvalue interval of the generated Hermitian coupling blocks.
+EIGENVALUE_RANGE = (0.5, 2.0)
 
 
 def preset_dims(name: str, k_max: float) -> Dims:
@@ -66,7 +55,6 @@ class ProblemSpec:
     dims: Dims
     seed: int = 0
     nonhpd_fraction: float = 0.0
-    eigenvalue_range: tuple = (0.5, 2.0)
 
     def __post_init__(self):
         if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2**64:
@@ -74,9 +62,6 @@ class ProblemSpec:
         object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.nonhpd_fraction <= 1.0:
             raise InputError(f"nonhpd_fraction must be in [0, 1], got {self.nonhpd_fraction}")
-        lo, hi = self.eigenvalue_range
-        if not (0 < lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InputError(f"eigenvalue_range must be positive and ordered, got {self.eigenvalue_range}")
 
 
 @dataclass
@@ -116,7 +101,7 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n_non = round(spec.nonhpd_fraction * n_a)
     nonhpd = set(rng.permutation(n_a)[:n_non].tolist())
-    lo, hi = spec.eigenvalue_range
+    lo, hi = EIGENVALUE_RANGE
     scale = 1.0 / math.sqrt(n_l)
 
     inst = ProblemInstance(dims, **{

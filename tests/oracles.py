@@ -137,6 +137,14 @@ def trmm_conjtrans_loops(c_factor, a):
     return np.array(out, dtype=np.complex128)
 
 
+def trmm_conj_copy(c_factor, a):
+    """TRMM as a product with an explicit Fortran copy of ``conj(tril(c)).T``,
+    the form ``trmm_left_conjtrans`` had before it ran on the GEMM engine,
+    with ``acc_product_rank1`` for the engine's accumulation."""
+    ch = np.conj(np.tril(c_factor)).T
+    return acc_product_rank1(np.asfortranarray(ch), a)
+
+
 def diag_scale_loops(u, b):
     uv = list(np.asarray(u, dtype=np.float64))
     bv = _rows(b)

@@ -304,6 +304,17 @@ def test_build_hs_rejects_invalid_instance():
         build_hs(p)
 
 
+def test_build_with_an_integral_float_policy_is_bit_identical():
+    policy = ExecPolicy(2.0, 64.0)
+    assert (type(policy.workers), type(policy.tile)) == (int, int)
+    p = generate(ProblemSpec(Dims(3, 4, 80), seed=22, nonhpd_fraction=0.5))
+    o1 = build_hs(p, policy)
+    o2 = build_hs(p, ExecPolicy(2, 64))
+    assert o1.h.matrix.tobytes() == o2.h.matrix.tobytes()
+    assert o1.s.matrix.tobytes() == o2.s.matrix.tobytes()
+    assert o1.split == o2.split
+
+
 def test_build_hs_outputs_pass_hermitian_invariants():
     p = generate(ProblemSpec(Dims(3, 4, 8), seed=21, nonhpd_fraction=0.5))
     out = build_hs(p, ExecPolicy(workers=2, tile=32))

@@ -290,6 +290,17 @@ def test_verify_strict_tolerance_fails(tmp_path):
     assert run_cli("verify", "--in", str(inst), "--tol", "0") == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_rejects_bad_tol(tmp_path, capsys, tol):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "4", "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(inst), "--tol", tol) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --tol") and err.count("\n") == 1
+
+
 def test_verify_corrupted_block_is_invariant_violation(tmp_path):
     inst = tmp_path / "inst"
     _save_non_hermitian(inst, 10, 1, (0, 1), 2.0j)

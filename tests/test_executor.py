@@ -23,6 +23,13 @@ def test_policy_validation():
         ExecPolicy(tile=16)
 
 
+@pytest.mark.parametrize("field", ["workers", "tile"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 64.5, "64"])
+def test_policy_rejects_non_integers_as_input_errors(field, value):
+    with pytest.raises(InputError, match=field):
+        ExecPolicy(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # tile planning
 
@@ -210,7 +217,7 @@ def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
 
 
 # ---------------------------------------------------------------------------
-# the fixed block grid inside every tile, patched small so that small
+# the fixed block grid that caps every tile, patched small so that small
 # outputs cross many blocks
 
 
@@ -262,7 +269,7 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
         ops, kernel = (alpha, random_complex(rng, k, rows), random_complex(rng, k, rows),
                        beta, random_complex(rng, rows, rows)), her2k
     c_grid, c_kernel, c_oracle = ops[-1], ops[-1].copy(), ops[-1].copy()
-    kernel(*ops[:-1], c_kernel)  # the unpatched one-tile kernel
+    kernel(*ops[:-1], c_kernel)  # the unpatched public kernel
     _oracle_update(kind, ops[:-1] + (c_oracle,))
     with mock.patch.object(kernels, "_BLOCK", block):
         run_partitioned(kind, ops, ExecPolicy(workers=workers, tile=tile))
@@ -272,8 +279,8 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
 @pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])
 @pytest.mark.parametrize("beta", [1.0, 0.5])
 def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kind, terms, beta):
-    # order 100 at tile 80 and block 32: tiles [0,80) and [80,100) are cut
-    # at 32, 64 and 96, leaving 6 + 6 + 3 lower or diagonal blocks
+    # order 100 at tile 80 and block 32: tiles are the 32 grid, with rows
+    # and columns cut at 32, 64 and 96, so 4 + 3 + 2 + 1 lower or diagonal tiles
     monkeypatch.setattr(kernels, "_BLOCK", 32)
     calls = []
     acc = kernels._acc_product
@@ -284,24 +291,45 @@ def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kin
     upper = c[np.triu_indices(100, k=1)].tobytes()
     z = random_complex(rng, 3, 100)
     ops = (1.0, z, beta, c) if kind is KernelKind.HERK else (1.0, z, z, beta, c)
-    run_partitioned(kind, ops, _policy(2, tile=80))
-    assert len(calls) == 15 * terms
+    res = run_partitioned(kind, ops, _policy(2, tile=80))
+    assert res.n_tiles == 10
+    assert len(calls) == 10 * terms
     assert c[np.triu_indices(100, k=1)].tobytes() == upper
     assert np.isfinite(np.tril(c)).all()
 
 
 @pytest.mark.parametrize("alpha,panels", [(1.0, 2), (0.0, 0)])
 def test_bytes_touched_counts_the_computed_blocks(monkeypatch, alpha, panels):
-    # the ragged blocks of the test above, (rows, cols) per tile
+    # the tiles of the test above, (rows, cols) each
     monkeypatch.setattr(kernels, "_BLOCK", 32)
-    blocks = [(32, 32), (32, 32), (32, 32), (16, 32), (16, 32), (16, 16),
-              (16, 32), (16, 32), (16, 16), (4, 32), (4, 32), (4, 16),
-              (16, 16), (4, 16), (4, 4)]
+    edges = (32, 32, 32, 4)
+    blocks = [(h, edges[j]) for i, h in enumerate(edges) for j in range(i + 1)]
     k = 3
     rng = np.random.default_rng(45)
     z, b = random_complex(rng, k, 100), random_complex(rng, k, 100)
     res = run_partitioned(KernelKind.HER2K, (alpha, z, b, 1.0, zeros(100, 100)),
                           _policy(1, tile=80))
-    assert res.n_tiles == 3
+    assert res.n_tiles == len(blocks) == 10
     assert type(res.bytes_touched) is int  # reports serialize it as JSON
     assert res.bytes_touched == 16 * sum(h * w + panels * (h + w) * k for h, w in blocks)
+
+
+@pytest.mark.parametrize("kind", [KernelKind.GEMM, KernelKind.HER2K])
+def test_a_tile_above_the_block_edge_runs_as_blocks(monkeypatch, kind):
+    shapes = []
+    acc = kernels._acc_product
+    monkeypatch.setattr(kernels, "_acc_product",
+                        lambda a, b, *f: shapes.append((a.shape[0], b.shape[1])) or acc(a, b, *f))
+    rng = np.random.default_rng(46)
+    z, b = random_complex(rng, 2, 600), random_complex(rng, 2, 600)
+
+    def run(tile):
+        c = zeros(600, 600)
+        ops = ((1, "C", z, "N", b, 0, c) if kind is KernelKind.GEMM
+               else (1.0, z, b, 0.0, c))
+        return run_partitioned(kind, ops, _policy(2, tile=tile)), c
+
+    (big, c_big), (block, c_block) = run(512), run(kernels._BLOCK)
+    assert max(max(s) for s in shapes) == kernels._BLOCK
+    assert (big.n_tiles, big.bytes_touched) == (block.n_tiles, block.bytes_touched)
+    assert c_big.tobytes() == c_block.tobytes()

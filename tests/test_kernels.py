@@ -229,6 +229,18 @@ def test_trmm_matches_gemm_bitwise():
     assert out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n_g", [300, 600])
+def test_trmm_matches_the_conjugated_copy_bitwise(n_g):
+    rng = np.random.default_rng(11)
+    c_factor, a = random_complex(rng, 9, 9), random_complex(rng, 9, n_g)
+    for x in (c_factor, a):  # signed zeros in both parts
+        for part in (x.real, x.imag):
+            part[rng.random(x.shape) < 0.2] = 0.0
+            part[rng.random(x.shape) < 0.2] = -0.0
+    out = trmm_left_conjtrans(c_factor, a)
+    assert out.tobytes() == oracles.trmm_conj_copy(c_factor, a).tobytes()
+
+
 def test_trmm_dimension_errors():
     with pytest.raises(DimensionError):
         trmm_left_conjtrans(zeros(2, 3), zeros(2, 2))

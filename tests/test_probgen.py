@@ -4,7 +4,9 @@ import pytest
 from hsgen.kernels import potrf_lower
 from hsgen.matcore import Dims, InputError, InvariantError
 from hsgen.probgen import (
-    PRESETS,
+    EIGENVALUE_RANGE,
+    KMAX_VALUES,
+    PRESET_NAMES,
     ProblemSpec,
     generate,
     preset_dims,
@@ -30,8 +32,8 @@ def test_preset_dims_rows(key, expected):
 
 
 def test_presets_cover_all_rows():
-    assert len(PRESETS) == 8
-    seen = {(p.name, p.k_max): (p.dims.n_atoms, p.dims.n_l, p.dims.n_g) for p in PRESETS}
+    dims = {(name, k): preset_dims(name, k) for name in PRESET_NAMES for k in KMAX_VALUES}
+    seen = {key: (d.n_atoms, d.n_l, d.n_g) for key, d in dims.items()}
     assert seen == TABLE1
 
 
@@ -48,10 +50,6 @@ def test_spec_validation():
         ProblemSpec(d, seed=-1)
     with pytest.raises(InputError):
         ProblemSpec(d, nonhpd_fraction=1.5)
-    with pytest.raises(InputError):
-        ProblemSpec(d, eigenvalue_range=(0.0, 1.0))
-    with pytest.raises(InputError):
-        ProblemSpec(d, eigenvalue_range=(2.0, 1.0))
 
 
 def _instances_equal(p, q):
@@ -115,8 +113,8 @@ def test_hpd_nonhpd_property_sweep():
 
 
 def test_eigenvalue_ranges_respected():
-    spec = ProblemSpec(Dims(6, 8, 3), seed=7, nonhpd_fraction=0.5,
-                       eigenvalue_range=(0.5, 2.0))
+    lo, hi = EIGENVALUE_RANGE
+    spec = ProblemSpec(Dims(6, 8, 3), seed=7, nonhpd_fraction=0.5)
     p = generate(spec)
     n_fail = 0
     for t in p.t_aa:
@@ -124,14 +122,14 @@ def test_eigenvalue_ranges_respected():
         if eigs[0] < 0:
             n_fail += 1
             assert -0.1 - 1e-9 <= eigs[0] <= -0.01 + 1e-9
-            assert eigs[1] >= 0.5 - 1e-9
+            assert eigs[1] >= lo - 1e-9
         else:
-            assert eigs[0] >= 0.5 - 1e-9
-        assert eigs[-1] <= 2.0 + 1e-9
+            assert eigs[0] >= lo - 1e-9
+        assert eigs[-1] <= hi + 1e-9
     assert n_fail == 3
     for t in p.t_bb:
         eigs = np.linalg.eigvalsh(t)
-        assert eigs[0] >= 0.5 - 1e-9 and eigs[-1] <= 2.0 + 1e-9
+        assert eigs[0] >= lo - 1e-9 and eigs[-1] <= hi + 1e-9
 
 
 def test_u_norms_positive_and_in_range():
