@@ -74,7 +74,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         return out
 
     def update(section, kind, dims, *operands):
-        ledger.add(kind, dims, run_partitioned(kind, operands, policy).seconds, section)
+        timed(section, kind, dims, run_partitioned, kind, operands, policy)
 
     for a0, a1 in atom_chunks(p.dims):
         atoms = range(a0, a1)
@@ -107,9 +107,8 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
             factor, _ = kernels.potrf_lower(p.t_aa[a])
             if factor is not None:
                 ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
-                z_buf[y_rows : y_rows + n_l] = timed(
-                    "Loop 2", KernelKind.TRMM, (n_l, n_g),
-                    kernels.trmm_left_conjtrans, factor, p.a_blocks[a])
+                timed("Loop 2", KernelKind.TRMM, (n_l, n_g), kernels.trmm_left_conjtrans,
+                      factor, p.a_blocks[a], z_buf[y_rows : y_rows + n_l])
                 y_rows += n_l
             else:
                 timed("Loop 2", KernelKind.HEMM, (n_l, n_g), kernels.hemm_left,

@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--preset", required=True)
     fl.add_argument("--kmax", type=float, required=True)
     fl.add_argument("--nonhpd-count", type=int, default=0)
-    fl.add_argument("--peak", type=float, default=PEAK_GFLOPS_COMBINED,
-                    help="peak GFlops/s used for efficiency columns")
     fl.add_argument("--table5", action="store_true",
                     help="validate the model against the reference breakdown")
     return parser
@@ -182,8 +180,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    if not (math.isfinite(args.peak) and args.peak > 0):
-        raise InputError(f"--peak must be positive and finite, got {args.peak}")
     dims = preset_dims(args.preset, args.kmax)
     if not 0 <= args.nonhpd_count <= dims.n_atoms:
         raise InputError(f"--nonhpd-count must be in [0, {dims.n_atoms}]")
@@ -211,10 +207,10 @@ def cmd_flops(args) -> int:
         replay = [
             SectionReport(r.section, r.seconds,
                           round(r.gflops_per_s * r.seconds * 1e9),
-                          r.gflops_per_s, r.gflops_per_s / args.peak)
+                          r.gflops_per_s, r.gflops_per_s / PEAK_GFLOPS_COMBINED)
             for r in TABLE5
         ]
-        print(f"recorded breakdown replay (efficiency vs {args.peak:.0f} GFlops/s):")
+        print(f"recorded breakdown replay (efficiency vs {PEAK_GFLOPS_COMBINED:.0f} GFlops/s):")
         print(format_table(replay))
     return 0
 

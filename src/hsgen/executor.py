@@ -2,23 +2,22 @@
 
 Emulates output-partitioned multi-device BLAS on a thread pool: the output
 is cut into tiles, every tile consumes the full inner dimension, and each
-tile is computed whole by exactly one worker with the per-tile engine of
-``kernels``, the one the public kernels run serially.  A tile is at most
-one block of the output's fixed ``kernels._BLOCK`` grid: a policy tile
-above it plans the block grid, and tiles above the diagonal of a
+tile is computed whole by exactly one worker.  ``run_partitioned`` is
+``kernels._run``, the one driver the public kernels run serially, on the
+policy's grid, plus a count of the bytes the tiles touch.  A tile is at
+most one block of the output's fixed ``kernels._BLOCK`` grid: a policy
+tile above it plans the block grid, and tiles above the diagonal of a
 triangular output are never planned.  No cross-tile reduction exists, so
 results are bit-identical for every worker count and every tile size.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import kernels
-from .kernels import KernelKind, Tile, _terms, _tile_worker, plan_tiles
-from .matcore import InputError
+from .kernels import KernelKind, Tile, plan_tiles
+from .matcore import int_fields
 
 __all__ = ["ExecPolicy", "ExecResult", "Tile", "plan_tiles", "run_partitioned"]
 
@@ -33,20 +32,11 @@ class ExecPolicy:
     tile: int = 512
 
     def __post_init__(self):
-        for name, least in (("workers", 1), ("tile", 32)):
-            v = getattr(self, name)
-            try:
-                n = int(v)
-            except (OverflowError, ValueError):  # inf, nan
-                n = 0
-            if n != v or n < least:
-                raise InputError(f"{name} must be an integer >= {least}, got {v!r}")
-            object.__setattr__(self, name, n)
+        int_fields(self, workers=1, tile=32)
 
 
 @dataclass(frozen=True)
 class ExecResult:
-    seconds: float
     n_tiles: int
     bytes_touched: int
 
@@ -61,22 +51,12 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
     tile, the output tile plus one row and one column panel of the inner
     dimension per product term with a nonzero scalar.
     """
-    t0 = time.perf_counter()
-    terms, beta, c = _terms(kind, operands)
-    tiles = plan_tiles(*c.shape, min(policy.tile, kernels._BLOCK),
-                       triangular=kind is not KernelKind.GEMM)
-    work = _tile_worker(terms, beta, c)
-    if policy.workers == 1:
-        for t in tiles:
-            work(t)
-    else:
-        with ThreadPoolExecutor(max_workers=policy.workers) as pool:
-            # list() propagates worker exceptions
-            list(pool.map(work, tiles))
+    tiles, terms = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
+                                policy.workers)
     panels = sum(1 for term in terms if term[0] != 0) * terms[0][1].shape[1]
     bytes_touched = sum(
         ((t.row1 - t.row0) * (t.col1 - t.col0)
          + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * _ITEMSIZE
         for t in tiles
     )
-    return ExecResult(time.perf_counter() - t0, len(tiles), bytes_touched)
+    return ExecResult(len(tiles), bytes_touched)

@@ -25,15 +25,18 @@ Every element still receives its subtractions one at a time in ascending
 column order, so the factor is bit-identical to the left-looking scalar
 loop it replaces.
 
-GEMM, HERK and HER2K share one per-tile engine: a checked list of product
-terms, then per tile the exact product of each term and one tail.  A tile
-is at most one block of the fixed ``_BLOCK`` grid, so its accumulator
-stays in cache; tiles above the diagonal of a triangular output are never
-planned.  A conjugated operand is a view with a flag, negated as its
-column or row is copied.  Every element gets the same operations on any
-grid, so the grid does not change the bits.  The public kernels, and TRMM
-as a GEMM, run the engine serially on the ``_BLOCK`` grid; the executor
-runs it on the policy's grid, never coarser than ``_BLOCK``.
+GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
+into a list of product terms, plans the output's tiles and computes each
+tile as the exact product of every term plus one tail, serially or on a
+thread pool.  A tile is at most one block of the fixed ``_BLOCK`` grid,
+so its accumulator stays in cache; tiles above the diagonal of a
+triangular output are never planned, and an empty output plans none.  A
+conjugated operand is a view with a flag, negated as its column or row is
+copied.  Every element gets the same operations on any grid, so the grid
+does not change the bits.  The public kernels, and TRMM as a GEMM, run
+``_run`` serially on the ``_BLOCK`` grid; the executor runs it on the
+policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
+output it is given and returns it.
 
 Scalar conventions follow BLAS: beta == 0 means the output is write-only,
 alpha == 0 skips the product entirely, and exact unit scalars pass values
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DimensionError, InputError, InvariantError, hermitian_mirror, zeros
+from .matcore import DimensionError, InputError, hermitian_mirror, zeros
 
 
 class KernelKind(enum.Enum):
@@ -114,23 +118,24 @@ def flops_of(kind: KernelKind, dims) -> int:
 
 @dataclass(frozen=True)
 class FlopRecord:
-    """One kernel invocation: kind, dimensions, flops, wall time, section."""
+    """One kernel invocation: kind, dimensions, wall time, section; its
+    flops follow from the kind and dimensions."""
 
     kind: KernelKind
     dims: tuple
-    flops: int
     seconds: float
     section: str
 
     def __post_init__(self):
         if self.section not in SECTIONS:
             raise InputError(f"unknown section tag {self.section!r}")
-        if self.flops != flops_of(self.kind, self.dims):
-            raise InvariantError(
-                f"flops {self.flops} != flops_of({self.kind.value}, {self.dims})"
-            )
+        flops_of(self.kind, self.dims)  # validates the kind and dims
         if self.seconds < 0:
             raise InputError("seconds must be nonnegative")
+
+    @property
+    def flops(self) -> int:
+        return flops_of(self.kind, self.dims)
 
 
 class FlopLedger:
@@ -140,8 +145,7 @@ class FlopLedger:
         self.records: list[FlopRecord] = []
 
     def add(self, kind: KernelKind, dims, seconds: float, section: str) -> FlopRecord:
-        dims = tuple(int(d) for d in dims)
-        rec = FlopRecord(kind, dims, flops_of(kind, dims), float(seconds), section)
+        rec = FlopRecord(kind, tuple(int(d) for d in dims), float(seconds), section)
         self.records.append(rec)
         return rec
 
@@ -218,15 +222,6 @@ def _acc_product(a, b, conj_a=False, conj_b=False):
     acc.real = acc_r
     acc.imag = acc_i
     return acc
-
-
-def _scaled(scalar, m):
-    """scalar * m honoring exact-unit passthrough; None when scalar == 0."""
-    if scalar == 0:
-        return None
-    if scalar == 1:
-        return m
-    return _cprod(scalar, m)
 
 
 def _apply_op(op: str, m, name: str):
@@ -342,9 +337,17 @@ def _tail(c, prod, beta, lower: bool) -> None:
         np.fill_diagonal(c.imag, 0)
 
 
-def _tile_worker(terms, beta, c):
-    """``work(tile)``: the exact product of every term, summed in order,
-    then the tail; tiles never share an output element."""
+def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
+    """Check one GEMM/HERK/HER2K update and run it on tiles of ``edge``;
+    returns ``(tiles, terms)``.  The one tiled driver.
+
+    Each tile gets the exact product of every term with a nonzero scalar,
+    summed in order, then the tail.  Tiles never share an output element,
+    so they run serially for one worker and on a thread pool otherwise
+    with the same bits.  An empty output plans no tile.
+    """
+    terms, beta, c = _terms(kind, operands)
+    tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
@@ -352,21 +355,19 @@ def _tile_worker(terms, beta, c):
         for scalar, left, right, conj_l, conj_r in terms:
             if scalar == 0:
                 continue
-            p = _scaled(scalar, _acc_product(left[rows], right[:, cols], conj_l, conj_r))
+            p = _acc_product(left[rows], right[:, cols], conj_l, conj_r)
+            if scalar != 1:
+                p = _cprod(scalar, p)
             prod = p if prod is None else prod + p
         _tail(c[rows, cols], prod, beta, t.diagonal)
 
-    return work
-
-
-def _whole(kind: KernelKind, operands: tuple):
-    """Run one update serially on the ``_BLOCK`` grid; returns the output."""
-    terms, beta, c = _terms(kind, operands)
-    work = _tile_worker(terms, beta, c)
-    if c.size:  # plan_tiles rejects an empty output, which needs no work
-        for t in plan_tiles(*c.shape, _BLOCK, triangular=kind is not KernelKind.GEMM):
+    if workers == 1:
+        for t in tiles:
             work(t)
-    return c
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, tiles))  # list() propagates worker exceptions
+    return tiles, terms
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,8 @@ def _whole(kind: KernelKind, operands: tuple):
 
 def gemm(alpha, opa: str, a, opb: str, b, beta, c):
     """c <- alpha*op(a)*op(b) + beta*c (ops: N, T, C). Updates c in place."""
-    return _whole(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c))
+    _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK)
+    return c
 
 
 def hemm_left(alpha, t, b, beta, c):
@@ -391,23 +393,23 @@ def hemm_left(alpha, t, b, beta, c):
 
 def herk(alpha, a, beta, c):
     """Lower triangle of c <- alpha*a^H*a + beta*c; alpha, beta real."""
-    return _whole(KernelKind.HERK, (alpha, a, beta, c))
+    _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK)
+    return c
 
 
 def her2k(alpha, z, b, beta, c):
     """Lower triangle of c <- alpha*z^H*b + conj(alpha)*b^H*z + beta*c; beta real."""
-    return _whole(KernelKind.HER2K, (alpha, z, b, beta, c))
+    _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK)
+    return c
 
 
-def trmm_left_conjtrans(c_factor, a):
-    """C^H * a for the lower-triangular C stored in c_factor; returns a new matrix."""
+def trmm_left_conjtrans(c_factor, a, c):
+    """c <- C^H * a for the lower-triangular C stored in c_factor (c is
+    write-only, as with beta 0)."""
     if c_factor.ndim != 2 or c_factor.shape[0] != c_factor.shape[1]:
         raise DimensionError(f"c_factor must be square, got {c_factor.shape}")
-    if a.shape[0] != c_factor.shape[0]:
-        raise DimensionError(
-            f"c_factor order {c_factor.shape[0]} != a rows {a.shape[0]}"
-        )
-    return _whole(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, zeros(*a.shape)))
+    _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK)
+    return c
 
 
 def potrf_lower(t):

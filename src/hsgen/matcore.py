@@ -24,6 +24,20 @@ class InvariantError(ValueError):
     """A data structure violates one of its declared invariants."""
 
 
+def int_fields(obj, **least) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as an int;
+    InputError unless its value is an integer no less than its bound."""
+    for name, low in least.items():
+        v = getattr(obj, name)
+        try:
+            n = int(v)
+        except (OverflowError, ValueError):  # inf, nan
+            n = 0
+        if n != v or n < low:
+            raise InputError(f"{name} must be an integer >= {low}, got {v!r}")
+        object.__setattr__(obj, name, n)
+
+
 @dataclass(frozen=True)
 class Dims:
     """Problem dimensions: atom count, rows per coefficient block, basis size.
@@ -36,15 +50,7 @@ class Dims:
     n_g: int
 
     def __post_init__(self):
-        for name in ("n_atoms", "n_l", "n_g"):
-            v = getattr(self, name)
-            try:
-                n = int(v)
-            except (OverflowError, ValueError):  # inf, nan
-                n = 0
-            if n != v or n < 1:
-                raise InputError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, n)
+        int_fields(self, n_atoms=1, n_l=1, n_g=1)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -126,9 +132,5 @@ class HermitianResult:
             raise InvariantError(f"result matrix must be square, got {m.shape}")
         if not np.isfinite(m).all():
             raise InvariantError("result matrix contains non-finite entries")
-        scale = tol * (1.0 + frobenius(m))
-        if float(np.abs(np.diagonal(m).imag).max(initial=0.0)) > scale:
-            raise InvariantError("diagonal imaginary parts exceed tolerance")
-        off = float(np.abs(m - np.conj(m.T)).max(initial=0.0))
-        if off > scale:
+        if not is_hermitian(m, tol):
             raise InvariantError("matrix is not Hermitian within tolerance")

@@ -233,7 +233,7 @@ def test_cholesky_path_identity():
         a = random_complex(rng, n_l, n_g)
         factor, info = potrf_lower(t)
         assert info == 0
-        y = trmm_left_conjtrans(factor, a)
+        y = trmm_left_conjtrans(factor, a, zeros(n_l, n_g))
         direct = np.conj(a.T) @ hermitian_mirror(t) @ a
         gram = np.conj(y.T) @ y
         assert frobenius(direct - gram) <= 1e-10 * (1 + frobenius(direct))

@@ -350,15 +350,6 @@ def test_flops_invalid_preset(capsys):
                    "--nonhpd-count", "600") == 2
 
 
-@pytest.mark.parametrize("peak", ["0", "-5", "nan", "inf"])
-def test_flops_rejects_bad_peak(capsys, peak):
-    args = ("flops", "--preset", "NaCl", "--kmax", "4.0", "--table5", "--peak", peak)
-    assert run_cli(*args) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: --peak")
-
-
 # ---------------------------------------------------------------------------
 # exit-code table
 

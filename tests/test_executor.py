@@ -178,7 +178,20 @@ def test_run_partitioned_reports_bytes_and_tiles():
     res = run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c), _policy(1, tile=32))
     assert res.n_tiles == 3  # 2x2 grid, strict upper tile dropped
     assert res.bytes_touched > 0
-    assert res.seconds >= 0.0
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (KernelKind.GEMM, (0, 5)), (KernelKind.GEMM, (5, 0)), (KernelKind.HERK, (0, 0)),
+], ids=["gemm-0x5", "gemm-5x0", "herk-0x0"])
+def test_an_empty_output_plans_no_tile_as_the_public_kernels_do(kind, shape):
+    c = zeros(*shape)
+    if kind is KernelKind.GEMM:
+        operands = (1, "C", zeros(3, shape[0]), "N", zeros(3, shape[1]), 0, c)
+        assert gemm(*operands) is c
+    else:
+        operands = (1.0, zeros(3, 0), 0.0, c)
+        assert herk(*operands) is c
+    assert run_partitioned(kind, operands, _policy(2, tile=32)) == ExecResult(0, 0)
 
 
 def test_run_partitioned_rejects_small_kernels():

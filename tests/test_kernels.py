@@ -22,7 +22,6 @@ from hsgen.matcore import (
     DimensionError,
     Dims,
     InputError,
-    InvariantError,
     as_cmatrix,
     hermitian_mirror,
     rel_frob_error,
@@ -208,14 +207,15 @@ def test_her2k_matches_gemm_sum_exactly():
 def test_trmm_identity():
     rng = np.random.default_rng(9)
     a = random_complex(rng, 3, 4)
-    out = trmm_left_conjtrans(as_cmatrix(np.eye(3)), a)
+    out = zeros(3, 4)
+    assert trmm_left_conjtrans(as_cmatrix(np.eye(3)), a, out) is out
     np.testing.assert_array_equal(out, a)
 
 
 def test_trmm_hand_example():
     c = as_cmatrix([[2, 0], [1, 3]])
     a = as_cmatrix([[1], [1]])
-    out = trmm_left_conjtrans(c, a)
+    out = trmm_left_conjtrans(c, a, random_complex(np.random.default_rng(3), 2, 1))
     np.testing.assert_array_equal(out, np.array([[3], [3]], dtype=complex))
 
 
@@ -223,7 +223,7 @@ def test_trmm_matches_gemm_bitwise():
     rng = np.random.default_rng(10)
     c_factor = as_cmatrix(np.tril(random_complex(rng, 6, 6)))
     a = random_complex(rng, 6, 4)
-    out = trmm_left_conjtrans(c_factor, a)
+    out = trmm_left_conjtrans(c_factor, a, zeros(6, 4))
     expected = zeros(6, 4)
     gemm(1, "C", c_factor, "N", a, 0, expected)
     assert out.tobytes() == expected.tobytes()
@@ -237,15 +237,17 @@ def test_trmm_matches_the_conjugated_copy_bitwise(n_g):
         for part in (x.real, x.imag):
             part[rng.random(x.shape) < 0.2] = 0.0
             part[rng.random(x.shape) < 0.2] = -0.0
-    out = trmm_left_conjtrans(c_factor, a)
+    out = trmm_left_conjtrans(c_factor, a, zeros(9, n_g))
     assert out.tobytes() == oracles.trmm_conj_copy(c_factor, a).tobytes()
 
 
 def test_trmm_dimension_errors():
     with pytest.raises(DimensionError):
-        trmm_left_conjtrans(zeros(2, 3), zeros(2, 2))
+        trmm_left_conjtrans(zeros(2, 3), zeros(2, 2), zeros(3, 2))
     with pytest.raises(DimensionError):
-        trmm_left_conjtrans(zeros(2, 2), zeros(3, 2))
+        trmm_left_conjtrans(zeros(2, 2), zeros(3, 2), zeros(2, 2))
+    with pytest.raises(DimensionError):
+        trmm_left_conjtrans(zeros(2, 2), zeros(2, 3), zeros(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +448,7 @@ def test_kernels_match_triple_loops_exactly():
         cf = as_cmatrix(np.tril(random_complex(rng, m, m)))
         a3 = random_complex(rng, m, n)
         np.testing.assert_array_equal(
-            trmm_left_conjtrans(cf, a3), oracles.trmm_conjtrans_loops(cf, a3)
+            trmm_left_conjtrans(cf, a3, zeros(m, n)), oracles.trmm_conjtrans_loops(cf, a3)
         )
 
         u = rng.uniform(0.0, 2.0, m)
@@ -576,9 +578,12 @@ def test_ledger_totals_and_record_validation():
     led = FlopLedger()
     led.add(KernelKind.GEMM, (2, 3, 4), 0.5, "Loop 1")
     led.add(KernelKind.HERK, (4, 6), 0.25, "S1")
+    assert [r.flops for r in led] == [8 * 2 * 3 * 4, 4 * 6 * 4 * 4]
     assert led.total_flops() == sum(r.flops for r in led.records)
     assert led.total_seconds() == pytest.approx(0.75)
     with pytest.raises(InputError):
         led.add(KernelKind.GEMM, (2, 3, 4), 0.1, "nope")
-    with pytest.raises(InvariantError):
-        FlopRecord(KernelKind.GEMM, (2, 3, 4), 1, 0.0, "Loop 1")
+    with pytest.raises(InputError):
+        FlopRecord(KernelKind.GEMM, (2, 3), 0.0, "Loop 1")
+    with pytest.raises(InputError):
+        FlopRecord(KernelKind.GEMM, (2, 3, 4), -1.0, "Loop 1")
