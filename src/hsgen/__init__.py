@@ -3,8 +3,8 @@ from per-atom coefficient and coupling blocks, with a brute-force
 reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 
-from .builder import BuildOutput, SplitCounts, build_hs
-from .executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
+from .builder import BuildOutput, build_hs
+from .executor import ExecPolicy, Tile, plan_tiles, run_partitioned
 from .kernels import (
     SECTIONS,
     FlopLedger,
@@ -22,10 +22,8 @@ from .kernels import (
 from .matcore import (
     DimensionError,
     Dims,
-    HermitianResult,
     InputError,
     InvariantError,
-    as_cmatrix,
     frobenius,
     hermitian_mirror,
     is_hermitian,
@@ -42,12 +40,7 @@ from .probgen import (
 from .reference import h_reference, s_reference
 from .report import (
     HEAVY_SECTIONS,
-    PEAK_GFLOPS_2GPU,
-    PEAK_GFLOPS_CPU,
     TABLE5,
-    FlopModelCheck,
-    SectionReport,
-    Table5Row,
     format_table,
     heavy_fraction,
     section_flops,

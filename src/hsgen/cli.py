@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="assemble H and S from an instance directory")
     run.add_argument("--in", dest="indir", required=True)
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--tile", type=int, default=512,
+    run.add_argument("--tile", type=int, default=ExecPolicy.tile,
                      help="output-tile edge, at least 32; an edge above 256 runs as 256")
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")
 
@@ -168,8 +168,8 @@ def cmd_verify(args) -> int:
         raise InputError(f"n_g={inst.dims.n_g} exceeds the oracle guard "
                          f"({ORACLE_GUARD_NG}); pass --force to run anyway")
     out = build_hs(inst)
-    err_h = rel_frob_error(out.h.matrix, h_reference(inst).matrix)
-    err_s = rel_frob_error(out.s.matrix, s_reference(inst).matrix)
+    err_h = rel_frob_error(out.h.matrix, h_reference(inst))
+    err_s = rel_frob_error(out.s.matrix, s_reference(inst))
     print(f"rel_frob_error H: {err_h:.3e}")
     print(f"rel_frob_error S: {err_s:.3e}")
     if err_h <= args.tol and err_s <= args.tol:

@@ -29,7 +29,7 @@ class ExecPolicy:
     """Worker count and output-tile edge for the partitioned kernels."""
 
     workers: int = 1
-    tile: int = 512
+    tile: int = kernels._BLOCK
 
     def __post_init__(self):
         int_fields(self, workers=1, tile=32)

@@ -152,9 +152,6 @@ class FlopLedger:
     def total_flops(self) -> int:
         return sum(r.flops for r in self.records)
 
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-
     def section_totals(self) -> dict:
         """section -> (flops, seconds), insertion-ordered by first appearance."""
         out: dict[str, tuple[int, float]] = {}

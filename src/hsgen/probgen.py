@@ -16,11 +16,12 @@ loops over and the instance files checksum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import Dims, InputError, InvariantError, is_hermitian
+from .matcore import Dims, InputError, InvariantError, int_fields, is_hermitian
 
 #: Basis sizes per test case and plane-wave cutoff.
 _PRESET_TABLE = {
@@ -57,11 +58,13 @@ class ProblemSpec:
     nonhpd_fraction: float = 0.0
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2**64:
+        int_fields(self, seed=0)
+        if self.seed >= 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 <= self.nonhpd_fraction <= 1.0:
-            raise InputError(f"nonhpd_fraction must be in [0, 1], got {self.nonhpd_fraction}")
+        if not (isinstance(self.nonhpd_fraction, numbers.Real)
+                and 0.0 <= self.nonhpd_fraction <= 1.0):
+            raise InputError(
+                f"nonhpd_fraction must be a number in [0, 1], got {self.nonhpd_fraction!r}")
 
 
 @dataclass

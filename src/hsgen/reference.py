@@ -4,14 +4,14 @@ Everything here is plain Python loops over Python complex scalars, with no
 stacking and no symmetry exploitation - slow on purpose.  This module
 shares no kernel code with the optimized builder, which is what makes it a
 meaningful cross-check.  Keep n_g at or below 512; cost grows as
-n_atoms * n_l * n_g^2.
+n_atoms * n_l * n_g^2.  Each oracle returns the full matrix as a plain
+complex128 array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import HermitianResult
 from .probgen import ProblemInstance
 
 
@@ -19,7 +19,7 @@ def _zero_rows(n_g: int) -> list:
     return [[0j] * n_g for _ in range(n_g)]
 
 
-def s_reference(p: ProblemInstance) -> HermitianResult:
+def s_reference(p: ProblemInstance) -> np.ndarray:
     """S = sum over atoms of A^H A + (U B)^H (U B), accumulated atom by atom.
 
     The norm weights are applied to a scratch copy; the instance's B blocks
@@ -40,7 +40,7 @@ def s_reference(p: ProblemInstance) -> HermitianResult:
                 si = s[i]
                 for j in range(n_g):
                     si[j] += cai * arow[j] + cbi * ubrow[j]
-    return HermitianResult(np.asfortranarray(np.array(s, dtype=np.complex128)))
+    return np.asfortranarray(np.array(s, dtype=np.complex128))
 
 
 def _mat_mul(t, x, n_l: int, n_g: int) -> list:
@@ -69,7 +69,7 @@ def _acc_sandwich(h, left, w, n_l: int, n_g: int) -> None:
                 hi[j] += cli * wrow[j]
 
 
-def h_reference(p: ProblemInstance) -> HermitianResult:
+def h_reference(p: ProblemInstance) -> np.ndarray:
     """H from the four per-atom coupling terms AA, AB, BA, BB.
 
     The BA coupling block is formed on the fly as the conjugate transpose
@@ -88,4 +88,4 @@ def h_reference(p: ProblemInstance) -> HermitianResult:
         _acc_sandwich(h, ab, _mat_mul(tab, bb, n_l, n_g), n_l, n_g)
         _acc_sandwich(h, bb, _mat_mul(tba, ab, n_l, n_g), n_l, n_g)
         _acc_sandwich(h, bb, _mat_mul(tbb, bb, n_l, n_g), n_l, n_g)
-    return HermitianResult(np.asfortranarray(np.array(h, dtype=np.complex128)))
+    return np.asfortranarray(np.array(h, dtype=np.complex128))

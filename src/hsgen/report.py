@@ -16,12 +16,9 @@ from .probgen import preset_dims
 #: The five stacked updates large enough to be worth off-loading.
 HEAVY_SECTIONS = ("S1", "S2", "H1", "H2", "H3")
 
-#: Combined double-precision peak of the reference node's two GPUs (GFlops/s).
-PEAK_GFLOPS_2GPU = 2600.0
-#: Host-only double-precision peak of the reference node (GFlops/s).
-PEAK_GFLOPS_CPU = 256.0
-#: CPU plus GPUs; the denominator the recorded efficiency column used.
-PEAK_GFLOPS_COMBINED = PEAK_GFLOPS_2GPU + PEAK_GFLOPS_CPU
+#: Double-precision peak of the reference node (GFlops/s), the denominator
+#: the recorded efficiency column used: two K20x (2 x 1300) plus the host (256).
+PEAK_GFLOPS_COMBINED = 2856.0
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,11 @@ def mirror_triu_indices(m):
     return out
 
 
+def cmatrix(values):
+    """``values`` as a complex128 column-major array."""
+    return np.asfortranarray(values, dtype=np.complex128)
+
+
 def random_complex(rng, rows, cols, scale=1.0):
     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return np.asfortranarray(m * scale)

@@ -16,7 +16,7 @@ from oracles import random_complex
 
 def test_policy_validation():
     p = ExecPolicy()
-    assert (p.workers, p.tile) == (1, 512)
+    assert (p.workers, p.tile) == (1, 256)
     with pytest.raises(InputError):
         ExecPolicy(workers=0)
     with pytest.raises(InputError):

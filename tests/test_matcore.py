@@ -6,10 +6,7 @@ import pytest
 from hsgen.matcore import (
     DimensionError,
     Dims,
-    HermitianResult,
     InputError,
-    InvariantError,
-    as_cmatrix,
     hermitian_defect,
     hermitian_mirror,
     is_hermitian,
@@ -18,7 +15,7 @@ from hsgen.matcore import (
 )
 
 import oracles
-from oracles import random_complex
+from oracles import cmatrix, random_complex
 
 
 def test_dims_validation():
@@ -38,13 +35,13 @@ def test_dims_nl_may_exceed_ng():
 
 
 def test_mirror_simple():
-    m = as_cmatrix([[2, 99], [3 - 1j, 5]])
+    m = cmatrix([[2, 99], [3 - 1j, 5]])
     out = hermitian_mirror(m)
     np.testing.assert_array_equal(out, np.array([[2, 3 + 1j], [3 - 1j, 5]]))
 
 
 def test_mirror_real_symmetric():
-    m = as_cmatrix([[1, 0], [2, 3]])
+    m = cmatrix([[1, 0], [2, 3]])
     out = hermitian_mirror(m)
     np.testing.assert_array_equal(out, np.array([[1, 2], [2, 3]], dtype=complex))
 
@@ -64,7 +61,7 @@ def test_mirror_random_is_hermitian_and_idempotent():
 
 def test_mirror_requires_square():
     with pytest.raises(DimensionError):
-        hermitian_mirror(as_cmatrix([[1, 2, 3]]))
+        hermitian_mirror(cmatrix([[1, 2, 3]]))
 
 
 @pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 600])
@@ -101,7 +98,7 @@ def test_rel_frob_error():
     assert rel_frob_error(m, m) == 0.0
     z = np.zeros((3, 3), dtype=complex)
     assert rel_frob_error(z, z) == 0.0
-    assert rel_frob_error(as_cmatrix([[1]]), as_cmatrix([[0]])) == 1.0
+    assert rel_frob_error(cmatrix([[1]]), cmatrix([[0]])) == 1.0
     with pytest.raises(DimensionError):
         rel_frob_error(m, z)
 
@@ -115,30 +112,29 @@ def test_rel_frob_error_zero_iff_identical():
     assert rel_frob_error(a, b) > 0.0
 
 
-def test_hermitian_result_check():
+def test_is_hermitian():
     rng = np.random.default_rng(9)
     m = hermitian_mirror(random_complex(rng, 6, 6))
-    HermitianResult(m).check()
+    assert is_hermitian(m)
     bad = m.copy()
-    bad[0, 1] += 1.0
-    with pytest.raises(InvariantError):
-        HermitianResult(bad).check()
+    bad[0, 1] += 1.0  # upper-triangle defect
+    assert not is_hermitian(bad)
     bad2 = m.copy()
-    bad2[2, 2] += 1j
-    with pytest.raises(InvariantError):
-        HermitianResult(bad2).check()
-    with pytest.raises(InvariantError):
-        HermitianResult(np.full((2, 2), np.nan, dtype=complex)).check()
-    with pytest.raises(InvariantError):
-        HermitianResult(zeros(2, 3)).check()
+    bad2[2, 2] += 1j  # imaginary diagonal
+    assert not is_hermitian(bad2)
+    assert not is_hermitian(np.full((2, 2), np.nan, dtype=complex))
+    for inf in (np.inf, complex(0, np.inf)):
+        lone = zeros(2, 2)
+        lone[0, 1] = inf  # no inf partner: the defect is inf, not NaN
+        assert not is_hermitian(lone)
+    for shape in ((2, 3), (1, 3), (3, 1)):
+        with pytest.raises(DimensionError):
+            is_hermitian(np.ones(shape))
 
 
-def test_hermitian_result_mirrored():
+def test_is_hermitian_mirrored():
     # a mirrored lower triangle meets the full contract, whatever the upper one held
-    rng = np.random.default_rng(10)
-    m = random_complex(rng, 4, 4)
-    with pytest.raises(InvariantError):
-        HermitianResult(m).check()
-    res = HermitianResult(hermitian_mirror(m))
-    res.check(tol=0.0)
-    assert hermitian_defect(res.matrix) == 0.0
+    m = random_complex(np.random.default_rng(10), 4, 4)
+    assert not is_hermitian(m)
+    assert is_hermitian(hermitian_mirror(m), tol=0.0)
+    assert hermitian_defect(m) == 0.0

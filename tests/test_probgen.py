@@ -46,10 +46,15 @@ def test_preset_dims_rejects_unknown():
 
 def test_spec_validation():
     d = Dims(2, 3, 4)
-    with pytest.raises(InputError):
-        ProblemSpec(d, seed=-1)
-    with pytest.raises(InputError):
-        ProblemSpec(d, nonhpd_fraction=1.5)
+    for seed in (-1, 1.5, 2**64, float("nan"), float("inf"), "3", None):
+        with pytest.raises(InputError):
+            ProblemSpec(d, seed=seed)
+    for fraction in (1.5, -0.5, float("nan"), "0.5", None, 0.5j):
+        with pytest.raises(InputError):
+            ProblemSpec(d, nonhpd_fraction=fraction)
+    spec = ProblemSpec(d, seed=3.0)
+    assert spec.seed == 3 and type(spec.seed) is int
+    assert ProblemSpec(d, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def _instances_equal(p, q):
