@@ -7,9 +7,11 @@ bit-identical for any worker count and any tile size.  That determinism is
 asserted here, followed by an informational throughput comparison.
 
 Workers emulate the output partitioning of a multi-device BLAS on plain
-threads.  The deterministic kernels interleave many small array steps that
-hold the GIL, so do not expect wall-clock speedups from more workers; the
-property being demonstrated is bitwise reproducibility of the partition.
+threads.  Each rank-1 step of the deterministic kernels is a few short
+numpy calls issued under the interpreter lock, so more workers help well
+short of linearly (about 1.4-1.5x with 2 workers on 2 cores at the
+benchmark's wide-2w dims, as README reports); the property being
+demonstrated is bitwise reproducibility of the partition.
 """
 
 import time

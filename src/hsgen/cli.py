@@ -30,7 +30,6 @@ from .report import (
     HEAVY_SECTIONS,
     PEAK_GFLOPS_COMBINED,
     TABLE5,
-    SectionReport,
     format_table,
     heavy_fraction,
     section_flops,
@@ -204,14 +203,8 @@ def cmd_flops(args) -> int:
               "(inconsistent with n_atoms, reported for reference):")
         for section, count in implied.items():
             print(f"  {section}: {count:.1f} atoms")
-        replay = [
-            SectionReport(r.section, r.seconds,
-                          round(r.gflops_per_s * r.seconds * 1e9),
-                          r.gflops_per_s, r.gflops_per_s / PEAK_GFLOPS_COMBINED)
-            for r in TABLE5
-        ]
         print(f"recorded breakdown replay (efficiency vs {PEAK_GFLOPS_COMBINED:.0f} GFlops/s):")
-        print(format_table(replay))
+        print(format_table(TABLE5))
     return 0
 
 

@@ -49,11 +49,10 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
     HER2K ``(alpha, z, b, beta, c)``.  The tile edge is
     ``min(policy.tile, kernels._BLOCK)``.  ``bytes_touched`` counts, per
     tile, the output tile plus one row and one column panel of the inner
-    dimension per product term with a nonzero scalar.
+    dimension per product term computed (none when alpha is 0).
     """
-    tiles, terms = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
-                                policy.workers)
-    panels = sum(1 for term in terms if term[0] != 0) * terms[0][1].shape[1]
+    tiles, panels = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
+                                 policy.workers)
     bytes_touched = sum(
         ((t.row1 - t.row0) * (t.col1 - t.col0)
          + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * _ITEMSIZE

@@ -31,16 +31,18 @@ tile as the exact product of every term plus one tail, serially or on a
 thread pool.  A tile is at most one block of the fixed ``_BLOCK`` grid,
 so its accumulator stays in cache; tiles above the diagonal of a
 triangular output are never planned, and an empty output plans none.  A
-conjugated operand is a view with a flag, negated as its column or row is
+conjugated left operand is a view with a flag, negated as each column is
 copied.  Every element gets the same operations on any grid, so the grid
 does not change the bits.  The public kernels, and TRMM as a GEMM, run
 ``_run`` serially on the ``_BLOCK`` grid; the executor runs it on the
 policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
 output it is given and returns it.
 
-Scalar conventions follow BLAS: beta == 0 means the output is write-only,
-alpha == 0 skips the product entirely, and exact unit scalars pass values
-through bitwise.
+One product contract, the one the pipeline uses: alpha is real, beta is
+0 or 1, and only the left operand may be conjugated (GEMM's ``opa`` N or
+C, ``opb`` N); anything else is an ``InputError``.  As in BLAS, alpha 0
+skips the product, beta 0 makes the output write-only, and a unit alpha
+or beta passes values through bitwise.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def _cprod(u, v):
     return out
 
 
-def _acc_product(a, b, conj_a=False, conj_b=False):
-    """a @ b, either conjugated by its flag, with ascending-k rank-1 updates.
+def _acc_product(a, b, conj_a=False):
+    """a @ b, a conjugated by its flag, with ascending-k rank-1 updates.
 
     Per step only the k-th column of a and row of b are copied, into small
     contiguous vectors; whole panels are never copied, so the working set
@@ -200,12 +202,11 @@ def _acc_product(a, b, conj_a=False, conj_b=False):
     xr, xi = col[0, :, None], col[1, :, None]
     yr, yi = row[0], row[1]
     sign_a = np.negative if conj_a else np.positive  # both exact
-    sign_b = np.negative if conj_b else np.positive
     for k in range(kk):
         np.copyto(col[0], ar[:, k])
         sign_a(ai[:, k], out=col[1])
         np.copyto(yr, br[k])
-        sign_b(bi[k], out=yi)
+        np.copyto(yi, bi[k])
         np.multiply(xr, yr, out=t1)
         np.multiply(xi, yi, out=t2)
         np.subtract(t1, t2, out=t1)
@@ -219,21 +220,6 @@ def _acc_product(a, b, conj_a=False, conj_b=False):
     acc.real = acc_r
     acc.imag = acc_i
     return acc
-
-
-def _apply_op(op: str, m, name: str):
-    """``(view, conj)``: op(m) is the view, conjugated when ``conj``."""
-    if op == "N":
-        return m, False
-    if op in ("T", "C"):
-        return m.T, op == "C"
-    raise InputError(f"unknown op {op!r} for operand {name}")
-
-
-def _as_real(scalar, what: str) -> float:
-    if isinstance(scalar, complex) and scalar.imag != 0:
-        raise InputError(f"{what} must be real, got {scalar!r}")
-    return float(np.real(scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -279,82 +265,79 @@ _BLOCK = 256
 
 
 def _terms(kind: KernelKind, operands: tuple):
-    """Check one GEMM/HERK/HER2K update; return ``(terms, beta, c)``.
+    """Check one GEMM/HERK/HER2K update; return ``(alpha, terms, beta, c)``.
 
-    ``terms`` lists the ``(scalar, left, right, conj_left, conj_right)``
-    products whose sum, in order, is the update's product: one for GEMM
-    and HERK, two for HER2K (alpha*z^H*b, then conj(alpha)*b^H*z).  The
-    kind alone decides the term count, so ``her2k(alpha, z, z, ...)``
-    still adds both terms.
+    ``terms`` lists the ``(left, right, conj_left)`` products that, each
+    scaled by alpha and summed in order, make the update's product: one
+    for GEMM and HERK, two for HER2K (z^H*b, then b^H*z).  The kind alone
+    decides the term count, so ``her2k(alpha, z, z, ...)`` still adds both
+    terms.  The one check of the product contract: GEMM's ``opa`` is N or
+    C and ``opb`` N, and for every kind alpha is real and beta 0 or 1.
     """
     if kind is KernelKind.GEMM:
         alpha, opa, a, opb, b, beta, c = operands
-        a_, ca = _apply_op(opa, a, "a")
-        b_, cb = _apply_op(opb, b, "b")
-        if a_.shape[1] != b_.shape[0]:
-            raise DimensionError(
-                f"inner dimensions disagree: op(a) {a_.shape} vs op(b) {b_.shape}"
-            )
-        if c.shape != (a_.shape[0], b_.shape[1]):
-            raise DimensionError(
-                f"c has shape {c.shape}, expected {(a_.shape[0], b_.shape[1])}"
-            )
-        return [(alpha, a_, b_, ca, cb)], beta, c
-    if kind is KernelKind.HERK:
+        if opa not in ("N", "C") or opb != "N":
+            raise InputError(f"gemm ops must be N or C for a and N for b, got {opa!r}, {opb!r}")
+        terms = [(a.T if opa == "C" else a, b, opa == "C")]
+    elif kind is KernelKind.HERK:
         alpha, z, beta, c = operands
-        alpha = _as_real(alpha, "herk alpha")
-        beta = _as_real(beta, "herk beta")
+        terms = [(z.T, z, True)]
     elif kind is KernelKind.HER2K:
         alpha, z, b, beta, c = operands
-        beta = _as_real(beta, "her2k beta")
         if z.shape != b.shape:
             raise DimensionError(f"z shape {z.shape} != b shape {b.shape}")
+        terms = [(z.T, b, True), (b.T, z, True)]
     else:
         raise InputError(f"no tiled update for {kind!r}")
-    n = z.shape[1]
-    if c.shape != (n, n):
-        raise DimensionError(f"c has shape {c.shape}, expected {(n, n)}")
-    if kind is KernelKind.HERK:
-        return [(alpha, z.T, z, True, False)], beta, c
-    return [(alpha, z.T, b, True, False), (np.conj(complex(alpha)), b.T, z, True, False)], beta, c
+    left, right, _ = terms[0]
+    if left.shape[1] != right.shape[0]:
+        raise DimensionError(f"inner dimensions disagree: op(a) {left.shape} vs b {right.shape}")
+    if c.shape != (left.shape[0], right.shape[1]):
+        raise DimensionError(f"c has shape {c.shape}, expected {(left.shape[0], right.shape[1])}")
+    if np.imag(alpha) != 0:
+        raise InputError(f"alpha must be real, got {alpha!r}")
+    if beta not in (0, 1):
+        raise InputError(f"beta must be 0 or 1, got {beta!r}")
+    return float(np.real(alpha)), terms, beta, c
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
-    """c <- prod + beta*c on c's stored region; ``prod`` None is a zero
-    product.  ``lower`` stores only the lower triangle and makes the
-    diagonal real."""
+    """c <- prod + beta*c on c's stored region, beta 0 or 1; ``prod`` None
+    is a zero product.  ``lower`` stores only the lower triangle and makes
+    the diagonal real."""
     if beta == 0:
         new = 0 if prod is None else prod
     else:
-        new = c if beta == 1 else _cprod(beta, c)
-        if prod is not None:
-            new = prod + new
+        new = c if prod is None else prod + c
     np.copyto(c, new, where=np.tri(*c.shape, dtype=bool) if lower else True)
     if lower:
         np.fill_diagonal(c.imag, 0)
 
 
 def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
-    """Check one GEMM/HERK/HER2K update and run it on tiles of ``edge``;
-    returns ``(tiles, terms)``.  The one tiled driver.
+    """The one tiled path: check one GEMM/HERK/HER2K update and run it on
+    tiles of ``edge``; returns ``(tiles, panels)``, ``panels`` being the
+    inner dimension times the number of terms computed (none when alpha
+    is 0).
 
-    Each tile gets the exact product of every term with a nonzero scalar,
-    summed in order, then the tail.  Tiles never share an output element,
-    so they run serially for one worker and on a thread pool otherwise
-    with the same bits.  An empty output plans no tile.
+    Unless alpha is 0, each tile gets the exact product of every term,
+    scaled by alpha and summed in order, then the tail.  Tiles never share
+    an output element, so they run serially for one worker and on a thread
+    pool otherwise with the same bits.  An empty output plans no tile.
     """
-    terms, beta, c = _terms(kind, operands)
+    alpha, terms, beta, c = _terms(kind, operands)
+    inner = terms[0][0].shape[1]
+    if alpha == 0:  # the product is skipped
+        terms = []
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
         prod = None
-        for scalar, left, right, conj_l, conj_r in terms:
-            if scalar == 0:
-                continue
-            p = _acc_product(left[rows], right[:, cols], conj_l, conj_r)
-            if scalar != 1:
-                p = _cprod(scalar, p)
+        for left, right, conj_left in terms:
+            p = _acc_product(left[rows], right[:, cols], conj_left)
+            if alpha != 1:
+                p = _cprod(alpha, p)
             prod = p if prod is None else prod + p
         _tail(c[rows, cols], prod, beta, t.diagonal)
 
@@ -364,7 +347,7 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, tiles))  # list() propagates worker exceptions
-    return tiles, terms
+    return tiles, len(terms) * inner
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +355,8 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
 
 
 def gemm(alpha, opa: str, a, opb: str, b, beta, c):
-    """c <- alpha*op(a)*op(b) + beta*c (ops: N, T, C). Updates c in place."""
+    """c <- alpha*op(a)*b + beta*c, op(a) a or a^H (opa N or C, opb N);
+    alpha real, beta 0 or 1. Updates c in place."""
     _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK)
     return c
 
@@ -381,21 +365,18 @@ def hemm_left(alpha, t, b, beta, c):
     """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower triangle."""
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionError(f"t must be square, got {t.shape}")
-    if b.shape[0] != t.shape[0]:
-        raise DimensionError(f"t rows {t.shape[0]} != b rows {b.shape[0]}")
-    if c.shape != b.shape:
-        raise DimensionError(f"c shape {c.shape} != b shape {b.shape}")
     return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c)
 
 
 def herk(alpha, a, beta, c):
-    """Lower triangle of c <- alpha*a^H*a + beta*c; alpha, beta real."""
+    """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, beta 0 or 1."""
     _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK)
     return c
 
 
 def her2k(alpha, z, b, beta, c):
-    """Lower triangle of c <- alpha*z^H*b + conj(alpha)*b^H*z + beta*c; beta real."""
+    """Lower triangle of c <- alpha*(z^H*b + b^H*z) + beta*c, each product
+    scaled by alpha before the sum; alpha real, beta 0 or 1."""
     _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK)
     return c
 

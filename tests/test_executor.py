@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hsgen import kernels
 from hsgen.executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
-from hsgen.kernels import KernelKind, gemm, her2k, herk
+from hsgen.kernels import KernelKind, gemm, hemm_left, her2k, herk
 from hsgen.matcore import InputError, zeros
 
 import oracles
@@ -134,7 +134,7 @@ def test_tile_size_invariance():
     outs = []
     for tile in (32, 48, 128):
         c = zeros(80, 80)
-        run_partitioned(KernelKind.HER2K, (0.5 - 1j, z, b, 0.0, c), _policy(2, tile=tile))
+        run_partitioned(KernelKind.HER2K, (0.5, z, b, 0.0, c), _policy(2, tile=tile))
         outs.append(c.tobytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -145,8 +145,8 @@ def test_gemm_partitioned_matches_serial():
     b = random_complex(rng, 9, 55)
     c1 = random_complex(rng, 40, 55)
     c2 = c1.copy()
-    run_partitioned(KernelKind.GEMM, (1.5 - 0.5j, "N", a, "N", b, 0.25, c1), _policy(3))
-    gemm(1.5 - 0.5j, "N", a, "N", b, 0.25, c2)
+    run_partitioned(KernelKind.GEMM, (-0.75, "N", a, "N", b, 1, c1), _policy(3))
+    gemm(-0.75, "N", a, "N", b, 1, c2)
     assert c1.tobytes() == c2.tobytes()
 
 
@@ -166,8 +166,8 @@ def test_herk_beta_accumulate_tiled():
     a = random_complex(rng, 10, 70)
     c1 = random_complex(rng, 70, 70)
     c2 = c1.copy()
-    run_partitioned(KernelKind.HERK, (0.75, a, 2.0, c1), _policy(4))
-    herk(0.75, a, 2.0, c2)
+    run_partitioned(KernelKind.HERK, (0.75, a, 1.0, c1), _policy(4))
+    herk(0.75, a, 1.0, c2)
     assert c1.tobytes() == c2.tobytes()
 
 
@@ -220,13 +220,63 @@ def _update(kind, alpha, beta, rng):
 @pytest.mark.parametrize("alpha", [0j, 1 + 0j, 0.5 - 1j])
 @pytest.mark.parametrize("kind", ["gemm_n", "gemm_c", "herk", "her2k"])
 def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
-    # tile 32 is ragged on the 70-wide output; tile 128 is the one-tile plan
+    # tile 32 is ragged on the 70-wide output; tile 128 is the one-tile plan.
+    # Both reject a complex alpha or a beta other than 0 or 1 and leave c as is.
     rng = np.random.default_rng(10)
     kk, kernel, ops = _update(kind, alpha, beta, rng)
-    c_part, c_plain = ops[-1], ops[-1].copy()
-    run_partitioned(kk, ops, _policy(workers, tile=tile))
-    kernel(*ops[:-1], c_plain)
+    c_part, c_plain, before = ops[-1], ops[-1].copy(), ops[-1].tobytes()
+    rejected = [_rejects(run_partitioned, kk, ops, _policy(workers, tile=tile)),
+                _rejects(kernel, *ops[:-1], c_plain)]
+    assert rejected == [np.imag(ops[0]) != 0 or beta not in (0, 1)] * 2
     assert c_part.tobytes() == c_plain.tobytes()
+    assert not rejected[0] or c_part.tobytes() == before
+
+
+def _rejects(fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises ``InputError``."""
+    try:
+        fn(*args)
+    except InputError:
+        return True
+    return False
+
+
+def _gemm_ops(alpha=1, opa="N", opb="N", beta=0):
+    return alpha, opa, zeros(3, 3), opb, zeros(3, 3), beta, np.full((3, 3), 1 + 1j)
+
+
+def _herk_ops(alpha=1, beta=0):
+    return alpha, zeros(2, 3), beta, np.full((3, 3), 1 + 1j)
+
+
+def _her2k_ops(alpha=1, beta=0):
+    return alpha, zeros(2, 3), zeros(2, 3), beta, np.full((3, 3), 1 + 1j)
+
+
+@pytest.mark.parametrize("kernel, kind, ops", [
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(opa="T"), id="gemm-opa-T"),
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(opb="C"), id="gemm-opb-C"),
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(opb="T"), id="gemm-opb-T"),
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(alpha=0.5 - 1j), id="gemm-alpha-complex"),
+    pytest.param(her2k, KernelKind.HER2K, _her2k_ops(alpha=0.5 - 1j), id="her2k-alpha-complex"),
+    pytest.param(hemm_left, None, (0.5 - 1j, zeros(3, 3), zeros(3, 2), 0, np.full((3, 2), 1j)),
+                 id="hemm-alpha-complex"),
+    *(pytest.param(kernel, kind, make(beta=beta), id=f"{kind.value}-beta-{beta}")
+      for beta in (2, 0.5, 0.5 - 1j)
+      for kernel, kind, make in ((gemm, KernelKind.GEMM, _gemm_ops),
+                                 (herk, KernelKind.HERK, _herk_ops),
+                                 (her2k, KernelKind.HER2K, _her2k_ops))),
+])
+def test_inputs_outside_the_product_contract_are_input_errors(kernel, kind, ops):
+    # ops T, opb C, a complex alpha and a beta other than 0 or 1 are not part
+    # of the kernels' contract; the public kernel and the executor reject them
+    before = ops[-1].tobytes()
+    with pytest.raises(InputError):
+        kernel(*ops)
+    if kind is not None:  # HEMM runs only as the public kernel
+        with pytest.raises(InputError):
+            run_partitioned(kind, ops, _policy(2, tile=32))
+    assert ops[-1].tobytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +285,21 @@ def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
 
 
 def _op(op, x):
-    return {"N": x, "T": x.T, "C": np.conj(x).T}[op]
+    return {"N": x, "C": np.conj(x).T}[op]
 
 
 def _oracle_update(kind, ops):
     """The update as ascending-k complex rank-1 products and the
     tril_indices tail, sharing no code with the engine."""
     if kind is KernelKind.GEMM:
-        alpha, opa, a, opb, b, beta, c = ops
-        terms = [(alpha, _op(opa, a), _op(opb, b))]
+        alpha, opa, a, _, b, beta, c = ops
+        terms = [(alpha, _op(opa, a), b)]
     elif kind is KernelKind.HERK:
         alpha, a, beta, c = ops
         terms = [(alpha, _op("C", a), a)]
     else:
         alpha, z, b, beta, c = ops
-        terms = [(alpha, _op("C", z), b), (np.conj(complex(alpha)), _op("C", b), z)]
+        terms = [(alpha, _op("C", z), b), (alpha, _op("C", b), z)]
     prod = None
     for scalar, left, right in terms:
         if scalar == 0:
@@ -264,18 +314,17 @@ def _oracle_update(kind, ops):
 @given(kind=st.sampled_from([KernelKind.GEMM, KernelKind.HERK, KernelKind.HER2K]),
        rows=st.integers(1, 300), cols=st.integers(1, 300), k=st.integers(1, 3),
        tile=st.integers(32, 320), workers=st.integers(1, 3),
-       beta=st.sampled_from([0.0, 1.0, 0.5]), alpha=st.sampled_from([0, 1, 0.5 - 1j]),
-       opa=st.sampled_from("NTC"), opb=st.sampled_from("NC"), seed=st.integers(0, 2**16))
+       beta=st.sampled_from([0.0, 1.0]), alpha=st.sampled_from([0, 1, 0.5, -0.75]),
+       opa=st.sampled_from("NC"), seed=st.integers(0, 2**16))
 @pytest.mark.parametrize("block", [32, 48])
 def test_block_grid_matches_one_tile_kernel_and_oracle(
-        block, kind, rows, cols, k, tile, workers, beta, alpha, opa, opb, seed):
+        block, kind, rows, cols, k, tile, workers, beta, alpha, opa, seed):
     rng = np.random.default_rng(seed)
     if kind is KernelKind.GEMM:
         a = random_complex(rng, *((rows, k) if opa == "N" else (k, rows)))
-        b = random_complex(rng, *((k, cols) if opb == "N" else (cols, k)))
-        ops, kernel = (alpha, opa, a, opb, b, beta, random_complex(rng, rows, cols)), gemm
+        b = random_complex(rng, k, cols)
+        ops, kernel = (alpha, opa, a, "N", b, beta, random_complex(rng, rows, cols)), gemm
     elif kind is KernelKind.HERK:
-        alpha = {0.5 - 1j: -0.75}.get(alpha, alpha)  # herk scalars are real
         ops, kernel = (alpha, random_complex(rng, k, rows), beta,
                        random_complex(rng, rows, rows)), herk
     else:
@@ -290,7 +339,7 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
 
 
 @pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])
-@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kind, terms, beta):
     # order 100 at tile 80 and block 32: tiles are the 32 grid, with rows
     # and columns cut at 32, 64 and 96, so 4 + 3 + 2 + 1 lower or diagonal tiles
