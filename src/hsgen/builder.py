@@ -7,7 +7,8 @@ scaling ("S1", "U norm", "S2"), then the per-atom Cholesky split
 failed to factor, "H3" for the rest).  Every kernel invocation lands in a
 FlopLedger with its section tag; the five large updates are dispatched
 through the executor under the caller's policy while the per-atom small
-kernels run inline on the coordinating thread.
+kernels run inline on the coordinating thread, all on the policy's
+engine.
 
 The atoms are processed in the chunks of ``probgen.atom_chunks``, the
 grid the instance files are checksummed on.  A chunk's A rows, B rows
@@ -61,6 +62,7 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
     """
     validate_instance(p)
     policy = policy or ExecPolicy()
+    engine = policy.engine
     ledger = FlopLedger()
     n_a, n_l, n_g = p.dims.n_atoms, p.dims.n_l, p.dims.n_g
     h = zeros(n_g, n_g)
@@ -88,9 +90,9 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         for i, a in enumerate(atoms):
             rows = slice(i * n_l, (i + 1) * n_l)
             timed("Loop 1", KernelKind.GEMM, (n_l, n_g, n_l),
-                  kernels.gemm, 1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, z_buf[rows])
+                  kernels.gemm, 1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, z_buf[rows], engine)
             timed("Loop 1", KernelKind.HEMM, (n_l, n_g),
-                  kernels.hemm_left, 0.5, p.t_bb[a], p.b_blocks[a], 1, z_buf[rows])
+                  kernels.hemm_left, 0.5, p.t_bb[a], p.b_blocks[a], 1, z_buf[rows], engine)
 
         update("H1", KernelKind.HER2K, (n_g, k), 1, z_buf, b_rows, beta, h)
         update("S1", KernelKind.HERK, (n_g, k), 1, a_rows, beta, s)
@@ -108,11 +110,11 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
             if factor is not None:
                 ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
                 timed("Loop 2", KernelKind.TRMM, (n_l, n_g), kernels.trmm_left_conjtrans,
-                      factor, p.a_blocks[a], z_buf[y_rows : y_rows + n_l])
+                      factor, p.a_blocks[a], z_buf[y_rows : y_rows + n_l], engine)
                 y_rows += n_l
             else:
                 timed("Loop 2", KernelKind.HEMM, (n_l, n_g), kernels.hemm_left,
-                      1, p.t_aa[a], p.a_blocks[a], 0, b_buf[x_rows : x_rows + n_l])
+                      1, p.t_aa[a], p.a_blocks[a], 0, b_buf[x_rows : x_rows + n_l], engine)
                 failed.append(a)
                 x_rows += n_l
 

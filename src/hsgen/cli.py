@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .builder import build_hs
 from .executor import ExecPolicy
+from .kernels import ENGINES
 from .matcore import Dims, InputError, InvariantError, rel_frob_error
 from .probgen import ProblemSpec, generate, preset_dims
 from .reference import h_reference, s_reference
@@ -41,6 +42,12 @@ from .storage import StorageError, load_instance, save_instance, write_matrix
 #: cmd_verify refuses larger basis sizes without --force; the reference
 #: oracle is deliberately slow.
 ORACLE_GUARD_NG = 512
+
+
+def _engine_argument(parser) -> None:
+    parser.add_argument("--engine", choices=ENGINES, default=ExecPolicy.engine,
+                        help="per-tile product: native (compiled on first use, needs cc) "
+                             "or numpy; both give the same bits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,12 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tile", type=int, default=ExecPolicy.tile,
                      help="output-tile edge, at least 32; an edge above 256 runs as 256")
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")
+    _engine_argument(run)
 
     ver = sub.add_parser("verify", help="compare the assembly against the reference oracle")
     ver.add_argument("--in", dest="indir", required=True)
     ver.add_argument("--tol", type=float, default=1e-9)
     ver.add_argument("--force", action="store_true",
                      help=f"run the oracle even when n_g > {ORACLE_GUARD_NG}")
+    _engine_argument(ver)
 
     fl = sub.add_parser("flops", help="closed-form flop analysis for a preset")
     fl.add_argument("--preset", required=True)
@@ -129,7 +138,7 @@ def _write_all(outputs) -> None:
 
 
 def cmd_run(args) -> int:
-    policy = ExecPolicy(workers=args.workers, tile=args.tile)
+    policy = ExecPolicy(workers=args.workers, tile=args.tile, engine=args.engine)
     inst = load_instance(args.indir)
     indir = Path(args.indir)
     report_path = Path(args.report) if args.report else indir / "report.json"
@@ -141,7 +150,7 @@ def cmd_run(args) -> int:
 
     sections = summarize(out.ledger, PEAK_GFLOPS_COMBINED)
     report = {
-        "policy": {"workers": policy.workers, "tile": policy.tile},
+        "policy": {"workers": policy.workers, "tile": policy.tile, "engine": policy.engine},
         "split": {"hpd": out.split.hpd, "nonhpd": out.split.nonhpd},
         "peak_gflops": PEAK_GFLOPS_COMBINED,
         "total_seconds": wall,
@@ -166,7 +175,7 @@ def cmd_verify(args) -> int:
     if inst.dims.n_g > ORACLE_GUARD_NG and not args.force:
         raise InputError(f"n_g={inst.dims.n_g} exceeds the oracle guard "
                          f"({ORACLE_GUARD_NG}); pass --force to run anyway")
-    out = build_hs(inst)
+    out = build_hs(inst, ExecPolicy(engine=args.engine))
     err_h = rel_frob_error(out.h.matrix, h_reference(inst))
     err_s = rel_frob_error(out.s.matrix, s_reference(inst))
     print(f"rel_frob_error H: {err_h:.3e}")

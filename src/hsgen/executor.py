@@ -4,10 +4,10 @@ Emulates output-partitioned multi-device BLAS on a thread pool: the output
 is cut into tiles, every tile consumes the full inner dimension, and each
 tile is computed whole by exactly one worker.  ``run_partitioned`` is
 ``kernels._run``, the one driver the public kernels run serially, on the
-policy's grid, plus a count of the bytes the tiles touch.  A tile is at
-most one block of the output's fixed ``kernels._BLOCK`` grid: a policy
-tile above it plans the block grid, and tiles above the diagonal of a
-triangular output are never planned.  No cross-tile reduction exists, so
+policy's grid and engine, plus a count of the bytes the tiles touch.  A
+tile is at most one block of the output's fixed ``kernels._BLOCK`` grid:
+a policy tile above it plans the block grid, and tiles above the
+diagonal of a triangular output are never planned.  No cross-tile reduction exists, so
 results are bit-identical for every worker count and every tile size.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .kernels import KernelKind, Tile, plan_tiles
-from .matcore import int_fields
+from .matcore import InputError, int_fields
 
 __all__ = ["ExecPolicy", "ExecResult", "Tile", "plan_tiles", "run_partitioned"]
 
@@ -26,13 +26,17 @@ _ITEMSIZE = 16  # complex128
 
 @dataclass(frozen=True)
 class ExecPolicy:
-    """Worker count and output-tile edge for the partitioned kernels."""
+    """Worker count, output-tile edge and per-tile product engine
+    (``kernels.ENGINES``) for the partitioned kernels."""
 
     workers: int = 1
     tile: int = kernels._BLOCK
+    engine: str = kernels.ENGINES[0]
 
     def __post_init__(self):
         int_fields(self, workers=1, tile=32)
+        if self.engine not in kernels.ENGINES:
+            raise InputError(f"engine must be one of {kernels.ENGINES}, got {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
     dimension per product term computed (none when alpha is 0).
     """
     tiles, panels = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
-                                 policy.workers)
+                                 policy.workers, policy.engine)
     bytes_touched = sum(
         ((t.row1 - t.row0) * (t.col1 - t.col0)
          + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * _ITEMSIZE

@@ -8,16 +8,17 @@ contract to FMA on SIMD paths, which perturbs the last ulp; decomposing by
 hand keeps every element bit-identical to a scalar triple loop and makes
 results independent of tile shape, worker count, and operand strides.
 
-The accumulator keeps the real and imaginary parts on two separate float64
-planes, updated in place with ``out=`` ufuncs over preallocated scratch.
+The numpy engine's accumulator keeps the real and imaginary parts on two
+separate float64 planes, updated in place with ``out=`` ufuncs over
+preallocated scratch (the native engine keeps them in registers).
 This is bit-identical to accumulating complex rank-1 products: a complex
 add adds the two parts independently, and each scratch plane holds exactly
 the separated-formula term, computed with the same operands in the same
 order, so every element sees the same sequence of IEEE operations, signed
 zeros and infinities included.  NaN results land in the same places, but
 their sign and payload are not part of the contract: IEEE 754 leaves them
-unspecified, and numpy's SIMD body and scalar tail pick different operands
-to propagate.
+unspecified, and numpy's SIMD body and scalar tail (and the native code)
+pick different operands to propagate.
 
 POTRF is right-looking on the same two-plane layout: after each column
 it subtracts that column's rank-1 term from the whole trailing block.
@@ -31,12 +32,18 @@ tile as the exact product of every term plus one tail, serially or on a
 thread pool.  A tile is at most one block of the fixed ``_BLOCK`` grid,
 so its accumulator stays in cache; tiles above the diagonal of a
 triangular output are never planned, and an empty output plans none.  A
-conjugated left operand is a view with a flag, negated as each column is
-copied.  Every element gets the same operations on any grid, so the grid
-does not change the bits.  The public kernels, and TRMM as a GEMM, run
-``_run`` serially on the ``_BLOCK`` grid; the executor runs it on the
-policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
-output it is given and returns it.
+conjugated left operand is a view with a flag, negated as it is copied.
+Every element gets the same operations on any grid, so the grid does not
+change the bits.  The public kernels, and TRMM as a GEMM, run ``_run``
+serially on the ``_BLOCK`` grid; the executor runs it on the policy's
+grid, never coarser than ``_BLOCK``.  Every kernel writes the output it
+is given and returns it.
+
+The per-tile product is the one swappable part, named by an engine
+(``ENGINES``): ``native``, the default, is the compiled kernel of
+``native.py``; ``numpy`` is ``_acc_product``, the oracle it is tested
+against.  Both run the same operations per element, so H and S have the
+same bits under either.
 
 One product contract, the one the pipeline uses: alpha is real, beta is
 0 or 1, and only the left operand may be conjugated (GEMM's ``opa`` N or
@@ -54,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .matcore import DimensionError, InputError, hermitian_mirror, zeros
 
 
@@ -222,8 +230,22 @@ def _acc_product(a, b, conj_a=False):
     return acc
 
 
+#: Per-tile product engines; the first is the default.
+ENGINES = ("native", "numpy")
+
+
+def _product(engine: str):
+    """The engine's per-tile product ``(left, right, conj_left)``, loading
+    the native library on first use; InputError for an unknown engine."""
+    if engine == "native":
+        return native.product()
+    if engine == "numpy":
+        return _acc_product
+    raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
 # ---------------------------------------------------------------------------
-# the per-tile engine
+# the per-tile driver
 
 
 @dataclass(frozen=True)
@@ -314,11 +336,12 @@ def _tail(c, prod, beta, lower: bool) -> None:
         np.fill_diagonal(c.imag, 0)
 
 
-def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
+def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
+         engine: str = ENGINES[0]):
     """The one tiled path: check one GEMM/HERK/HER2K update and run it on
-    tiles of ``edge``; returns ``(tiles, panels)``, ``panels`` being the
-    inner dimension times the number of terms computed (none when alpha
-    is 0).
+    tiles of ``edge`` with the engine's product; returns ``(tiles,
+    panels)``, ``panels`` being the inner dimension times the number of
+    terms computed (none when alpha is 0).
 
     Unless alpha is 0, each tile gets the exact product of every term,
     scaled by alpha and summed in order, then the tail.  Tiles never share
@@ -329,13 +352,14 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
     inner = terms[0][0].shape[1]
     if alpha == 0:  # the product is skipped
         terms = []
+    product = _product(engine)
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
         prod = None
         for left, right, conj_left in terms:
-            p = _acc_product(left[rows], right[:, cols], conj_left)
+            p = product(left[rows], right[:, cols], conj_left)
             if alpha != 1:
                 p = _cprod(alpha, p)
             prod = p if prod is None else prod + p
@@ -354,39 +378,40 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1):
 # kernels
 
 
-def gemm(alpha, opa: str, a, opb: str, b, beta, c):
+def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
     """c <- alpha*op(a)*b + beta*c, op(a) a or a^H (opa N or C, opb N);
     alpha real, beta 0 or 1. Updates c in place."""
-    _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK)
+    _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK, engine=engine)
     return c
 
 
-def hemm_left(alpha, t, b, beta, c):
+def hemm_left(alpha, t, b, beta, c, engine: str = ENGINES[0]):
     """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower triangle."""
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionError(f"t must be square, got {t.shape}")
-    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c)
+    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c,
+                engine)
 
 
-def herk(alpha, a, beta, c):
+def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, beta 0 or 1."""
-    _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK)
+    _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK, engine=engine)
     return c
 
 
-def her2k(alpha, z, b, beta, c):
+def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*(z^H*b + b^H*z) + beta*c, each product
     scaled by alpha before the sum; alpha real, beta 0 or 1."""
-    _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK)
+    _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK, engine=engine)
     return c
 
 
-def trmm_left_conjtrans(c_factor, a, c):
+def trmm_left_conjtrans(c_factor, a, c, engine: str = ENGINES[0]):
     """c <- C^H * a for the lower-triangular C stored in c_factor (c is
     write-only, as with beta 0)."""
     if c_factor.ndim != 2 or c_factor.shape[0] != c_factor.shape[1]:
         raise DimensionError(f"c_factor must be square, got {c_factor.shape}")
-    _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK)
+    _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK, engine=engine)
     return c
 
 

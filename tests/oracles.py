@@ -172,6 +172,21 @@ def acc_product_rank1(a, b):
     return acc
 
 
+def canonical_nans(x):
+    """Copy of x with every NaN part replaced by numpy's default NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    numpy's own loops do not fix them: with numpy 2.4 on x86-64, adding
+    -nan and +nan yields -nan in the SIMD body of a contiguous loop and +nan
+    in its scalar tail, so NaN sign bits depend on an element's position,
+    not on its arithmetic.
+    """
+    out = np.array(x, dtype=np.complex128)
+    out.real[np.isnan(out.real)] = np.nan
+    out.imag[np.isnan(out.imag)] = np.nan
+    return out
+
+
 def _cprod(u, v):
     u = np.asarray(u)
     v = np.asarray(v)

@@ -259,10 +259,11 @@ def test_build_hs_oracle_sweep():
         dims = Dims(int(rng.integers(1, 7)), int(rng.integers(2, 13)), int(rng.integers(4, 49)))
         frac = float(rng.choice([0.0, 0.5, 1.0]))
         p = generate(ProblemSpec(dims, seed=trial, nonhpd_fraction=frac))
-        out = build_hs(p)
-        assert rel_frob_error(out.h.matrix, h_reference(p)) <= 1e-9
-        assert rel_frob_error(out.s.matrix, s_reference(p)) <= 1e-9
-        assert out.split.hpd + out.split.nonhpd == dims.n_atoms
+        for engine in kernels.ENGINES:
+            out = build_hs(p, ExecPolicy(engine=engine))
+            assert rel_frob_error(out.h.matrix, h_reference(p)) <= 1e-9
+            assert rel_frob_error(out.s.matrix, s_reference(p)) <= 1e-9
+            assert out.split.hpd + out.split.nonhpd == dims.n_atoms
 
 
 def test_build_hs_restore_contract():
@@ -362,7 +363,8 @@ def test_chunked_build_is_worker_and_tile_invariant(monkeypatch, atoms):
     dims = Dims(7, 3, 40)
     _set_chunk_atoms(monkeypatch, dims, atoms)
     p = generate(ProblemSpec(dims, seed=33, nonhpd_fraction=0.5))
-    outs = [build_hs(p, ExecPolicy(workers=w, tile=t)) for w in (1, 2) for t in (32, 512)]
+    outs = [build_hs(p, ExecPolicy(workers=w, tile=t, engine=e))
+            for w in (1, 2) for t in (32, 512) for e in kernels.ENGINES]
     for o in outs[1:]:
         assert o.h.matrix.tobytes() == outs[0].h.matrix.tobytes()
         assert o.s.matrix.tobytes() == outs[0].s.matrix.tobytes()

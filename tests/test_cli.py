@@ -104,7 +104,7 @@ def test_run_writes_outputs_and_report(tmp_path):
                    "--report", str(report)) == 0
     assert (inst / "H.hsm").is_file() and (inst / "S.hsm").is_file()
     rep = json.loads(report.read_text())
-    assert rep["policy"] == {"workers": 2, "tile": 32}
+    assert rep["policy"] == {"workers": 2, "tile": 32, "engine": "native"}
     assert rep["split"]["hpd"] + rep["split"]["nonhpd"] == 2
     assert rep["total_flops"] > 0
     sections = {s["section"] for s in rep["sections"]}
@@ -117,10 +117,13 @@ def test_run_worker_invariance_bytes(tmp_path):
                    "--out", str(inst)) == 0
     results = {}
     for workers in ("1", "4"):
-        assert run_cli("run", "--in", str(inst), "--workers", workers,
-                       "--tile", "32") == 0
-        results[workers] = ((inst / "H.hsm").read_bytes(), (inst / "S.hsm").read_bytes())
-    assert results["1"] == results["4"]
+        for engine in ("native", "numpy"):
+            assert run_cli("run", "--in", str(inst), "--workers", workers,
+                           "--tile", "32", "--engine", engine) == 0
+            assert json.loads((inst / "report.json").read_text())["policy"]["engine"] == engine
+            results[workers, engine] = ((inst / "H.hsm").read_bytes(),
+                                        (inst / "S.hsm").read_bytes())
+    assert len(set(results.values())) == 1
 
 
 def test_run_scalar_instance_closed_form(tmp_path):

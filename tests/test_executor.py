@@ -16,11 +16,13 @@ from oracles import random_complex
 
 def test_policy_validation():
     p = ExecPolicy()
-    assert (p.workers, p.tile) == (1, 256)
+    assert (p.workers, p.tile, p.engine) == (1, 256, "native")
     with pytest.raises(InputError):
         ExecPolicy(workers=0)
     with pytest.raises(InputError):
         ExecPolicy(tile=16)
+    with pytest.raises(InputError, match="engine"):
+        ExecPolicy(engine="blas")
 
 
 @pytest.mark.parametrize("field", ["workers", "tile"])
@@ -338,6 +340,17 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
     assert c_grid.tobytes() == c_kernel.tobytes() == c_oracle.tobytes()
 
 
+def _record_products(monkeypatch, record):
+    """Make every engine's per-tile product call ``record(left, right)`` first."""
+    hook = kernels._product
+
+    def recorded(engine):
+        product = hook(engine)
+        return lambda left, right, *flag: record(left, right) or product(left, right, *flag)
+
+    monkeypatch.setattr(kernels, "_product", recorded)
+
+
 @pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kind, terms, beta):
@@ -345,8 +358,7 @@ def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kin
     # and columns cut at 32, 64 and 96, so 4 + 3 + 2 + 1 lower or diagonal tiles
     monkeypatch.setattr(kernels, "_BLOCK", 32)
     calls = []
-    acc = kernels._acc_product
-    monkeypatch.setattr(kernels, "_acc_product", lambda *a: calls.append(1) or acc(*a))
+    _record_products(monkeypatch, lambda left, right: calls.append(1))
     rng = np.random.default_rng(44)
     c = random_complex(rng, 100, 100)
     c[np.triu_indices(100, k=1)] = np.nan
@@ -379,9 +391,7 @@ def test_bytes_touched_counts_the_computed_blocks(monkeypatch, alpha, panels):
 @pytest.mark.parametrize("kind", [KernelKind.GEMM, KernelKind.HER2K])
 def test_a_tile_above_the_block_edge_runs_as_blocks(monkeypatch, kind):
     shapes = []
-    acc = kernels._acc_product
-    monkeypatch.setattr(kernels, "_acc_product",
-                        lambda a, b, *f: shapes.append((a.shape[0], b.shape[1])) or acc(a, b, *f))
+    _record_products(monkeypatch, lambda left, right: shapes.append((left.shape[0], right.shape[1])))
     rng = np.random.default_rng(46)
     z, b = random_complex(rng, 2, 600), random_complex(rng, 2, 600)
 

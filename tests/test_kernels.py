@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hsgen.kernels import (
+    ENGINES,
     FlopLedger,
     FlopRecord,
     KernelKind,
     _acc_product,
+    _product,
     _tail,
     diag_scale,
     flops_of,
@@ -470,21 +472,6 @@ def test_acc_product_bitwise_at_executor_tile_shapes(m, n, k):
     assert out.tobytes() == oracles.acc_product_rank1(a, b).tobytes()
 
 
-def _canonical_nans(x):
-    """Copy of x with every NaN part replaced by numpy's default NaN.
-
-    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
-    numpy's own loops do not fix them: with numpy 2.4 on x86-64, adding
-    -nan and +nan yields -nan in the SIMD body of a contiguous loop and +nan
-    in its scalar tail, so NaN sign bits depend on an element's position,
-    not on its arithmetic.
-    """
-    out = np.array(x, dtype=np.complex128)
-    out.real[np.isnan(out.real)] = np.nan
-    out.imag[np.isnan(out.imag)] = np.nan
-    return out
-
-
 def _complex_from_parts(re, im):
     z = np.empty(re.shape, dtype=np.complex128)
     z.real, z.imag = re, im  # re + 1j*im would turn an infinite im into a NaN real part
@@ -503,10 +490,12 @@ def test_acc_product_bitwise_with_signed_zeros_inf_nan():
     a, b = draw((40, 5)), draw((5, 30))
     with np.errstate(invalid="ignore"):
         for x, y in [(a, b), (np.asfortranarray(a), b[:, ::-1])]:
-            out = _acc_product(x, y)
             expected = oracles.acc_product_rank1(x, y)
-            assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
-            assert _canonical_nans(out).tobytes() == _canonical_nans(expected).tobytes()
+            for engine in ENGINES:
+                out = _product(engine)(x, y, False)
+                assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
+                canonical = oracles.canonical_nans
+                assert canonical(out).tobytes() == canonical(expected).tobytes()
 
 
 def test_acc_product_peak_memory_stays_near_output_size():
