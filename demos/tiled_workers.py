@@ -8,12 +8,13 @@ That determinism is asserted here, followed by an informational
 throughput comparison.
 
 Workers emulate the output partitioning of a multi-device BLAS on plain
-threads.  Under the default native engine a tile's product runs in C with
-the interpreter lock released, so one update scales across workers; the
+threads.  Under the default native engine a tile's whole update (its
+products, alpha, the term sum and the tail) is one C call with the
+interpreter lock released, so one update scales across workers; the
 numpy engine issues a few short numpy calls per rank-1 step under the
 lock and scales less.  A whole build scales less than one update, since
-the Hermitian mirror, the tails and the per-atom loops run on one thread
-(README, Determinism, gives the measured figures); the property being
+the Hermitian mirror and the per-atom loops run on one thread (README,
+Determinism, gives the measured figures); the property being
 demonstrated is bitwise reproducibility of the partition.
 """
 

@@ -39,11 +39,13 @@ serially on the ``_BLOCK`` grid; the executor runs it on the policy's
 grid, never coarser than ``_BLOCK``.  Every kernel writes the output it
 is given and returns it.
 
-The per-tile product is the one swappable part, named by an engine
-(``ENGINES``): ``native``, the default, is the compiled kernel of
-``native.py``; ``numpy`` is ``_acc_product``, the oracle it is tested
-against.  Both run the same operations per element, so H and S have the
-same bits under either.
+The per-tile update is the one swappable part, named by an engine
+(``ENGINES``): one call writes one tile of the caller's output.
+``native``, the default, is the compiled kernel of ``native.py``, which
+does the products, alpha, the term sum and the tail in C; ``numpy`` is
+``_numpy_update`` (``_acc_product`` per term, then ``_tail``), the oracle
+it is tested against.  Both run the same operations per element, so H
+and S have the same bits under either.
 
 One product contract, the one the pipeline uses: alpha is real, beta is
 0 or 1, and only the left operand may be conjugated (GEMM's ``opa`` N or
@@ -230,20 +232,6 @@ def _acc_product(a, b, conj_a=False):
     return acc
 
 
-#: Per-tile product engines; the first is the default.
-ENGINES = ("native", "numpy")
-
-
-def _product(engine: str):
-    """The engine's per-tile product ``(left, right, conj_left)``, loading
-    the native library on first use; InputError for an unknown engine."""
-    if engine == "native":
-        return native.product()
-    if engine == "numpy":
-        return _acc_product
-    raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
-
-
 # ---------------------------------------------------------------------------
 # the per-tile driver
 
@@ -336,12 +324,42 @@ def _tail(c, prod, beta, lower: bool) -> None:
         np.fill_diagonal(c.imag, 0)
 
 
+def _numpy_update(terms, alpha: float, beta, c, lower: bool) -> None:
+    """The numpy engine's per-tile update: the exact product of every
+    ``(left, right, conj_left)`` term, scaled by alpha unless it is 1 and
+    summed in order, then the tail into ``c``; no terms is a zero
+    product."""
+    prod = None
+    for left, right, conj_left in terms:
+        p = _acc_product(left, right, conj_left)
+        if alpha != 1:
+            p = _cprod(alpha, p)
+        prod = p if prod is None else prod + p
+    _tail(c, prod, beta, lower)
+
+
+#: Per-tile update engines; the first is the default.
+ENGINES = ("native", "numpy")
+
+
+def _update(engine: str):
+    """The engine's per-tile update ``(terms, alpha, beta, c, lower)``,
+    loading the native library on first use; InputError for an unknown
+    engine."""
+    if engine == "native":
+        native.load()
+        return native.tile_update
+    if engine == "numpy":
+        return _numpy_update
+    raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
 def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
          engine: str = ENGINES[0]):
     """The one tiled path: check one GEMM/HERK/HER2K update and run it on
-    tiles of ``edge`` with the engine's product; returns ``(tiles,
-    panels)``, ``panels`` being the inner dimension times the number of
-    terms computed (none when alpha is 0).
+    tiles of ``edge`` with one call of the engine's update per tile;
+    returns ``(tiles, panels)``, ``panels`` being the inner dimension times
+    the number of terms computed (none when alpha is 0).
 
     Unless alpha is 0, each tile gets the exact product of every term,
     scaled by alpha and summed in order, then the tail.  Tiles never share
@@ -352,18 +370,13 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     inner = terms[0][0].shape[1]
     if alpha == 0:  # the product is skipped
         terms = []
-    product = _product(engine)
+    update = _update(engine)
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
-        prod = None
-        for left, right, conj_left in terms:
-            p = product(left[rows], right[:, cols], conj_left)
-            if alpha != 1:
-                p = _cprod(alpha, p)
-            prod = p if prod is None else prod + p
-        _tail(c[rows, cols], prod, beta, t.diagonal)
+        update([(left[rows], right[:, cols], conj) for left, right, conj in terms],
+               alpha, beta, c[rows, cols], t.diagonal)
 
     if workers == 1:
         for t in tiles:

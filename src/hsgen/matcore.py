@@ -63,9 +63,9 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-#: Columns per panel of ``hermitian_mirror``: bounds the index arrays of
-#: the diagonal block, the only fancy indexing left.
-_MIRROR_PANEL = 256
+#: Edge of the square blocks ``hermitian_mirror`` copies: a block and its
+#: transposed source (64 KiB each) stay in cache together.
+_MIRROR_BLOCK = 64
 
 
 def hermitian_mirror(m: np.ndarray) -> np.ndarray:
@@ -75,21 +75,23 @@ def hermitian_mirror(m: np.ndarray) -> np.ndarray:
     The upper triangle is overwritten with the conjugate transpose of the
     strict lower triangle and diagonal imaginary parts are dropped; the
     lower triangle passes through bit-identically, which makes the
-    operation idempotent.  The upper triangle is filled one column panel
-    at a time from the panel's transposed rows, so the working set beyond
-    ``m`` stays at one diagonal block.
+    operation idempotent.  The upper triangle is filled one
+    ``_MIRROR_BLOCK`` square at a time from its transposed source block,
+    so the working set beyond ``m`` stays at one diagonal block's indices.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermitian_mirror needs a square matrix, got {m.shape}")
-    n = m.shape[0]
-    for j0 in range(0, n, _MIRROR_PANEL):
-        j1 = min(j0 + _MIRROR_PANEL, n)
-        np.conj(m[j0:j1, :j0].T, out=m[:j0, j0:j1])
+    n, b = m.shape[0], _MIRROR_BLOCK
+    iu = np.triu_indices(min(b, n), k=1)
+    for j0 in range(0, n, b):
+        j1 = min(j0 + b, n)
+        for i0 in range(0, j0, b):
+            np.conj(m[j0:j1, i0 : i0 + b].T, out=m[i0 : i0 + b, j0:j1])
         blk = m[j0:j1, j0:j1]
-        iu = np.triu_indices(j1 - j0, k=1)
+        if j1 - j0 < b:  # the last, ragged block
+            iu = np.triu_indices(j1 - j0, k=1)
         blk[iu] = np.conj(blk.T[iu])
-    d = np.diag_indices(n)
-    m[d] = m[d].real
+        np.fill_diagonal(blk.imag, 0)
     return m
 
 

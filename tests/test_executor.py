@@ -340,15 +340,16 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
     assert c_grid.tobytes() == c_kernel.tobytes() == c_oracle.tobytes()
 
 
-def _record_products(monkeypatch, record):
-    """Make every engine's per-tile product call ``record(left, right)`` first."""
-    hook = kernels._product
+def _record_updates(monkeypatch, record):
+    """Make every engine's per-tile update call ``record(terms, c)`` first."""
+    hook = kernels._update
 
     def recorded(engine):
-        product = hook(engine)
-        return lambda left, right, *flag: record(left, right) or product(left, right, *flag)
+        update = hook(engine)
+        return lambda terms, alpha, beta, c, lower: (record(terms, c)
+                                                     or update(terms, alpha, beta, c, lower))
 
-    monkeypatch.setattr(kernels, "_product", recorded)
+    monkeypatch.setattr(kernels, "_update", recorded)
 
 
 @pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])
@@ -358,7 +359,7 @@ def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kin
     # and columns cut at 32, 64 and 96, so 4 + 3 + 2 + 1 lower or diagonal tiles
     monkeypatch.setattr(kernels, "_BLOCK", 32)
     calls = []
-    _record_products(monkeypatch, lambda left, right: calls.append(1))
+    _record_updates(monkeypatch, lambda terms, c: calls.append(len(terms)))
     rng = np.random.default_rng(44)
     c = random_complex(rng, 100, 100)
     c[np.triu_indices(100, k=1)] = np.nan
@@ -367,7 +368,7 @@ def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kin
     ops = (1.0, z, beta, c) if kind is KernelKind.HERK else (1.0, z, z, beta, c)
     res = run_partitioned(kind, ops, _policy(2, tile=80))
     assert res.n_tiles == 10
-    assert len(calls) == 10 * terms
+    assert calls == [terms] * 10  # one update per tile, with every term
     assert c[np.triu_indices(100, k=1)].tobytes() == upper
     assert np.isfinite(np.tril(c)).all()
 
@@ -391,7 +392,7 @@ def test_bytes_touched_counts_the_computed_blocks(monkeypatch, alpha, panels):
 @pytest.mark.parametrize("kind", [KernelKind.GEMM, KernelKind.HER2K])
 def test_a_tile_above_the_block_edge_runs_as_blocks(monkeypatch, kind):
     shapes = []
-    _record_products(monkeypatch, lambda left, right: shapes.append((left.shape[0], right.shape[1])))
+    _record_updates(monkeypatch, lambda terms, c: shapes.append(c.shape))
     rng = np.random.default_rng(46)
     z, b = random_complex(rng, 2, 600), random_complex(rng, 2, 600)
 

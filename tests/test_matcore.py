@@ -77,6 +77,24 @@ def test_mirror_matches_triu_indices_form_bitwise(n):
     assert hermitian_mirror(m).tobytes() == expected
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_mirror_blocks_match_triu_indices_form_bitwise(n):
+    # n on both sides of the 64-block edge and a ragged last block; the
+    # strict lower triangle holds signed zeros, which the conjugate must
+    # carry over with their signs, and the diagonal is not real
+    rng = np.random.default_rng(100 + n)
+    m = random_complex(rng, n, n)
+    low = np.tril_indices(n, k=-1)
+    zeros = rng.random(low[0].size) < 0.3
+    m.real[low[0][zeros], low[1][zeros]] = rng.choice([0.0, -0.0], zeros.sum())
+    m.imag[low[0][zeros], low[1][zeros]] = rng.choice([0.0, -0.0], zeros.sum())
+    m[np.diag_indices(n)] += 1j
+    expected = oracles.mirror_triu_indices(m).tobytes()
+    hermitian_mirror(m)
+    assert m.tobytes() == expected
+    assert hermitian_mirror(m).tobytes() == expected  # idempotent
+
+
 def test_mirror_peak_memory_stays_near_matrix_size():
     n = 1024
     m = random_complex(np.random.default_rng(4), n, n)

@@ -1,6 +1,7 @@
 """The native engine: bit-identical to the numpy engine and the complex
 rank-1 oracle, built on first use into a cache, never a silent fallback."""
 
+import shutil
 import subprocess
 
 import numpy as np
@@ -53,7 +54,8 @@ def test_native_equals_numpy_engine_and_oracle_bitwise(
     a = _left(rng, m, k, layout, special)
     b = _draw(rng, (k, 2 * n), special)[:, ::-2] if right_sliced else _draw(rng, (k, n), special)
     with np.errstate(invalid="ignore", over="ignore"):
-        got = native.product()(a, b, conj_left)
+        native.load()
+        got = native.acc_product(a, b, conj_left)
         engine = kernels._acc_product(a, b, conj_left)
         expected = oracles.acc_product_rank1(np.conj(a) if conj_left else a, b)
     assert got.flags.f_contiguous and got.shape == (m, n)
@@ -61,15 +63,80 @@ def test_native_equals_numpy_engine_and_oracle_bitwise(
     assert canonical(got).tobytes() == canonical(engine).tobytes() == canonical(expected).tobytes()
 
 
+#: A NaN with a payload no arithmetic here produces: bytes of it that
+#: change were written.
+_GUARD = np.array([0xFFF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+
+
+def _view(big, layout, m, n):
+    """An m x n view into the Fortran-ordered ``big``: a block, every other
+    row and column, or the transpose of a block (C order)."""
+    if layout == "block":
+        return big[2 : m + 2, 3 : n + 3]
+    if layout == "strided":
+        return big[1 : 2 * m + 1 : 2, 2 : 2 * n + 2 : 2]
+    return big[3 : n + 3, 2 : m + 2].T
+
+
+def _oracle_update(terms, alpha, beta, c, lower):
+    """The per-tile update from the complex rank-1 oracle, the separated
+    alpha scaling and the tril_indices tail."""
+    prod = None
+    for left, right, conj_left in terms:
+        p = oracles.acc_product_rank1(np.conj(left) if conj_left else left, right)
+        if alpha != 1:
+            p = oracles._cprod(alpha, p)
+        prod = p if prod is None else prod + p
+    oracles.tail_tril_indices(c, prod, beta, lower)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), k=st.integers(0, 150),
+       nterms=st.sampled_from([1, 2]), alpha=st.sampled_from([0.0, 1.0, 0.5, -0.75]),
+       beta=st.sampled_from([0, 1]), lower=st.booleans(), conj_left=st.booleans(),
+       c_layout=st.sampled_from(["block", "strided", "transposed"]),
+       special=st.sampled_from([0.0, 0.02, 0.1]), seed=st.integers(0, 2**16))
+def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
+        m, n, k, nterms, alpha, beta, lower, conj_left, c_layout, special, seed):
+    # k runs on both sides of the block depth (at most native.KC, less on
+    # small tiles); c is a view into a guard-filled array, and only its
+    # stored region (rows >= columns when lower) may change
+    rng = np.random.default_rng(seed)
+    n = m if lower else n
+    terms = [(_draw(rng, (k, m), special).T, _draw(rng, (k, n), special), conj_left or nterms == 2)
+             for _ in range(nterms)]
+    if alpha == 0:  # as kernels._run passes it: the product is skipped
+        terms = []
+    stored = np.tril(np.ones((m, n), dtype=bool)) if lower else np.ones((m, n), dtype=bool)
+    values = _draw(rng, (m, n), special)[stored]
+    results = []
+    native.load()
+    for update in (native.tile_update, kernels._numpy_update, _oracle_update):
+        edge = 2 * max(m, n) + 4
+        big = np.full((edge, edge), complex(_GUARD, _GUARD), order="F")
+        c = _view(big, c_layout, m, n)
+        c[stored] = values
+        mask = np.zeros(big.shape, dtype=bool, order="F")
+        _view(mask, c_layout, m, n)[stored] = True
+        before = big.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            update(terms, alpha, beta, c, lower)
+        assert big[~mask].tobytes() == before[~mask].tobytes()  # every other byte unchanged
+        results.append(oracles.canonical_nans(c).tobytes())  # NaN positions, not payloads
+    assert results[0] == results[1] == results[2]
+
+
 def test_an_empty_inner_dimension_gives_positive_zeros():
     a, b = zeros(5, 0), zeros(0, 3)
-    got = native.product()(a, b, True)
+    native.load()
+    got = native.acc_product(a, b, True)
     assert got.tobytes() == kernels._acc_product(a, b, True).tobytes() == zeros(5, 3).tobytes()
 
 
 def test_operands_that_do_not_multiply_are_dimension_errors():
+    native.load()
     with pytest.raises(DimensionError):
-        native.product()(zeros(3, 4), zeros(5, 2), False)
+        native.acc_product(zeros(3, 4), zeros(5, 2), False)
 
 
 def test_an_unknown_engine_is_an_input_error():
@@ -99,15 +166,15 @@ def _recorded_subprocesses(monkeypatch):
 
 def test_a_second_load_reuses_the_cached_library(monkeypatch, fresh_native):
     calls = _recorded_subprocesses(monkeypatch)
-    native.product()
+    native.load()
     assert len(calls) == 2 and calls[0][1:] == ["--version"]  # the key, then the build
     (library,) = fresh_native.iterdir()
     assert library.suffix == ".so"
     calls.clear()
-    native.product()  # loaded in this process: nothing runs
+    native.load()  # loaded in this process: nothing runs
     assert calls == []
     monkeypatch.setattr(native, "_kernel", None)
-    native.product()  # a new process: only the key's `cc --version` runs
+    native.load()  # a new process: only the key's `cc --version` runs
     assert [argv[1:] for argv in calls] == [["--version"]]
     assert list(fresh_native.iterdir()) == [library]
 
@@ -117,7 +184,7 @@ def test_a_failing_compile_is_an_input_error_with_its_stderr(monkeypatch, fresh_
     source.write_text("#error hsgen-broken-source\n")
     monkeypatch.setattr(native, "_SOURCE", source)
     with pytest.raises(InputError, match="hsgen-broken-source") as exc:
-        native.product()
+        native.load()
     assert "'cc'" in str(exc.value) and "--engine numpy" in str(exc.value)
     assert not fresh_native.exists() or list(fresh_native.iterdir()) == []  # no temporary left
 
@@ -131,3 +198,32 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
     assert "hsgen-missing-cc" in err and "--engine numpy" in err
     assert not (inst / "H.hsm").exists()
     assert cli.main(["run", "--in", str(inst), "--engine", "numpy"]) == 0  # no compiler needed
+
+
+@pytest.mark.skipif(shutil.which(native._COMPILER) is None, reason="no C compiler")
+def test_the_engine_compiles_without_warnings(tmp_path):
+    # the shipped flags plus every common warning, made an error
+    argv = [native._COMPILER, *native._FLAGS, "-Wall", "-Wextra", "-Werror",
+            "-o", str(tmp_path / "native.so"), str(native._SOURCE)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("layout", ["complex64", "24-byte rows"])
+def test_an_output_of_another_dtype_or_layout_is_updated_through_a_copy(layout):
+    # C writes complex128 elements through the output's strides; a
+    # complex64 output, or one whose strides are not whole complex128
+    # elements, gets the numpy engine's result with numpy's casting
+    rng = np.random.default_rng(9)
+    z = _draw(rng, (6, 20), 0.0)
+    outputs = []
+    for engine in kernels.ENGINES:
+        if layout == "complex64":
+            c = np.zeros((20, 20), dtype=np.complex64, order="F")
+        else:
+            raw = np.zeros(24 * 20 * 20, dtype=np.uint8)
+            c = np.lib.stride_tricks.as_strided(raw.view(np.complex128), (20, 20), (24, 480))
+        c[...] = _draw(np.random.default_rng(10), (20, 20), 0.0)
+        kernels.herk(-0.75, z, 1, c, engine=engine)
+        outputs.append(c.tobytes())
+    assert outputs[0] == outputs[1]
