@@ -4,7 +4,7 @@ reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 
 from .builder import BuildOutput, build_hs
-from .executor import ExecPolicy, Tile, plan_tiles, run_partitioned
+from .executor import ExecPolicy
 from .kernels import (
     SECTIONS,
     FlopLedger,

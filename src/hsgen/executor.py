@@ -4,11 +4,13 @@ Emulates output-partitioned multi-device BLAS on a thread pool: the output
 is cut into tiles, every tile consumes the full inner dimension, and each
 tile is computed whole by exactly one worker.  ``run_partitioned`` is
 ``kernels._run``, the one driver the public kernels run serially, on the
-policy's grid and engine, plus a count of the bytes the tiles touch.  A
-tile is at most one block of the output's fixed ``kernels._BLOCK`` grid:
-a policy tile above it plans the block grid, and tiles above the
-diagonal of a triangular output are never planned.  No cross-tile reduction exists, so
-results are bit-identical for every worker count and every tile size.
+policy's grid and engine, plus a count of the bytes the tiles touch; it
+takes the updates the public kernels take, checked by the same
+``kernels._terms``.  A tile is at most one block of the output's fixed
+``kernels._BLOCK`` grid: a policy tile above it plans the block grid, and
+tiles above the diagonal of a triangular output are never planned.  No
+cross-tile reduction exists, so results are bit-identical for every
+worker count and every tile size.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
     HER2K ``(alpha, z, b, beta, c)``.  The tile edge is
     ``min(policy.tile, kernels._BLOCK)``.  ``bytes_touched`` counts, per
     tile, the output tile plus one row and one column panel of the inner
-    dimension per product term computed (none when alpha is 0).
+    dimension per product term.  An update outside ``kernels``' contract
+    is an ``InputError`` that leaves the output as it was.
     """
     tiles, panels = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
                                  policy.workers, policy.engine)

@@ -47,16 +47,20 @@ does the products, alpha, the term sum and the tail in C; ``numpy`` is
 it is tested against.  Both run the same operations per element, so H
 and S have the same bits under either.
 
-One product contract, the one the pipeline uses: alpha is real, beta is
-0 or 1, and only the left operand may be conjugated (GEMM's ``opa`` N or
-C, ``opb`` N); anything else is an ``InputError``.  As in BLAS, alpha 0
-skips the product, beta 0 makes the output write-only, and a unit alpha
+One update contract, the one the pipeline uses, checked once in
+``_terms`` so that the engines carry no special path: alpha is real and
+nonzero, beta is 0 or 1, only the left operand may be conjugated (GEMM's
+``opa`` N or C, ``opb`` N), and the operands and the writeable output are
+aligned complex128 arrays with whole-element strides, as BLAS ``z``
+routines take them.  Anything else is an ``InputError`` that leaves the
+output as it was.  Beta 0 makes the output write-only, and a unit alpha
 or beta passes values through bitwise.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -281,8 +285,8 @@ def _terms(kind: KernelKind, operands: tuple):
     scaled by alpha and summed in order, make the update's product: one
     for GEMM and HERK, two for HER2K (z^H*b, then b^H*z).  The kind alone
     decides the term count, so ``her2k(alpha, z, z, ...)`` still adds both
-    terms.  The one check of the product contract: GEMM's ``opa`` is N or
-    C and ``opb`` N, and for every kind alpha is real and beta 0 or 1.
+    terms.  The one check of the update contract (see the module
+    docstring); nothing is written before it passes.
     """
     if kind is KernelKind.GEMM:
         alpha, opa, a, opb, b, beta, c = operands
@@ -299,43 +303,39 @@ def _terms(kind: KernelKind, operands: tuple):
         terms = [(z.T, b, True), (b.T, z, True)]
     else:
         raise InputError(f"no tiled update for {kind!r}")
+    arrays = [x for term in terms for x in term[:2]] + [c]
+    if not all(isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
+               and not any(s % x.itemsize for s in x.strides) for x in arrays) or not c.flags.writeable:
+        raise InputError("the operands and a writeable c must be aligned complex128 arrays "
+                         "with whole-element strides")
     left, right, _ = terms[0]
     if left.shape[1] != right.shape[0]:
         raise DimensionError(f"inner dimensions disagree: op(a) {left.shape} vs b {right.shape}")
     if c.shape != (left.shape[0], right.shape[1]):
         raise DimensionError(f"c has shape {c.shape}, expected {(left.shape[0], right.shape[1])}")
-    if np.imag(alpha) != 0:
-        raise InputError(f"alpha must be real, got {alpha!r}")
+    if np.imag(alpha) != 0 or np.real(alpha) == 0:
+        raise InputError(f"alpha must be real and nonzero, got {alpha!r}")
     if beta not in (0, 1):
         raise InputError(f"beta must be 0 or 1, got {beta!r}")
     return float(np.real(alpha)), terms, beta, c
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
-    """c <- prod + beta*c on c's stored region, beta 0 or 1; ``prod`` None
-    is a zero product.  ``lower`` stores only the lower triangle and makes
-    the diagonal real."""
-    if beta == 0:
-        new = 0 if prod is None else prod
-    else:
-        new = c if prod is None else prod + c
-    np.copyto(c, new, where=np.tri(*c.shape, dtype=bool) if lower else True)
+    """c <- prod + beta*c on c's stored region, beta 0 or 1.  ``lower``
+    stores only the lower triangle and makes the diagonal real."""
+    np.copyto(c, prod + c if beta else prod, where=np.tri(*c.shape, dtype=bool) if lower else True)
     if lower:
         np.fill_diagonal(c.imag, 0)
 
 
 def _numpy_update(terms, alpha: float, beta, c, lower: bool) -> None:
     """The numpy engine's per-tile update: the exact product of every
-    ``(left, right, conj_left)`` term, scaled by alpha unless it is 1 and
-    summed in order, then the tail into ``c``; no terms is a zero
-    product."""
-    prod = None
-    for left, right, conj_left in terms:
-        p = _acc_product(left, right, conj_left)
-        if alpha != 1:
-            p = _cprod(alpha, p)
-        prod = p if prod is None else prod + p
-    _tail(c, prod, beta, lower)
+    ``(left, right, conj_left)`` term (one or two), scaled by alpha unless
+    it is 1 and summed in order, then the tail into ``c``."""
+    prods = (_acc_product(left, right, conj_left) for left, right, conj_left in terms)
+    if alpha != 1:
+        prods = (_cprod(alpha, p) for p in prods)
+    _tail(c, functools.reduce(np.add, prods), beta, lower)
 
 
 #: Per-tile update engines; the first is the default.
@@ -359,17 +359,14 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     """The one tiled path: check one GEMM/HERK/HER2K update and run it on
     tiles of ``edge`` with one call of the engine's update per tile;
     returns ``(tiles, panels)``, ``panels`` being the inner dimension times
-    the number of terms computed (none when alpha is 0).
+    the number of terms.
 
-    Unless alpha is 0, each tile gets the exact product of every term,
-    scaled by alpha and summed in order, then the tail.  Tiles never share
-    an output element, so they run serially for one worker and on a thread
-    pool otherwise with the same bits.  An empty output plans no tile.
+    Each tile gets the exact product of every term, scaled by alpha and
+    summed in order, then the tail.  Tiles never share an output element,
+    so they run serially for one worker and on a thread pool otherwise
+    with the same bits.  An empty output plans no tile.
     """
     alpha, terms, beta, c = _terms(kind, operands)
-    inner = terms[0][0].shape[1]
-    if alpha == 0:  # the product is skipped
-        terms = []
     update = _update(engine)
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
@@ -384,7 +381,7 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, tiles))  # list() propagates worker exceptions
-    return tiles, len(terms) * inner
+    return tiles, len(terms) * terms[0][0].shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +390,7 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
 
 def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
     """c <- alpha*op(a)*b + beta*c, op(a) a or a^H (opa N or C, opb N);
-    alpha real, beta 0 or 1. Updates c in place."""
+    alpha real and nonzero, beta 0 or 1. Updates c in place."""
     _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK, engine=engine)
     return c
 
@@ -407,14 +404,14 @@ def hemm_left(alpha, t, b, beta, c, engine: str = ENGINES[0]):
 
 
 def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
-    """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, beta 0 or 1."""
+    """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, nonzero; beta 0 or 1."""
     _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK, engine=engine)
     return c
 
 
 def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*(z^H*b + b^H*z) + beta*c, each product
-    scaled by alpha before the sum; alpha real, beta 0 or 1."""
+    scaled by alpha before the sum; alpha real and nonzero, beta 0 or 1."""
     _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK, engine=engine)
     return c
 

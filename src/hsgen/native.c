@@ -1,5 +1,7 @@
 /* The native exact engine: one output tile's whole update,
-   c <- alpha*(op(a0) b0 [+ op(a1) b1]) + beta*c on c's stored region.
+   c <- alpha*(op(a0) b0 [+ op(a1) b1]) + beta*c on c's stored region,
+   for one or two terms and a nonzero alpha (kernels._terms checks the
+   update before it gets here).
 
    Every product element is accumulated in ascending k with the separated
    formula, acc_r += xr*yr - xi*yi and acc_i += xr*yi + xi*yr, from +0.0;
@@ -13,18 +15,21 @@
    k runs in blocks of kc: each block of a term's left operand is packed
    into MR-row micro-panels (the imaginary part negated when conj_left is
    set, which is exact), and each NR-column micro-panel of its right
-   operand is packed just before the register tiles that use it.  An MR x NR register tile lives on split real and
-   imaginary vectors; it is kept in the plane pair `acc` between k-blocks,
-   and a finished term 0 is kept, scaled, in the pair `first`.  The last
-   k-block of the last term writes c itself: only rows >= columns when
-   `lower` (whose diagonal gets imaginary part +0.0), through c's strides,
-   in complex elements like every stride here.  The caller owns c, the
-   planes and both packs; nothing here allocates. */
+   operand is packed just before the register tiles that use it.  An
+   MR x NR register tile lives on split real and imaginary vectors; it is
+   kept in the plane pair `acc` between k-blocks, and a finished term 0 is
+   kept, scaled, in the pair `first`.  The last k-block of the last term
+   writes c itself: only rows >= columns when `lower` (whose diagonal gets
+   imaginary part +0.0), through c's strides, in complex elements like
+   every stride here.  The caller owns c and one scratch buffer of
+   tile_scratch() doubles, which tile_update carves into the plane pairs
+   and both packs; nothing here allocates. */
 
 #include <stddef.h>
 
 #define MR 8
 #define NR 4
+#define KC 64 /* the deepest k-block: a 256-row left pack is 256 KiB */
 
 typedef ptrdiff_t idx;
 /* GCC/Clang vector extensions (GCC 12 or later for __builtin_shufflevector):
@@ -144,35 +149,48 @@ static void micro(const struct tile *t, idx kb, const double *pa, const double *
     }
 }
 
-/* alpha 0: no product; c's stored region becomes +0.0 (beta 0) or stays,
-   and the diagonal of a lower tile is made real. */
-static void no_product(idx m, idx n, const struct tile *t)
+/* Where one tile's scratch goes, in doubles: `pairs` plane pairs of
+   `pair` each, then the left pack (2*kc*rows), then the right pack
+   (2*kc*NR).  The k-block depth kc is at most KC and at most
+   rows*cols/(rows+cols) of the tile padded to the register tile, so the
+   packs never exceed one plane pair; planes are reloaded exactly, so any
+   depth gives the same bits.  A pair is kept for HER2K's finished first
+   term and for a term that spans k-blocks. */
+struct layout {
+    idx kc, rows, pair, pairs;
+};
+
+static struct layout layout_of(idx m, idx n, idx k, int nterms)
 {
-    for (idx j = 0; j < n && !t->beta; j++)
-        for (idx i = t->lower ? j : 0; i < m; i++) {
-            double *z = t->c + 2 * (i * t->sc0 + j * t->sc1);
-            z[0] = z[1] = 0.0;
-        }
-    for (idx i = 0; t->lower && i < m && i < n; i++)
-        t->c[2 * i * (t->sc0 + t->sc1) + 1] = 0.0;
+    const idx rows = (m + MR - 1) / MR * MR, cols = (n + NR - 1) / NR * NR;
+    idx kc = rows * cols / (rows + cols > 0 ? rows + cols : 1);
+    kc = kc < KC ? kc : KC;
+    kc = kc < k ? kc : k;
+    kc = kc > 1 ? kc : 1;
+    return (struct layout){kc, rows, 2 * rows * cols, (nterms == 2) + (k > kc)};
 }
 
-void tile_update(idx m, idx n, idx k, idx kc, int nterms,
+/* Doubles of scratch that tile_update needs for this tile. */
+size_t tile_scratch(idx m, idx n, idx k, int nterms)
+{
+    const struct layout l = layout_of(m, n, k, nterms);
+    return (size_t)(l.pairs * l.pair + 2 * l.kc * (l.rows + NR));
+}
+
+void tile_update(idx m, idx n, idx k, int nterms,
                  const double *a0, idx sa00, idx sa01, const double *b0, idx sb00, idx sb01,
                  const double *a1, idx sa10, idx sa11, const double *b1, idx sb10, idx sb11,
                  int conj_left, double alpha, int beta, int lower,
-                 double *c, idx sc0, idx sc1, double *planes, double *pack_a, double *pack_b)
+                 double *c, idx sc0, idx sc1, double *scratch)
 {
     const struct tile t = {alpha, beta, lower, c, sc0, sc1};
-    if (nterms == 0) {
-        no_product(m, n, &t);
-        return;
-    }
+    const struct layout l = layout_of(m, n, k, nterms);
+    const idx kc = l.kc, mb = (m + MR - 1) / MR;
     const double *as[2] = {a0, a1}, *bs[2] = {b0, b1};
     const idx sa[2][2] = {{sa00, sa01}, {sa10, sa11}}, sb[2][2] = {{sb00, sb01}, {sb10, sb11}};
-    const idx mb = (m + MR - 1) / MR, pair = 2 * NR * mb * ((n + NR - 1) / NR);
     /* the pair kept between k-blocks exists only when k spans blocks */
-    uvec *acc = (uvec *)planes, *first = acc + (k > kc ? pair : 0);
+    uvec *acc = (uvec *)scratch, *first = (uvec *)(scratch + (k > kc ? l.pair : 0));
+    double *pack_a = scratch + l.pairs * l.pair, *pack_b = pack_a + 2 * kc * l.rows;
     for (int term = 0; term < nterms; term++) {
         const int last_term = term == nterms - 1;
         idx p0 = 0;

@@ -16,10 +16,13 @@ failing compiler is an ``InputError`` that names it; there is no silent
 fallback to the numpy engine.
 
 ctypes releases the interpreter lock during the call, so the executor's
-workers run whole tiles in parallel.  The scratch (the packs, and the
-plane pairs a tile needs) is one numpy array sized by the tile, so
-tracemalloc sees all of the engine's memory; the C code allocates
-nothing.
+workers run whole tiles in parallel.  The blocking (register tile,
+k-block depth, plane and pack layout) is ``native.c``'s alone: its
+``tile_scratch`` says how many doubles a tile needs, and the scratch is
+one numpy array of that size, so tracemalloc sees all of the engine's
+memory; the C code allocates nothing.  The operands and ``c`` are taken
+as ``kernels._terms`` checked them: aligned complex128 arrays whose
+strides are whole elements.
 """
 
 from __future__ import annotations
@@ -36,20 +39,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import DimensionError, InputError
+from .matcore import InputError
 
 _SOURCE = Path(__file__).with_name("native.c")
 _COMPILER = "cc"
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: Deepest inner-dimension block: a 256-row pack is 256 KiB.  A smaller
-#: tile gets a shallower block, so its packs never outgrow one plane pair.
-KC = 64
-_MR, _NR = 8, 4  # the register tile of native.c
 _ITEM = 16  # bytes per complex128; native.c takes strides in elements
 
 _lock = threading.Lock()
-_kernel = None  # the loaded tile_update, once per process
+_lib = None  # the loaded library, once per process
 
 
 def _cache_dir() -> Path:
@@ -102,78 +101,44 @@ def _load():
         finally:
             Path(tmp).unlink(missing_ok=True)
     try:
-        fn = ctypes.CDLL(str(path)).tile_update
+        lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise InputError(f"cannot load the native engine from {path}: {exc}; "
                          "pass --engine numpy to run without it") from exc
     idx, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    lib.tile_scratch.argtypes = [idx, idx, idx, ctypes.c_int]
+    lib.tile_scratch.restype = ctypes.c_size_t
     term = [ptr, idx, idx, ptr, idx, idx]  # left, its strides, right, its strides
-    fn.argtypes = [idx, idx, idx, idx, ctypes.c_int, *term, *term, ctypes.c_int,
-                   ctypes.c_double, ctypes.c_int, ctypes.c_int, ptr, idx, idx, ptr, ptr, ptr]
-    fn.restype = None
-    return fn
+    lib.tile_update.argtypes = [idx, idx, idx, ctypes.c_int, *term, *term, ctypes.c_int,
+                                ctypes.c_double, ctypes.c_int, ctypes.c_int, ptr, idx, idx, ptr]
+    lib.tile_update.restype = None
+    return lib
 
 
 def load() -> None:
     """Build and load the library on first use; InputError if it cannot."""
-    global _kernel
+    global _lib
     with _lock:
-        if _kernel is None:
-            _kernel = _load()
-
-
-def _operand(x) -> np.ndarray:
-    """x as complex128 whose strides are whole elements (a copy otherwise)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if not x.flags.aligned or any(s % _ITEM for s in x.strides):
-        x = x.copy()
-    return x
+        if _lib is None:
+            _lib = _load()
 
 
 def tile_update(terms, alpha: float, beta, c, lower: bool) -> None:
     """c <- alpha * (sum of the terms' products) + beta*c on c's stored
     region, bit-identical to ``kernels._numpy_update``: ``terms`` is a list
-    of at most two ``(left, right, conj_left)`` products sharing their
-    flag, none for a zero alpha; beta is 0 or 1; ``lower`` stores only
-    c's lower triangle and makes its diagonal real.  Call ``load()``
-    first."""
-    if len(terms) > 2 or len({flag for _, _, flag in terms}) > 1:
-        raise InputError("the native engine takes at most two terms with one conj_left flag")
-    ops = [(_operand(left), _operand(right)) for left, right, _ in terms]
-    # C writes complex128 elements through c's strides; any other c is
-    # updated through a copy, with numpy's casting rules on the way back
-    out = c if (c.dtype == np.complex128 and c.flags.aligned and c.flags.writeable
-                and not any(s % _ITEM for s in c.strides)) else np.array(c, np.complex128)
+    of one or two ``(left, right, conj_left)`` products sharing their flag;
+    alpha is nonzero and beta 0 or 1; ``lower`` stores only c's lower
+    triangle and makes its diagonal real.  Call ``load()`` first."""
+    if len(terms) not in (1, 2) or len({flag for _, _, flag in terms}) > 1:
+        raise InputError("the native engine takes one or two terms with one conj_left flag")
     m, n = c.shape
-    k = ops[0][0].shape[1] if ops else 0
-    rows, cols = _MR * -(-m // _MR), _NR * -(-n // _NR)  # padded to the register tile
-    # at most rows·cols/(rows+cols) deep, so the packs never exceed one
-    # plane pair; planes are reloaded exactly, so any depth gives the same bits
-    kc = max(1, min(KC, k, rows * cols // max(1, rows + cols)))
-    pairs = (len(ops) == 2) + (k > kc) if ops else 0
-    plane, pack_a, pack_b = pairs * 2 * rows * cols, 2 * kc * rows, 2 * kc * _NR
-    scratch = np.empty(plane + pack_a + pack_b if ops else 0)
-    base = _address(scratch)
-    args = [None, 0, 0, None, 0, 0] * 2  # an absent term is never read
-    for i, (left, right) in enumerate(ops):
-        args[6 * i : 6 * i + 6] = [_address(left), *_strides(left), _address(right), *_strides(right)]
-    conj = bool(terms and terms[0][2])
-    _kernel(m, n, k, kc, len(ops), *args, conj, alpha, int(beta), int(lower),
-            _address(out), *_strides(out), base, base + 8 * plane, base + 8 * (plane + pack_a))
-    if out is not c:
-        np.copyto(c, out)
-
-
-def acc_product(a, b, conj_left=False):
-    """a @ b, a conjugated by its flag, bit-identical to
-    ``kernels._acc_product``: ``tile_update``'s one-term, unit-alpha, beta-0
-    case into a new Fortran-ordered array.  Call ``load()`` first."""
-    a, b = _operand(a), _operand(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.complex128, order="F")
-    tile_update([(a, b, conj_left)], 1.0, 0, out, False)
-    return out
+    k = terms[0][0].shape[1]
+    scratch = np.empty(_lib.tile_scratch(m, n, k, len(terms)))
+    args = [x for left, right, _ in terms
+            for x in (_address(left), *_strides(left), _address(right), *_strides(right))]
+    # C reads only the first len(terms) of its two operand pairs
+    _lib.tile_update(m, n, k, len(terms), *(args * 2)[:12], terms[0][2], alpha, int(beta),
+                     int(lower), _address(c), *_strides(c), _address(scratch))
 
 
 def _strides(x: np.ndarray):

@@ -1,9 +1,9 @@
 """Independent triple-loop kernel implementations used as test oracles.
 
 Everything works on Python complex scalars with ascending-k accumulation
-and BLAS scalar conventions (alpha == 0 skips the product, beta == 0 never
-reads the output, exact unit scalars pass through).  No code is shared
-with the package under test.
+and the kernels' scalar contract (alpha nonzero, beta 0 or 1; beta 0
+never reads the output, exact unit scalars pass through).  No code is
+shared with the package under test.
 """
 
 import math
@@ -25,25 +25,8 @@ def _op(op, m):
 
 
 def _scale_add(alpha, s, beta, cij):
-    if alpha == 0:
-        left = None
-    elif alpha == 1:
-        left = s
-    else:
-        left = alpha * s
-    if beta == 0:
-        right = None
-    elif beta == 1:
-        right = cij
-    else:
-        right = beta * cij
-    if left is None and right is None:
-        return 0j
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left + right
+    left = s if alpha == 1 else alpha * s
+    return left + cij if beta else left
 
 
 def gemm_loops(alpha, opa, a, opb, b, beta, c):
@@ -101,23 +84,14 @@ def her2k_loops(alpha, z, b, beta, c):
     k, n = len(zv), len(zv[0])
     for i in range(n):
         for j in range(i + 1):
-            if alpha == 0:
-                pair = None
-            else:
-                s1 = 0j
-                for kk in range(k):
-                    s1 = s1 + zv[kk][i].conjugate() * bv[kk][j]
-                s2 = 0j
-                for kk in range(k):
-                    s2 = s2 + bv[kk][i].conjugate() * zv[kk][j]
-                left = s1 if alpha == 1 else alpha * s1
-                ca = alpha.conjugate() if isinstance(alpha, complex) else alpha
-                right = s2 if ca == 1 else ca * s2
-                pair = left + right
-            if pair is None:
-                out[i, j] = _scale_add(0, 0j, beta, complex(out[i, j]))
-            else:
-                out[i, j] = _scale_add(1, pair, beta, complex(out[i, j]))
+            s1 = 0j
+            for kk in range(k):
+                s1 = s1 + zv[kk][i].conjugate() * bv[kk][j]
+            s2 = 0j
+            for kk in range(k):
+                s2 = s2 + bv[kk][i].conjugate() * zv[kk][j]
+            left, right = (s1, s2) if alpha == 1 else (alpha * s1, alpha * s2)
+            out[i, j] = _scale_add(1, left + right, beta, complex(out[i, j]))
         out[i, i] = complex(out[i, i].real, 0.0)
     return out
 
@@ -197,27 +171,29 @@ def _cprod(u, v):
 
 
 def tail_tril_indices(c, prod, beta, lower):
-    """c <- prod + beta*c gathered and scattered through ``tril_indices``
-    when ``lower`` (then the diagonal is made real); ``prod`` None is a
-    zero product.  The masked copy in hsgen.kernels._tail must match this
-    bit for bit, including the border of a tile that is a view."""
+    """c <- prod + beta*c, beta 0 or 1, gathered and scattered through
+    ``tril_indices`` when ``lower`` (then the diagonal is made real).  The
+    masked copy in hsgen.kernels._tail must match this bit for bit,
+    including the border of a tile that is a view."""
     sel = np.tril_indices(c.shape[0]) if lower else ...
-    if prod is None:
-        if beta == 0:
-            c[sel] = 0
-        elif beta != 1:
-            c[sel] = _cprod(beta, c[sel])
-    else:
-        pv = prod[sel]
-        if beta == 0:
-            c[sel] = pv
-        elif beta == 1:
-            c[sel] = pv + c[sel]
-        else:
-            c[sel] = pv + _cprod(beta, c[sel])
+    c[sel] = prod[sel] + c[sel] if beta else prod[sel]
     if lower:
         d = np.diag_indices(c.shape[0])
         c[d] = c[d].real
+
+
+def update_loops(terms, alpha, beta, c, lower):
+    """One tile's update, c <- alpha*(sum of the terms' products) + beta*c:
+    ``terms`` lists one or two ``(left, right, conj_left)`` products, each
+    from ascending-k complex rank-1 updates, scaled by the separated
+    formula unless alpha is 1 and summed in order, then the
+    ``tril_indices`` tail.  The engines' per-tile updates must match this
+    bit for bit."""
+    prods = [acc_product_rank1(np.conj(left) if conj_left else left, right)
+             for left, right, conj_left in terms]
+    if alpha != 1:
+        prods = [_cprod(alpha, p) for p in prods]
+    tail_tril_indices(c, sum(prods[1:], prods[0]), beta, lower)
 
 
 def potrf_loops(t):

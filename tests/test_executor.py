@@ -223,13 +223,14 @@ def _update(kind, alpha, beta, rng):
 @pytest.mark.parametrize("kind", ["gemm_n", "gemm_c", "herk", "her2k"])
 def test_partitioned_equals_public_kernel(kind, alpha, beta, tile, workers):
     # tile 32 is ragged on the 70-wide output; tile 128 is the one-tile plan.
-    # Both reject a complex alpha or a beta other than 0 or 1 and leave c as is.
+    # Both reject a zero or complex alpha or a beta other than 0 or 1 and
+    # leave c as is.
     rng = np.random.default_rng(10)
     kk, kernel, ops = _update(kind, alpha, beta, rng)
     c_part, c_plain, before = ops[-1], ops[-1].copy(), ops[-1].tobytes()
     rejected = [_rejects(run_partitioned, kk, ops, _policy(workers, tile=tile)),
                 _rejects(kernel, *ops[:-1], c_plain)]
-    assert rejected == [np.imag(ops[0]) != 0 or beta not in (0, 1)] * 2
+    assert rejected == [ops[0] == 0 or np.imag(ops[0]) != 0 or beta not in (0, 1)] * 2
     assert c_part.tobytes() == c_plain.tobytes()
     assert not rejected[0] or c_part.tobytes() == before
 
@@ -243,16 +244,28 @@ def _rejects(fn, *args) -> bool:
     return False
 
 
-def _gemm_ops(alpha=1, opa="N", opb="N", beta=0):
-    return alpha, opa, zeros(3, 3), opb, zeros(3, 3), beta, np.full((3, 3), 1 + 1j)
+def _c(layout="complex128"):
+    """A 3 x 3 output of ones: complex128, or one the engines cannot take."""
+    if layout == "24-byte-stride":  # aligned to its parts, but not whole elements apart
+        c = np.lib.stride_tricks.as_strided(np.zeros(14, dtype=np.complex128), (3, 3), (24, 72))
+    else:
+        c = np.zeros((3, 3), dtype=np.complex64 if layout == "complex64" else np.complex128)
+    c[...] = 1 + 1j
+    if layout == "read-only":
+        c.flags.writeable = False
+    return c
 
 
-def _herk_ops(alpha=1, beta=0):
-    return alpha, zeros(2, 3), beta, np.full((3, 3), 1 + 1j)
+def _gemm_ops(alpha=1, opa="N", opb="N", beta=0, a=None, c="complex128"):
+    return alpha, opa, zeros(3, 3) if a is None else a, opb, zeros(3, 3), beta, _c(c)
 
 
-def _her2k_ops(alpha=1, beta=0):
-    return alpha, zeros(2, 3), zeros(2, 3), beta, np.full((3, 3), 1 + 1j)
+def _herk_ops(alpha=1, beta=0, c="complex128"):
+    return alpha, zeros(2, 3), beta, _c(c)
+
+
+def _her2k_ops(alpha=1, beta=0, c="complex128"):
+    return alpha, zeros(2, 3), zeros(2, 3), beta, _c(c)
 
 
 @pytest.mark.parametrize("kernel, kind, ops", [
@@ -263,6 +276,14 @@ def _her2k_ops(alpha=1, beta=0):
     pytest.param(her2k, KernelKind.HER2K, _her2k_ops(alpha=0.5 - 1j), id="her2k-alpha-complex"),
     pytest.param(hemm_left, None, (0.5 - 1j, zeros(3, 3), zeros(3, 2), 0, np.full((3, 2), 1j)),
                  id="hemm-alpha-complex"),
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(alpha=0, beta=1), id="gemm-alpha-0"),
+    pytest.param(herk, KernelKind.HERK, _herk_ops(alpha=0.0), id="herk-alpha-0"),
+    pytest.param(her2k, KernelKind.HER2K, _her2k_ops(alpha=0.0, beta=1), id="her2k-alpha-0"),
+    pytest.param(gemm, KernelKind.GEMM, _gemm_ops(a=np.zeros((3, 3))), id="gemm-a-float64"),
+    *(pytest.param(kernel, kind, make(c=layout), id=f"{kind.value}-c-{layout}")
+      for layout in ("complex64", "24-byte-stride", "read-only")
+      for kernel, kind, make in ((gemm, KernelKind.GEMM, _gemm_ops),
+                                 (herk, KernelKind.HERK, _herk_ops))),
     *(pytest.param(kernel, kind, make(beta=beta), id=f"{kind.value}-beta-{beta}")
       for beta in (2, 0.5, 0.5 - 1j)
       for kernel, kind, make in ((gemm, KernelKind.GEMM, _gemm_ops),
@@ -270,8 +291,10 @@ def _her2k_ops(alpha=1, beta=0):
                                  (her2k, KernelKind.HER2K, _her2k_ops))),
 ])
 def test_inputs_outside_the_product_contract_are_input_errors(kernel, kind, ops):
-    # ops T, opb C, a complex alpha and a beta other than 0 or 1 are not part
-    # of the kernels' contract; the public kernel and the executor reject them
+    # ops T, opb C, a zero or complex alpha, a beta other than 0 or 1, and
+    # arrays other than aligned complex128 ones with whole-element strides
+    # (c also writeable) are not part of the kernels' contract; the public
+    # kernel and the executor reject them
     before = ops[-1].tobytes()
     with pytest.raises(InputError):
         kernel(*ops)
@@ -286,37 +309,25 @@ def test_inputs_outside_the_product_contract_are_input_errors(kernel, kind, ops)
 # outputs cross many blocks
 
 
-def _op(op, x):
-    return {"N": x, "C": np.conj(x).T}[op]
-
-
 def _oracle_update(kind, ops):
-    """The update as ascending-k complex rank-1 products and the
-    tril_indices tail, sharing no code with the engine."""
+    """The whole output as one tile of ``oracles.update_loops``."""
     if kind is KernelKind.GEMM:
         alpha, opa, a, _, b, beta, c = ops
-        terms = [(alpha, _op(opa, a), b)]
+        terms = [(a.T, b, True) if opa == "C" else (a, b, False)]
     elif kind is KernelKind.HERK:
         alpha, a, beta, c = ops
-        terms = [(alpha, _op("C", a), a)]
+        terms = [(a.T, a, True)]
     else:
         alpha, z, b, beta, c = ops
-        terms = [(alpha, _op("C", z), b), (alpha, _op("C", b), z)]
-    prod = None
-    for scalar, left, right in terms:
-        if scalar == 0:
-            continue
-        p = oracles.acc_product_rank1(left, right)
-        p = p if scalar == 1 else oracles._cprod(scalar, p)
-        prod = p if prod is None else prod + p
-    oracles.tail_tril_indices(c, prod, beta, kind is not KernelKind.GEMM)
+        terms = [(z.T, b, True), (b.T, z, True)]
+    oracles.update_loops(terms, alpha, beta, c, kind is not KernelKind.GEMM)
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from([KernelKind.GEMM, KernelKind.HERK, KernelKind.HER2K]),
        rows=st.integers(1, 300), cols=st.integers(1, 300), k=st.integers(1, 3),
        tile=st.integers(32, 320), workers=st.integers(1, 3),
-       beta=st.sampled_from([0.0, 1.0]), alpha=st.sampled_from([0, 1, 0.5, -0.75]),
+       beta=st.sampled_from([0.0, 1.0]), alpha=st.sampled_from([1, 0.5, -0.75]),
        opa=st.sampled_from("NC"), seed=st.integers(0, 2**16))
 @pytest.mark.parametrize("block", [32, 48])
 def test_block_grid_matches_one_tile_kernel_and_oracle(
@@ -373,9 +384,10 @@ def test_upper_blocks_of_a_triangular_output_are_never_computed(monkeypatch, kin
     assert np.isfinite(np.tril(c)).all()
 
 
-@pytest.mark.parametrize("alpha,panels", [(1.0, 2), (0.0, 0)])
+@pytest.mark.parametrize("alpha,panels", [(1.0, 2), (0.5, 2)])
 def test_bytes_touched_counts_the_computed_blocks(monkeypatch, alpha, panels):
-    # the tiles of the test above, (rows, cols) each
+    # the tiles of the test above, (rows, cols) each; HER2K reads two
+    # panels per tile whatever its alpha
     monkeypatch.setattr(kernels, "_BLOCK", 32)
     edges = (32, 32, 32, 4)
     blocks = [(h, edges[j]) for i, h in enumerate(edges) for j in range(i + 1)]

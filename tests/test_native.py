@@ -18,6 +18,10 @@ import oracles
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
+#: A NaN with a payload no arithmetic here produces: bytes of it that
+#: change were written.
+_GUARD = np.array([0xFFF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+
 
 def _draw(rng, shape, special):
     """Complex Gaussian parts, each replaced with probability ``special``
@@ -48,24 +52,22 @@ def _left(rng, m, k, layout, special):
        seed=st.integers(0, 2**16))
 def test_native_equals_numpy_engine_and_oracle_bitwise(
         m, n, k, conj_left, layout, right_sliced, special, seed):
-    # k runs above and below native.KC, m and n cut ragged register tiles,
-    # and at k = 100 a special part touches about one output in two
+    # GEMM's product alone (alpha 1, beta 0) under both engines: k runs
+    # above and below the deepest k-block (64), m and n cut ragged register
+    # tiles and cross the 256 block grid, and at k = 100 a special part
+    # touches about one output in two
     rng = np.random.default_rng(seed)
     a = _left(rng, m, k, layout, special)
     b = _draw(rng, (k, 2 * n), special)[:, ::-2] if right_sliced else _draw(rng, (k, n), special)
-    with np.errstate(invalid="ignore", over="ignore"):
-        native.load()
-        got = native.acc_product(a, b, conj_left)
-        engine = kernels._acc_product(a, b, conj_left)
-        expected = oracles.acc_product_rank1(np.conj(a) if conj_left else a, b)
-    assert got.flags.f_contiguous and got.shape == (m, n)
+    opa, op_a = ("C", a.T) if conj_left else ("N", a)
     canonical = oracles.canonical_nans  # NaN positions only, not sign or payload
-    assert canonical(got).tobytes() == canonical(engine).tobytes() == canonical(expected).tobytes()
-
-
-#: A NaN with a payload no arithmetic here produces: bytes of it that
-#: change were written.
-_GUARD = np.array([0xFFF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        outputs = [canonical(oracles.acc_product_rank1(np.conj(a) if conj_left else a, b))]
+        for engine in kernels.ENGINES:
+            c = np.full((m, n), complex(_GUARD, _GUARD), order="F")  # beta 0 never reads c
+            kernels.gemm(1, opa, op_a, "N", b, 0, c, engine)
+            outputs.append(canonical(c))
+    assert outputs[0].tobytes() == outputs[1].tobytes() == outputs[2].tobytes()
 
 
 def _view(big, layout, m, n):
@@ -78,40 +80,26 @@ def _view(big, layout, m, n):
     return big[3 : n + 3, 2 : m + 2].T
 
 
-def _oracle_update(terms, alpha, beta, c, lower):
-    """The per-tile update from the complex rank-1 oracle, the separated
-    alpha scaling and the tril_indices tail."""
-    prod = None
-    for left, right, conj_left in terms:
-        p = oracles.acc_product_rank1(np.conj(left) if conj_left else left, right)
-        if alpha != 1:
-            p = oracles._cprod(alpha, p)
-        prod = p if prod is None else prod + p
-    oracles.tail_tril_indices(c, prod, beta, lower)
-
-
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(m=st.integers(1, 40), n=st.integers(1, 40), k=st.integers(0, 150),
-       nterms=st.sampled_from([1, 2]), alpha=st.sampled_from([0.0, 1.0, 0.5, -0.75]),
+       nterms=st.sampled_from([1, 2]), alpha=st.sampled_from([1.0, 0.5, -0.75]),
        beta=st.sampled_from([0, 1]), lower=st.booleans(), conj_left=st.booleans(),
        c_layout=st.sampled_from(["block", "strided", "transposed"]),
        special=st.sampled_from([0.0, 0.02, 0.1]), seed=st.integers(0, 2**16))
 def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
         m, n, k, nterms, alpha, beta, lower, conj_left, c_layout, special, seed):
-    # k runs on both sides of the block depth (at most native.KC, less on
-    # small tiles); c is a view into a guard-filled array, and only its
+    # k runs on both sides of the block depth (at most 64, less on small
+    # tiles); c is a view into a guard-filled array, and only its
     # stored region (rows >= columns when lower) may change
     rng = np.random.default_rng(seed)
     n = m if lower else n
     terms = [(_draw(rng, (k, m), special).T, _draw(rng, (k, n), special), conj_left or nterms == 2)
              for _ in range(nterms)]
-    if alpha == 0:  # as kernels._run passes it: the product is skipped
-        terms = []
     stored = np.tril(np.ones((m, n), dtype=bool)) if lower else np.ones((m, n), dtype=bool)
     values = _draw(rng, (m, n), special)[stored]
     results = []
     native.load()
-    for update in (native.tile_update, kernels._numpy_update, _oracle_update):
+    for update in (native.tile_update, kernels._numpy_update, oracles.update_loops):
         edge = 2 * max(m, n) + 4
         big = np.full((edge, edge), complex(_GUARD, _GUARD), order="F")
         c = _view(big, c_layout, m, n)
@@ -126,17 +114,39 @@ def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
     assert results[0] == results[1] == results[2]
 
 
-def test_an_empty_inner_dimension_gives_positive_zeros():
-    a, b = zeros(5, 0), zeros(0, 3)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), k=st.integers(0, 150),
+       nterms=st.sampled_from([1, 2]), lower=st.booleans(), seed=st.integers(0, 2**16))
+def test_tile_update_stays_inside_tile_scratch(m, n, k, nterms, lower, seed):
+    # the foreign call itself, with exactly tile_scratch doubles of
+    # guard-filled scratch and a guard after them: k runs on both sides of
+    # the block depth, and the guard must stay untouched
+    rng = np.random.default_rng(seed)
+    n = m if lower else n
+    terms = [(_draw(rng, (k, m), 0.0).T, _draw(rng, (k, n), 0.0), True) for _ in range(nterms)]
     native.load()
-    got = native.acc_product(a, b, True)
-    assert got.tobytes() == kernels._acc_product(a, b, True).tobytes() == zeros(5, 3).tobytes()
+    size = native._lib.tile_scratch(m, n, k, nterms)
+    scratch = np.full(size + 64, _GUARD)
+    c, expected = zeros(m, n), zeros(m, n)
+    args = [x for left, right, _ in terms
+            for v in (left, right) for x in (native._address(v), *native._strides(v))]
+    native._lib.tile_update(m, n, k, nterms, *(args * 2)[:12], True, 0.5, 0, int(lower),
+                            native._address(c), *native._strides(c), native._address(scratch))
+    assert scratch[size:].tobytes() == np.full(64, _GUARD).tobytes()
+    kernels._numpy_update(terms, 0.5, 0, expected, lower)
+    assert c.tobytes() == expected.tobytes()  # and no unwritten scratch was read
+
+
+def test_an_empty_inner_dimension_gives_positive_zeros():
+    for engine in kernels.ENGINES:
+        c = np.full((5, 3), complex(_GUARD, _GUARD), order="F")
+        kernels.gemm(1, "C", zeros(0, 5), "N", zeros(0, 3), 0, c, engine)
+        assert c.tobytes() == zeros(5, 3).tobytes()
 
 
 def test_operands_that_do_not_multiply_are_dimension_errors():
-    native.load()
     with pytest.raises(DimensionError):
-        native.acc_product(zeros(3, 4), zeros(5, 2), False)
+        kernels.gemm(1, "N", zeros(3, 4), "N", zeros(5, 2), 0, zeros(3, 2), "native")
 
 
 def test_an_unknown_engine_is_an_input_error():
@@ -153,7 +163,7 @@ def test_an_unknown_engine_is_an_input_error():
 def fresh_native(monkeypatch, tmp_path):
     """An unloaded engine that builds into an empty cache under tmp_path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_lib", None)
     return tmp_path / "cache" / "hsgen"
 
 
@@ -173,7 +183,7 @@ def test_a_second_load_reuses_the_cached_library(monkeypatch, fresh_native):
     calls.clear()
     native.load()  # loaded in this process: nothing runs
     assert calls == []
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_lib", None)
     native.load()  # a new process: only the key's `cc --version` runs
     assert [argv[1:] for argv in calls] == [["--version"]]
     assert list(fresh_native.iterdir()) == [library]
@@ -207,23 +217,3 @@ def test_the_engine_compiles_without_warnings(tmp_path):
             "-o", str(tmp_path / "native.so"), str(native._SOURCE)]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-
-
-@pytest.mark.parametrize("layout", ["complex64", "24-byte rows"])
-def test_an_output_of_another_dtype_or_layout_is_updated_through_a_copy(layout):
-    # C writes complex128 elements through the output's strides; a
-    # complex64 output, or one whose strides are not whole complex128
-    # elements, gets the numpy engine's result with numpy's casting
-    rng = np.random.default_rng(9)
-    z = _draw(rng, (6, 20), 0.0)
-    outputs = []
-    for engine in kernels.ENGINES:
-        if layout == "complex64":
-            c = np.zeros((20, 20), dtype=np.complex64, order="F")
-        else:
-            raw = np.zeros(24 * 20 * 20, dtype=np.uint8)
-            c = np.lib.stride_tricks.as_strided(raw.view(np.complex128), (20, 20), (24, 480))
-        c[...] = _draw(np.random.default_rng(10), (20, 20), 0.0)
-        kernels.herk(-0.75, z, 1, c, engine=engine)
-        outputs.append(c.tobytes())
-    assert outputs[0] == outputs[1]
