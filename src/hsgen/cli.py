@@ -189,8 +189,6 @@ def cmd_verify(args) -> int:
 
 def cmd_flops(args) -> int:
     dims = preset_dims(args.preset, args.kmax)
-    if not 0 <= args.nonhpd_count <= dims.n_atoms:
-        raise InputError(f"--nonhpd-count must be in [0, {dims.n_atoms}]")
     per = section_flops(dims, args.nonhpd_count)
     print(f"{args.preset} k_max={args.kmax}: n_atoms={dims.n_atoms} "
           f"n_l={dims.n_l} n_g={dims.n_g} nonhpd_count={args.nonhpd_count}")

@@ -27,12 +27,13 @@ column order, so the factor is bit-identical to the left-looking scalar
 loop it replaces.
 
 GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
-into a list of product terms, plans the output's tiles and computes each
-tile as the exact product of every term plus one tail, serially or on a
-thread pool.  A tile is at most one block of the fixed ``_BLOCK`` grid,
-so its accumulator stays in cache; tiles above the diagonal of a
-triangular output are never planned, and an empty output plans none.  A
-conjugated left operand is a view with a flag, negated as it is copied.
+into one product ``op(L) R`` whose operands join one or two terms along
+the inner dimension, plans the output's tiles and computes each tile as
+that exact product plus one tail, serially or on a thread pool.  A tile
+is at most one block of the fixed ``_BLOCK`` grid, so its accumulator
+stays in cache; tiles above the diagonal of a triangular output are
+never planned, and an empty output plans none.  A conjugated L is a view
+with the update's one flag, negated as it is copied.
 Every element gets the same operations on any grid, so the grid does not
 change the bits.  The public kernels, and TRMM as a GEMM, run ``_run``
 serially on the ``_BLOCK`` grid; the executor runs it on the policy's
@@ -42,10 +43,10 @@ is given and returns it.
 The per-tile update is the one swappable part, named by an engine
 (``ENGINES``): one call writes one tile of the caller's output.
 ``native``, the default, is the compiled kernel of ``native.py``, which
-does the products, alpha, the term sum and the tail in C; ``numpy`` is
-``_numpy_update`` (``_acc_product`` per term, then ``_tail``), the oracle
-it is tested against.  Both run the same operations per element, so H
-and S have the same bits under either.
+does the product, alpha and the tail in C; ``numpy`` is ``_numpy_update``
+(``_acc_product``, alpha, then ``_tail``), the oracle it is tested
+against.  Both run the same operations per element, so H and S have the
+same bits under either.
 
 One update contract, the one the pipeline uses, checked once in
 ``_terms`` so that the engines carry no special path: alpha is real and
@@ -60,7 +61,6 @@ or beta passes values through bitwise.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -197,16 +197,16 @@ def _cprod(u, v):
     return out
 
 
-def _acc_product(a, b, conj_a=False):
-    """a @ b, a conjugated by its flag, with ascending-k rank-1 updates.
+def _acc_product(terms, conj_left: bool):
+    """op(L) @ R with ascending-k rank-1 updates, where L and R join the
+    ``(left, right)`` terms along k, one term after the other, and op
+    conjugates L when ``conj_left`` is set.
 
-    Per step only the k-th column of a and row of b are copied, into small
+    Per step only the k-th column of L and row of R are copied, into small
     contiguous vectors; whole panels are never copied, so the working set
     stays at the two accumulator planes plus two scratch planes.
     """
-    m, kk = a.shape
-    _, n = b.shape
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    m, n = terms[0][0].shape[0], terms[0][1].shape[1]
     acc_r = np.zeros((m, n), order="F")
     acc_i = np.zeros((m, n), order="F")
     t1 = np.empty((m, n), order="F")
@@ -215,20 +215,22 @@ def _acc_product(a, b, conj_a=False):
     row = np.empty((2, n))
     xr, xi = col[0, :, None], col[1, :, None]
     yr, yi = row[0], row[1]
-    sign_a = np.negative if conj_a else np.positive  # both exact
-    for k in range(kk):
-        np.copyto(col[0], ar[:, k])
-        sign_a(ai[:, k], out=col[1])
-        np.copyto(yr, br[k])
-        np.copyto(yi, bi[k])
-        np.multiply(xr, yr, out=t1)
-        np.multiply(xi, yi, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.add(acc_r, t1, out=acc_r)
-        np.multiply(xr, yi, out=t1)
-        np.multiply(xi, yr, out=t2)
-        np.add(t1, t2, out=t1)
-        np.add(acc_i, t1, out=acc_i)
+    sign = np.negative if conj_left else np.positive  # both exact
+    for left, right in terms:
+        ar, ai, br, bi = left.real, left.imag, right.real, right.imag
+        for k in range(left.shape[1]):
+            np.copyto(col[0], ar[:, k])
+            sign(ai[:, k], out=col[1])
+            np.copyto(yr, br[k])
+            np.copyto(yi, bi[k])
+            np.multiply(xr, yr, out=t1)
+            np.multiply(xi, yi, out=t2)
+            np.subtract(t1, t2, out=t1)
+            np.add(acc_r, t1, out=acc_r)
+            np.multiply(xr, yi, out=t1)
+            np.multiply(xi, yr, out=t2)
+            np.add(t1, t2, out=t1)
+            np.add(acc_i, t1, out=acc_i)
     del t1, t2  # packing then peaks at the two planes plus the result
     acc = np.empty((m, n), dtype=np.complex128, order="F")
     acc.real = acc_r
@@ -279,36 +281,37 @@ _BLOCK = 256
 
 
 def _terms(kind: KernelKind, operands: tuple):
-    """Check one GEMM/HERK/HER2K update; return ``(alpha, terms, beta, c)``.
-
-    ``terms`` lists the ``(left, right, conj_left)`` products that, each
-    scaled by alpha and summed in order, make the update's product: one
-    for GEMM and HERK, two for HER2K (z^H*b, then b^H*z).  The kind alone
-    decides the term count, so ``her2k(alpha, z, z, ...)`` still adds both
-    terms.  The one check of the update contract (see the module
+    """Check one GEMM/HERK/HER2K update; return ``(alpha, terms,
+    conj_left, beta, c)``: its product is ``op(L) R``, where L and R join
+    the ``(left, right)`` terms along k and op conjugates L when
+    ``conj_left`` is set.  GEMM and HERK have one term, HER2K two (z^H*b,
+    then b^H*z: ``[z; b]^H [b; z]``), so ``her2k(alpha, z, z, ...)`` still
+    runs both.  The one check of the update contract (see the module
     docstring); nothing is written before it passes.
     """
+    conj_left = True
     if kind is KernelKind.GEMM:
         alpha, opa, a, opb, b, beta, c = operands
         if opa not in ("N", "C") or opb != "N":
             raise InputError(f"gemm ops must be N or C for a and N for b, got {opa!r}, {opb!r}")
-        terms = [(a.T if opa == "C" else a, b, opa == "C")]
+        conj_left = opa == "C"
+        terms = [(a.T if conj_left else a, b)]
     elif kind is KernelKind.HERK:
         alpha, z, beta, c = operands
-        terms = [(z.T, z, True)]
+        terms = [(z.T, z)]
     elif kind is KernelKind.HER2K:
         alpha, z, b, beta, c = operands
         if z.shape != b.shape:
             raise DimensionError(f"z shape {z.shape} != b shape {b.shape}")
-        terms = [(z.T, b, True), (b.T, z, True)]
+        terms = [(z.T, b), (b.T, z)]
     else:
         raise InputError(f"no tiled update for {kind!r}")
-    arrays = [x for term in terms for x in term[:2]] + [c]
+    arrays = [x for term in terms for x in term] + [c]
     if not all(isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
                and not any(s % x.itemsize for s in x.strides) for x in arrays) or not c.flags.writeable:
         raise InputError("the operands and a writeable c must be aligned complex128 arrays "
                          "with whole-element strides")
-    left, right, _ = terms[0]
+    left, right = terms[0]
     if left.shape[1] != right.shape[0]:
         raise DimensionError(f"inner dimensions disagree: op(a) {left.shape} vs b {right.shape}")
     if c.shape != (left.shape[0], right.shape[1]):
@@ -317,7 +320,7 @@ def _terms(kind: KernelKind, operands: tuple):
         raise InputError(f"alpha must be real and nonzero, got {alpha!r}")
     if beta not in (0, 1):
         raise InputError(f"beta must be 0 or 1, got {beta!r}")
-    return float(np.real(alpha)), terms, beta, c
+    return float(np.real(alpha)), terms, conj_left, beta, c
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
@@ -328,14 +331,12 @@ def _tail(c, prod, beta, lower: bool) -> None:
         np.fill_diagonal(c.imag, 0)
 
 
-def _numpy_update(terms, alpha: float, beta, c, lower: bool) -> None:
-    """The numpy engine's per-tile update: the exact product of every
-    ``(left, right, conj_left)`` term (one or two), scaled by alpha unless
-    it is 1 and summed in order, then the tail into ``c``."""
-    prods = (_acc_product(left, right, conj_left) for left, right, conj_left in terms)
-    if alpha != 1:
-        prods = (_cprod(alpha, p) for p in prods)
-    _tail(c, functools.reduce(np.add, prods), beta, lower)
+def _numpy_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) -> None:
+    """The numpy engine's per-tile update: the exact product over the
+    ``(left, right)`` terms (see ``_acc_product``), scaled by alpha unless
+    it is 1, then the tail into ``c``."""
+    prod = _acc_product(terms, conj_left)
+    _tail(c, prod if alpha == 1 else _cprod(alpha, prod), beta, lower)
 
 
 #: Per-tile update engines; the first is the default.
@@ -343,9 +344,9 @@ ENGINES = ("native", "numpy")
 
 
 def _update(engine: str):
-    """The engine's per-tile update ``(terms, alpha, beta, c, lower)``,
-    loading the native library on first use; InputError for an unknown
-    engine."""
+    """The engine's per-tile update ``(terms, conj_left, alpha, beta, c,
+    lower)``, loading the native library on first use; InputError for an
+    unknown engine."""
     if engine == "native":
         native.load()
         return native.tile_update
@@ -361,18 +362,18 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     returns ``(tiles, panels)``, ``panels`` being the inner dimension times
     the number of terms.
 
-    Each tile gets the exact product of every term, scaled by alpha and
-    summed in order, then the tail.  Tiles never share an output element,
+    Each tile gets the exact product over every term, scaled by alpha,
+    then the tail.  Tiles never share an output element,
     so they run serially for one worker and on a thread pool otherwise
     with the same bits.  An empty output plans no tile.
     """
-    alpha, terms, beta, c = _terms(kind, operands)
+    alpha, terms, conj_left, beta, c = _terms(kind, operands)
     update = _update(engine)
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
-        update([(left[rows], right[:, cols], conj) for left, right, conj in terms],
+        update([(left[rows], right[:, cols]) for left, right in terms], conj_left,
                alpha, beta, c[rows, cols], t.diagonal)
 
     if workers == 1:
@@ -410,8 +411,9 @@ def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
 
 
 def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
-    """Lower triangle of c <- alpha*(z^H*b + b^H*z) + beta*c, each product
-    scaled by alpha before the sum; alpha real and nonzero, beta 0 or 1."""
+    """Lower triangle of c <- alpha*[z; b]^H [b; z] + beta*c, that is
+    alpha*(z^H*b + b^H*z) as one ascending-k sum; alpha real and nonzero,
+    beta 0 or 1."""
     _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK, engine=engine)
     return c
 

@@ -88,7 +88,7 @@ def hermitian_mirror(m: np.ndarray) -> np.ndarray:
         for i0 in range(0, j0, b):
             np.conj(m[j0:j1, i0 : i0 + b].T, out=m[i0 : i0 + b, j0:j1])
         blk = m[j0:j1, j0:j1]
-        if j1 - j0 < b:  # the last, ragged block
+        if j1 - j0 < min(b, n):  # the last, ragged block of a multi-block matrix
             iu = np.triu_indices(j1 - j0, k=1)
         blk[iu] = np.conj(blk.T[iu])
         np.fill_diagonal(blk.imag, 0)

@@ -1,29 +1,28 @@
 /* The native exact engine: one output tile's whole update,
-   c <- alpha*(op(a0) b0 [+ op(a1) b1]) + beta*c on c's stored region,
-   for one or two terms and a nonzero alpha (kernels._terms checks the
-   update before it gets here).
+   c <- alpha*op(L) R + beta*c on c's stored region, for a nonzero alpha,
+   where L = [a0 a1] and R = [b0; b1] join one or two terms along their
+   inner dimension k, so HER2K's z^H b + b^H z is one product (kernels._terms
+   checks the update before it gets here).
 
-   Every product element is accumulated in ascending k with the separated
-   formula, acc_r += xr*yr - xi*yi and acc_i += xr*yi + xi*yr, from +0.0;
-   then, in the order of kernels._numpy_update, each term is scaled as
-   alpha*xr - 0.0*xi and alpha*xi + 0.0*xr when alpha is not 1, term 0 is
-   added to term 1, and c is added when beta is 1.  Built with
-   -ffp-contract=off and without -ffast-math, the compiler may neither
-   fuse, fold nor reorder any of it, so the bits are those of the numpy
-   engine.
+   Every product element is accumulated in ascending p over the joined
+   K = nterms*k with the separated formula, acc_r += xr*yr - xi*yi and
+   acc_i += xr*yi + xi*yr, from +0.0; then, in the order of
+   kernels._numpy_update, it is scaled as alpha*xr - 0.0*xi and
+   alpha*xi + 0.0*xr when alpha is not 1, and c is added when beta is 1.
+   Built with -ffp-contract=off and without -ffast-math, the compiler may
+   neither fuse, fold nor reorder any of it, so the bits are those of the
+   numpy engine.
 
-   k runs in blocks of kc: each block of a term's left operand is packed
-   into MR-row micro-panels (the imaginary part negated when conj_left is
-   set, which is exact), and each NR-column micro-panel of its right
-   operand is packed just before the register tiles that use it.  An
-   MR x NR register tile lives on split real and imaginary vectors; it is
-   kept in the plane pair `acc` between k-blocks, and a finished term 0 is
-   kept, scaled, in the pair `first`.  The last k-block of the last term
-   writes c itself: only rows >= columns when `lower` (whose diagonal gets
-   imaginary part +0.0), through c's strides, in complex elements like
-   every stride here.  The caller owns c and one scratch buffer of
-   tile_scratch() doubles, which tile_update carves into the plane pairs
-   and both packs; nothing here allocates. */
+   p runs in blocks of kc: each block of L is packed into MR-row
+   micro-panels (the imaginary part negated when conj_left is set, which
+   is exact), and each NR-column micro-panel of R just before the register
+   tiles that use it.  An MR x NR register tile lives on split real and
+   imaginary vectors, kept in the plane pair `acc` between k-blocks.  The
+   last k-block writes c itself: only rows >= columns when `lower` (whose
+   diagonal gets imaginary part +0.0), through c's strides, in complex
+   elements like every stride here.  The caller owns c and one scratch
+   buffer of tile_scratch() doubles, which tile_update carves into the
+   plane pair and both packs; nothing here allocates. */
 
 #include <stddef.h>
 
@@ -37,34 +36,50 @@ typedef ptrdiff_t idx;
 typedef double vec __attribute__((vector_size(8 * MR)));
 typedef double uvec __attribute__((vector_size(8 * MR), aligned(8)));
 
-/* Rows [0, m) of a's kb columns: per k, MR real then MR imaginary parts. */
-static void pack_left(idx m, idx kb, const double *a, idx s0, idx s1, int conj, double *pa)
+/* One operand of a term: where it starts, and its strides. */
+struct operand {
+    const double *x;
+    idx s0, s1;
+};
+
+/* Rows [0, m) of columns [p0, p0 + kb) of L, whose column p is column
+   p % k of term p / k: per MR-row micro-panel, per k, MR real then MR
+   imaginary parts. */
+static void pack_left(idx m, idx p0, idx kb, idx k, const struct operand *a, int conj,
+                      double *pa)
 {
+    const double *col[KC];
+    idx s0[KC];
+    for (idx p = 0; p < kb; p++) {
+        const struct operand *t = a + (p0 + p) / k;
+        col[p] = t->x + 2 * ((p0 + p) % k) * t->s1;
+        s0[p] = t->s0;
+    }
     for (idx i0 = 0; i0 < m; i0 += MR)
         for (idx p = 0; p < kb; p++, pa += 2 * MR)
             for (idx i = 0; i < MR; i++) {
                 pa[i] = pa[MR + i] = 0.0;
                 if (i0 + i < m) {
-                    const double *x = a + 2 * ((i0 + i) * s0 + p * s1);
+                    const double *x = col[p] + 2 * (i0 + i) * s0[p];
                     pa[i] = x[0];
                     pa[MR + i] = conj ? -x[1] : x[1];
                 }
             }
 }
 
-/* Columns [0, nr) of b's kb rows, nr <= NR: per k, NR real then NR
-   imaginary parts. */
-static void pack_right(idx nr, idx kb, const double *b, idx s0, idx s1, double *pb)
+/* Columns [j0, j0 + nr) of rows [p0, p0 + kb) of R, nr <= NR, whose row p
+   is row p % k of term p / k: per k, NR real then NR imaginary parts. */
+static void pack_right(idx j0, idx nr, idx p0, idx kb, idx k, const struct operand *b,
+                       double *pb)
 {
-    for (idx p = 0; p < kb; p++, pb += 2 * NR)
+    for (idx p = 0; p < kb; p++, pb += 2 * NR) {
+        const struct operand *t = b + (p0 + p) / k;
+        const double *row = t->x + 2 * (((p0 + p) % k) * t->s0 + j0 * t->s1);
         for (idx j = 0; j < NR; j++) {
-            pb[j] = pb[NR + j] = 0.0;
-            if (j < nr) {
-                const double *y = b + 2 * (p * s0 + j * s1);
-                pb[j] = y[0];
-                pb[NR + j] = y[1];
-            }
+            pb[j] = j < nr ? row[2 * j * t->s1] : 0.0;
+            pb[NR + j] = j < nr ? row[2 * j * t->s1 + 1] : 0.0;
         }
+    }
 }
 
 /* What stays fixed over one call. */
@@ -77,14 +92,13 @@ struct tile {
 
 /* One k-block of the mr x nr micro-tile at rows i0, columns j0.  It starts
    from `load` (NR real then NR imaginary vectors), or +0.0 when NULL, and
-   ends in `keep` when that is not NULL, scaled by alpha if `scale` is
-   set.  Otherwise it is the tail: scale, add `first` if not NULL, add c
-   if beta is 1, and write c's stored region.  The MR rows are one vector,
-   so each operation is MR independent IEEE operations, the same per
-   element as the scalar formula. */
+   ends in `keep` when that is not NULL.  Otherwise it is the tail: scale
+   by alpha unless it is 1, add c if beta is 1, and write c's stored
+   region.  The MR rows are one vector, so each operation is MR
+   independent IEEE operations, the same per element as the scalar
+   formula. */
 static void micro(const struct tile *t, idx kb, const double *pa, const double *pb,
-                  idx i0, idx j0, idx mr, idx nr, const uvec *load, uvec *keep, int scale,
-                  const uvec *first)
+                  idx i0, idx j0, idx mr, idx nr, const uvec *load, uvec *keep)
 {
     vec cr[NR], ci[NR];
     for (idx j = 0; j < NR; j++) {
@@ -99,12 +113,6 @@ static void micro(const struct tile *t, idx kb, const double *pa, const double *
             ci[j] += xr * yi + xi * yr;
         }
     }
-    if (scale && t->alpha != 1.0)
-        for (idx j = 0; j < NR; j++) {
-            vec xr = cr[j], xi = ci[j];
-            cr[j] = t->alpha * xr - 0.0 * xi;
-            ci[j] = t->alpha * xi + 0.0 * xr;
-        }
     if (keep) {
         for (idx j = 0; j < NR; j++) {
             keep[j] = cr[j];
@@ -112,10 +120,11 @@ static void micro(const struct tile *t, idx kb, const double *pa, const double *
         }
         return;
     }
-    if (first)
+    if (t->alpha != 1.0)
         for (idx j = 0; j < NR; j++) {
-            cr[j] = first[j] + cr[j];
-            ci[j] = first[NR + j] + ci[j];
+            vec xr = cr[j], xi = ci[j];
+            cr[j] = t->alpha * xr - 0.0 * xi;
+            ci[j] = t->alpha * xi + 0.0 * xr;
         }
     if (t->sc0 == 1 && mr == MR && nr == NR && (!t->lower || i0 >= j0 + NR)) {
         /* a whole micro-tile below the diagonal of a column-major c: each
@@ -149,32 +158,31 @@ static void micro(const struct tile *t, idx kb, const double *pa, const double *
     }
 }
 
-/* Where one tile's scratch goes, in doubles: `pairs` plane pairs of
-   `pair` each, then the left pack (2*kc*rows), then the right pack
-   (2*kc*NR).  The k-block depth kc is at most KC and at most
-   rows*cols/(rows+cols) of the tile padded to the register tile, so the
-   packs never exceed one plane pair; planes are reloaded exactly, so any
-   depth gives the same bits.  A pair is kept for HER2K's finished first
-   term and for a term that spans k-blocks. */
+/* Where one tile's scratch goes, in doubles: the plane pair (`pair`
+   doubles, 0 unless K spans more than one k-block), then the left pack
+   (2*kc*rows), then the right pack (2*kc*NR).  The k-block depth kc is at
+   most KC and at most rows*cols/(rows+cols) of the tile padded to the
+   register tile, so the packs never exceed a plane pair of 2*rows*cols;
+   planes are reloaded exactly, so any depth gives the same bits. */
 struct layout {
-    idx kc, rows, pair, pairs;
+    idx kc, rows, pair;
 };
 
-static struct layout layout_of(idx m, idx n, idx k, int nterms)
+static struct layout layout_of(idx m, idx n, idx K)
 {
     const idx rows = (m + MR - 1) / MR * MR, cols = (n + NR - 1) / NR * NR;
     idx kc = rows * cols / (rows + cols > 0 ? rows + cols : 1);
     kc = kc < KC ? kc : KC;
-    kc = kc < k ? kc : k;
+    kc = kc < K ? kc : K;
     kc = kc > 1 ? kc : 1;
-    return (struct layout){kc, rows, 2 * rows * cols, (nterms == 2) + (k > kc)};
+    return (struct layout){kc, rows, K > kc ? 2 * rows * cols : 0};
 }
 
 /* Doubles of scratch that tile_update needs for this tile. */
 size_t tile_scratch(idx m, idx n, idx k, int nterms)
 {
-    const struct layout l = layout_of(m, n, k, nterms);
-    return (size_t)(l.pairs * l.pair + 2 * l.kc * (l.rows + NR));
+    const struct layout l = layout_of(m, n, nterms * k);
+    return (size_t)(l.pair + 2 * l.kc * (l.rows + NR));
 }
 
 void tile_update(idx m, idx n, idx k, int nterms,
@@ -184,36 +192,28 @@ void tile_update(idx m, idx n, idx k, int nterms,
                  double *c, idx sc0, idx sc1, double *scratch)
 {
     const struct tile t = {alpha, beta, lower, c, sc0, sc1};
-    const struct layout l = layout_of(m, n, k, nterms);
+    const struct operand left[2] = {{a0, sa00, sa01}, {a1, sa10, sa11}};
+    const struct operand right[2] = {{b0, sb00, sb01}, {b1, sb10, sb11}};
+    const idx K = nterms * k;
+    const struct layout l = layout_of(m, n, K);
     const idx kc = l.kc, mb = (m + MR - 1) / MR;
-    const double *as[2] = {a0, a1}, *bs[2] = {b0, b1};
-    const idx sa[2][2] = {{sa00, sa01}, {sa10, sa11}}, sb[2][2] = {{sb00, sb01}, {sb10, sb11}};
-    /* the pair kept between k-blocks exists only when k spans blocks */
-    uvec *acc = (uvec *)scratch, *first = (uvec *)(scratch + (k > kc ? l.pair : 0));
-    double *pack_a = scratch + l.pairs * l.pair, *pack_b = pack_a + 2 * kc * l.rows;
-    for (int term = 0; term < nterms; term++) {
-        const int last_term = term == nterms - 1;
-        idx p0 = 0;
-        do {  /* k == 0 still runs one empty block, which starts from +0.0 */
-            const idx kb = k - p0 < kc ? k - p0 : kc;
-            const int last = p0 + kb >= k;
-            pack_left(m, kb, as[term] + 2 * p0 * sa[term][1], sa[term][0], sa[term][1],
-                      conj_left, pack_a);
-            for (idx j0 = 0; j0 < n; j0 += NR) {
-                const idx nr = n - j0 < NR ? n - j0 : NR;
-                pack_right(nr, kb, bs[term] + 2 * (p0 * sb[term][0] + j0 * sb[term][1]),
-                           sb[term][0], sb[term][1], pack_b);
-                /* a lower tile skips the micro-tiles wholly above its diagonal */
-                for (idx i0 = lower ? j0 / MR * MR : 0; i0 < m; i0 += MR) {
-                    const idx mr = m - i0 < MR ? m - i0 : MR;
-                    const idx at = 2 * NR * (i0 / MR + (j0 / NR) * mb);
-                    micro(&t, kb, pack_a + 2 * kb * i0, pack_b, i0, j0, mr, nr,
-                          p0 ? acc + at : NULL,
-                          !last ? acc + at : last_term ? NULL : first + at, last,
-                          last_term && term ? first + at : NULL);
-                }
+    uvec *acc = (uvec *)scratch;
+    double *pack_a = scratch + l.pair, *pack_b = pack_a + 2 * kc * l.rows;
+    idx p0 = 0;
+    do {  /* K == 0 still runs one empty block, which starts from +0.0 */
+        const idx kb = K - p0 < kc ? K - p0 : kc;
+        pack_left(m, p0, kb, k, left, conj_left, pack_a);
+        for (idx j0 = 0; j0 < n; j0 += NR) {
+            const idx nr = n - j0 < NR ? n - j0 : NR;
+            pack_right(j0, nr, p0, kb, k, right, pack_b);
+            /* a lower tile skips the micro-tiles wholly above its diagonal */
+            for (idx i0 = lower ? j0 / MR * MR : 0; i0 < m; i0 += MR) {
+                const idx mr = m - i0 < MR ? m - i0 : MR;
+                const idx at = 2 * NR * (i0 / MR + (j0 / NR) * mb);
+                micro(&t, kb, pack_a + 2 * kb * i0, pack_b, i0, j0, mr, nr,
+                      p0 ? acc + at : NULL, p0 + kb < K ? acc + at : NULL);
             }
-            p0 += kc;
-        } while (p0 < k);
-    }
+        }
+        p0 += kc;
+    } while (p0 < K);
 }

@@ -2,10 +2,10 @@
 on first use and called through ctypes.
 
 ``tile_update`` does in one call what ``kernels._numpy_update`` does for
-one tile: the exact product of every term, alpha, the term sum and the
-tail into the caller's output, with the same IEEE operations per
-element, so the two engines give the same bits (NaN sign and payload
-aside, which neither fixes).  The library is built with ``cc -O3
+one tile: one exact product over every term's inner dimension in turn,
+alpha and the tail into the caller's output, with the same IEEE
+operations per element, so the two engines give the same bits (NaN sign
+and payload aside, which neither fixes).  The library is built with ``cc -O3
 -march=native -ffp-contract=off -fPIC -shared``, never with
 ``-ffast-math``, into ``$XDG_CACHE_HOME/hsgen`` (or ``~/.cache/hsgen``)
 under a name keyed by the SHA-256 of the source, the flags, ``cc
@@ -123,21 +123,20 @@ def load() -> None:
             _lib = _load()
 
 
-def tile_update(terms, alpha: float, beta, c, lower: bool) -> None:
-    """c <- alpha * (sum of the terms' products) + beta*c on c's stored
-    region, bit-identical to ``kernels._numpy_update``: ``terms`` is a list
-    of one or two ``(left, right, conj_left)`` products sharing their flag;
-    alpha is nonzero and beta 0 or 1; ``lower`` stores only c's lower
-    triangle and makes its diagonal real.  Call ``load()`` first."""
-    if len(terms) not in (1, 2) or len({flag for _, _, flag in terms}) > 1:
-        raise InputError("the native engine takes one or two terms with one conj_left flag")
+def tile_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) -> None:
+    """c <- alpha*op(L)*R + beta*c on c's stored region, bit-identical to
+    ``kernels._numpy_update``: L and R join one or two ``(left, right)``
+    terms along k, op conjugates L if ``conj_left``, alpha is nonzero, beta
+    0 or 1, and ``lower`` stores only c's lower triangle, with a real
+    diagonal.  Call ``load()`` first."""
+    if len(terms) not in (1, 2):
+        raise InputError("the native engine takes one or two terms")
     m, n = c.shape
     k = terms[0][0].shape[1]
     scratch = np.empty(_lib.tile_scratch(m, n, k, len(terms)))
-    args = [x for left, right, _ in terms
-            for x in (_address(left), *_strides(left), _address(right), *_strides(right))]
+    args = [x for term in terms for v in term for x in (_address(v), *_strides(v))]
     # C reads only the first len(terms) of its two operand pairs
-    _lib.tile_update(m, n, k, len(terms), *(args * 2)[:12], terms[0][2], alpha, int(beta),
+    _lib.tile_update(m, n, k, len(terms), *(args * 2)[:12], conj_left, alpha, int(beta),
                      int(lower), _address(c), *_strides(c), _address(scratch))
 
 

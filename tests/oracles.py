@@ -84,14 +84,12 @@ def her2k_loops(alpha, z, b, beta, c):
     k, n = len(zv), len(zv[0])
     for i in range(n):
         for j in range(i + 1):
-            s1 = 0j
+            s = 0j  # one running sum: z^H*b, then b^H*z
             for kk in range(k):
-                s1 = s1 + zv[kk][i].conjugate() * bv[kk][j]
-            s2 = 0j
+                s = s + zv[kk][i].conjugate() * bv[kk][j]
             for kk in range(k):
-                s2 = s2 + bv[kk][i].conjugate() * zv[kk][j]
-            left, right = (s1, s2) if alpha == 1 else (alpha * s1, alpha * s2)
-            out[i, j] = _scale_add(1, left + right, beta, complex(out[i, j]))
+                s = s + bv[kk][i].conjugate() * zv[kk][j]
+            out[i, j] = _scale_add(alpha, s, beta, complex(out[i, j]))
         out[i, i] = complex(out[i, i].real, 0.0)
     return out
 
@@ -182,18 +180,17 @@ def tail_tril_indices(c, prod, beta, lower):
         c[d] = c[d].real
 
 
-def update_loops(terms, alpha, beta, c, lower):
-    """One tile's update, c <- alpha*(sum of the terms' products) + beta*c:
-    ``terms`` lists one or two ``(left, right, conj_left)`` products, each
-    from ascending-k complex rank-1 updates, scaled by the separated
-    formula unless alpha is 1 and summed in order, then the
+def update_loops(terms, conj_left, alpha, beta, c, lower):
+    """One tile's update, c <- alpha*op(L)*R + beta*c: L and R stack the
+    ``(left, right)`` terms along k, op conjugates L when ``conj_left`` is
+    set, and the product comes from ascending-k complex rank-1 updates,
+    scaled by the separated formula unless alpha is 1, then the
     ``tril_indices`` tail.  The engines' per-tile updates must match this
     bit for bit."""
-    prods = [acc_product_rank1(np.conj(left) if conj_left else left, right)
-             for left, right, conj_left in terms]
-    if alpha != 1:
-        prods = [_cprod(alpha, p) for p in prods]
-    tail_tril_indices(c, sum(prods[1:], prods[0]), beta, lower)
+    left = np.hstack([left for left, _ in terms])
+    prod = acc_product_rank1(np.conj(left) if conj_left else left,
+                             np.vstack([right for _, right in terms]))
+    tail_tril_indices(c, prod if alpha == 1 else _cprod(alpha, prod), beta, lower)
 
 
 def potrf_loops(t):

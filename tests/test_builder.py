@@ -450,8 +450,8 @@ def test_build_peak_is_the_same_for_a_generated_and_a_loaded_instance(tmp_path):
 
 
 #: Scratch one worker holds while it computes one block of a large update:
-#: the two accumulator and two product planes, the packed product, the
-#: term summed before it and the tail's temporaries, at most four complex
+#: the two accumulator and two product planes, the packed product, its
+#: copy scaled by alpha and the tail's temporaries, at most four complex
 #: blocks of the output's grid.
 _BLOCK_SCRATCH = 4 * 16 * kernels._BLOCK**2
 

@@ -311,16 +311,18 @@ def test_inputs_outside_the_product_contract_are_input_errors(kernel, kind, ops)
 
 def _oracle_update(kind, ops):
     """The whole output as one tile of ``oracles.update_loops``."""
+    conj_left = True
     if kind is KernelKind.GEMM:
         alpha, opa, a, _, b, beta, c = ops
-        terms = [(a.T, b, True) if opa == "C" else (a, b, False)]
+        conj_left = opa == "C"
+        terms = [(a.T, b) if conj_left else (a, b)]
     elif kind is KernelKind.HERK:
         alpha, a, beta, c = ops
-        terms = [(a.T, a, True)]
+        terms = [(a.T, a)]
     else:
         alpha, z, b, beta, c = ops
-        terms = [(z.T, b, True), (b.T, z, True)]
-    oracles.update_loops(terms, alpha, beta, c, kind is not KernelKind.GEMM)
+        terms = [(z.T, b), (b.T, z)]
+    oracles.update_loops(terms, conj_left, alpha, beta, c, kind is not KernelKind.GEMM)
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -357,8 +359,8 @@ def _record_updates(monkeypatch, record):
 
     def recorded(engine):
         update = hook(engine)
-        return lambda terms, alpha, beta, c, lower: (record(terms, c)
-                                                     or update(terms, alpha, beta, c, lower))
+        return lambda terms, conj_left, alpha, beta, c, lower: (
+            record(terms, c) or update(terms, conj_left, alpha, beta, c, lower))
 
     monkeypatch.setattr(kernels, "_update", recorded)
 

@@ -168,27 +168,31 @@ def test_her2k_zero_operand_scales_lower():
 
 
 def test_her2k_symmetry_collapse_equals_herk():
+    # HER2K's product is one sum over [b; b]^H [b; b], HERK's over the
+    # stacked operand: the same operations in the same order
     rng = np.random.default_rng(7)
     b = random_complex(rng, 3, 5)
-    c1 = zeros(5, 5)
-    c2 = zeros(5, 5)
-    her2k(0.5, b, b, 0.0, c1)
-    herk(1.0, b, 0.0, c2)
-    assert c1.tobytes() == c2.tobytes()
+    for engine in ENGINES:
+        c1 = zeros(5, 5)
+        c2 = zeros(5, 5)
+        her2k(1, b, b, 0, c1, engine)
+        herk(1, np.vstack([b, b]), 0, c2, engine)
+        assert c1.tobytes() == c2.tobytes()
 
 
 def test_her2k_matches_gemm_sum_exactly():
+    # z^H*b + b^H*z is the one product [z; b]^H [b; z]
     rng = np.random.default_rng(8)
     z = random_complex(rng, 3, 5)
     b = random_complex(rng, 3, 5)
-    c = zeros(5, 5)
-    her2k(1, z, b, 0, c)
-    g1 = zeros(5, 5)
-    gemm(1, "C", z, "N", b, 0, g1)
-    g2 = zeros(5, 5)
-    gemm(1, "C", b, "N", z, 0, g2)
     tl = np.tril_indices(5)
-    np.testing.assert_array_equal(c[tl], (g1 + g2)[tl])
+    for engine in ENGINES:
+        c = zeros(5, 5)
+        her2k(1, z, b, 0, c, engine)
+        g = zeros(5, 5)
+        gemm(1, "C", np.vstack([z, b]), "N", np.vstack([b, z]), 0, g, engine)
+        np.fill_diagonal(g.imag, 0)  # HER2K's tail makes the diagonal real
+        assert c[tl].tobytes() == g[tl].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ def test_acc_product_bitwise_at_executor_tile_shapes(m, n, k):
     z = random_complex(rng, k, m)
     b = random_complex(rng, k, n)
     a = np.conj(z).T  # the executor passes the conj-transposed view
-    out = _acc_product(a, b)
+    out = _acc_product([(a, b)], False)
     assert out.flags.f_contiguous
     assert out.tobytes() == oracles.acc_product_rank1(a, b).tobytes()
 
@@ -483,7 +487,7 @@ def test_acc_product_bitwise_with_signed_zeros_inf_nan():
             expected = oracles.acc_product_rank1(x, y)
             for engine in ENGINES:
                 out = np.empty(expected.shape, dtype=np.complex128)
-                _update(engine)([(x, y, False)], 1.0, 0, out, False)
+                _update(engine)([(x, y)], False, 1.0, 0, out, False)
                 assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
                 canonical = oracles.canonical_nans
                 assert canonical(out).tobytes() == canonical(expected).tobytes()
@@ -498,7 +502,7 @@ def test_acc_product_peak_memory_stays_near_output_size():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _acc_product(a, b)
+        _acc_product([(a, b)], False)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -1,12 +1,15 @@
 """The native engine: bit-identical to the numpy engine and the complex
 rank-1 oracle, built on first use into a cache, never a silent fallback."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgen import cli, kernels, native
@@ -86,14 +89,20 @@ def _view(big, layout, m, n):
        beta=st.sampled_from([0, 1]), lower=st.booleans(), conj_left=st.booleans(),
        c_layout=st.sampled_from(["block", "strided", "transposed"]),
        special=st.sampled_from([0.0, 0.02, 0.1]), seed=st.integers(0, 2**16))
+# a 128 tile's block depth is 64: two terms of k = 40 join into K = 80,
+# which spans two blocks while neither term does; and two empty terms
+@example(m=128, n=128, k=40, nterms=2, alpha=0.5, beta=1, lower=True, conj_left=True,
+         c_layout="strided", special=0.02, seed=1)
+@example(m=5, n=7, k=0, nterms=2, alpha=-0.75, beta=1, lower=False, conj_left=False,
+         c_layout="block", special=0.0, seed=2)
 def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
         m, n, k, nterms, alpha, beta, lower, conj_left, c_layout, special, seed):
-    # k runs on both sides of the block depth (at most 64, less on small
-    # tiles); c is a view into a guard-filled array, and only its
-    # stored region (rows >= columns when lower) may change
+    # the joined inner dimension runs on both sides of the block depth (at
+    # most 64, less on small tiles); c is a view into a guard-filled array,
+    # and only its stored region (rows >= columns when lower) may change
     rng = np.random.default_rng(seed)
     n = m if lower else n
-    terms = [(_draw(rng, (k, m), special).T, _draw(rng, (k, n), special), conj_left or nterms == 2)
+    terms = [(_draw(rng, (k, m), special).T, _draw(rng, (k, n), special))
              for _ in range(nterms)]
     stored = np.tril(np.ones((m, n), dtype=bool)) if lower else np.ones((m, n), dtype=bool)
     values = _draw(rng, (m, n), special)[stored]
@@ -108,7 +117,7 @@ def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
         _view(mask, c_layout, m, n)[stored] = True
         before = big.copy()
         with np.errstate(invalid="ignore", over="ignore"):
-            update(terms, alpha, beta, c, lower)
+            update(terms, conj_left, alpha, beta, c, lower)
         assert big[~mask].tobytes() == before[~mask].tobytes()  # every other byte unchanged
         results.append(oracles.canonical_nans(c).tobytes())  # NaN positions, not payloads
     assert results[0] == results[1] == results[2]
@@ -117,24 +126,34 @@ def test_tile_update_equals_numpy_engine_and_oracle_bitwise(
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(m=st.integers(1, 40), n=st.integers(1, 40), k=st.integers(0, 150),
        nterms=st.sampled_from([1, 2]), lower=st.booleans(), seed=st.integers(0, 2**16))
+@example(m=128, n=128, k=40, nterms=2, lower=True, seed=3)  # K spans a block, no term does
+@example(m=5, n=7, k=0, nterms=2, lower=False, seed=4)
 def test_tile_update_stays_inside_tile_scratch(m, n, k, nterms, lower, seed):
     # the foreign call itself, with exactly tile_scratch doubles of
-    # guard-filled scratch and a guard after them: k runs on both sides of
-    # the block depth, and the guard must stay untouched
+    # guard-filled scratch and a guard after them: the joined inner
+    # dimension runs on both sides of the block depth, and the guard must
+    # stay untouched
     rng = np.random.default_rng(seed)
     n = m if lower else n
-    terms = [(_draw(rng, (k, m), 0.0).T, _draw(rng, (k, n), 0.0), True) for _ in range(nterms)]
+    terms = [(_draw(rng, (k, m), 0.0).T, _draw(rng, (k, n), 0.0)) for _ in range(nterms)]
     native.load()
     size = native._lib.tile_scratch(m, n, k, nterms)
     scratch = np.full(size + 64, _GUARD)
     c, expected = zeros(m, n), zeros(m, n)
-    args = [x for left, right, _ in terms
-            for v in (left, right) for x in (native._address(v), *native._strides(v))]
+    args = [x for term in terms for v in term for x in (native._address(v), *native._strides(v))]
     native._lib.tile_update(m, n, k, nterms, *(args * 2)[:12], True, 0.5, 0, int(lower),
                             native._address(c), *native._strides(c), native._address(scratch))
     assert scratch[size:].tobytes() == np.full(64, _GUARD).tobytes()
-    kernels._numpy_update(terms, 0.5, 0, expected, lower)
+    kernels._numpy_update(terms, True, 0.5, 0, expected, lower)
     assert c.tobytes() == expected.tobytes()  # and no unwritten scratch was read
+
+
+def test_a_joined_inner_dimension_within_one_block_keeps_no_plane_pair():
+    # HER2K at k = 8 on a 256 tile joins K = 16, one k-block: the scratch
+    # is the left pack (2*16*256 doubles) and the right pack (2*16*NR,
+    # NR = 4) only, with no plane pair of 2*256*256
+    native.load()
+    assert native._lib.tile_scratch(256, 256, 8, 2) == 2 * 16 * (256 + 4)
 
 
 def test_an_empty_inner_dimension_gives_positive_zeros():
@@ -208,6 +227,45 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
     assert "hsgen-missing-cc" in err and "--engine numpy" in err
     assert not (inst / "H.hsm").exists()
     assert cli.main(["run", "--in", str(inst), "--engine", "numpy"]) == 0  # no compiler needed
+
+
+#: Run in a child process under the undefined-behaviour build, which
+#: aborts on the first report: HER2K, HERK and GEMM updates at inner
+#: dimensions on both sides of the block depth, checked bitwise against the
+#: numpy engine.
+_UBSAN_CHILD = """
+import numpy as np
+from hsgen import kernels, native
+
+native._FLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+rng = np.random.default_rng(9)
+for k in (0, 1, 64, 65, 130):
+    z, b = (np.asfortranarray(rng.standard_normal((k, 70)) + 1j * rng.standard_normal((k, 70)))
+            for _ in range(2))
+    for run in (lambda c, e: kernels.her2k(0.5, z, b, 1, c, e),
+                lambda c, e: kernels.herk(1, z, 0, c, e),
+                lambda c, e: kernels.gemm(-0.75, "C", z, "N", b[:, 3:], 1, c[:, 3:], e)):
+        c0 = np.asfortranarray(rng.standard_normal((70, 70)) + 0j)
+        native_c, numpy_c = c0.copy(order="F"), c0.copy(order="F")
+        run(native_c, "native")
+        run(numpy_c, "numpy")
+        assert native_c.tobytes() == numpy_c.tobytes(), k
+print("clean")
+"""
+
+
+@pytest.mark.skipif(shutil.which(native._COMPILER) is None, reason="no C compiler")
+def test_the_engine_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # the shipped flags plus -fsanitize=undefined, built into a cache under
+    # tmp_path (the flags are part of its key) and loaded in a child
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join([str(Path(native.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _UBSAN_CHILD], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0 and "runtime error" not in done.stderr, done.stderr
+    assert done.stdout.strip() == "clean"
+    assert len(list((tmp_path / "hsgen").glob("native-*.so"))) == 1
 
 
 @pytest.mark.skipif(shutil.which(native._COMPILER) is None, reason="no C compiler")
