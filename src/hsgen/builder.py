@@ -6,9 +6,12 @@ scaling ("S1", "U norm", "S2"), then the per-atom Cholesky split
 ("Loop 2") feeding the final large updates ("H2" for atoms whose AA block
 failed to factor, "H3" for the rest).  Every kernel invocation lands in a
 FlopLedger with its section tag; the five large updates are dispatched
-through the executor under the caller's policy while the per-atom small
-kernels run inline on the coordinating thread, all on the policy's
-engine.
+through the executor under the caller's policy.  The per-atom loops run
+on the coordinating thread, one call per chunk each on the policy's
+engine (``kernels.loop1``, ``potrf_route`` then ``loop2``): one C call
+under ``native``, the public kernels atom by atom under ``numpy``.  Each
+returns its kernels' seconds, and the ledger gets one record per kernel
+in atom order, as if each had been timed on its own.
 
 The atoms are processed in the chunks of ``probgen.atom_chunks``, the
 grid the instance files are checksummed on.  A chunk's A rows, B rows
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import kernels
 from .executor import ExecPolicy, run_partitioned
@@ -58,7 +63,8 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
     go through the triangular-multiply path and the rank-k update H3; the
     rest go through the Hermitian-multiply path and the gemm H2.  A failed
     factorization is routing data, not an error, and is not charged to the
-    ledger.  The instance's blocks are observably unchanged.
+    ledger; ``kernels.potrf_route`` alone decides the split.  The
+    instance's blocks are observably unchanged.
     """
     validate_instance(p)
     policy = policy or ExecPolicy()
@@ -79,7 +85,6 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         timed(section, kind, dims, run_partitioned, kind, operands, policy)
 
     for a0, a1 in atom_chunks(p.dims):
-        atoms = range(a0, a1)
         k = (a1 - a0) * n_l
         beta = 0 if a0 == 0 else 1
         # the chunk's rows of the stacked fields, as views
@@ -87,12 +92,10 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         b_rows = p.b_blocks[a0:a1].reshape(k, n_g)
         u = p.u_norms[a0:a1].reshape(k)
         z_buf = zeros(k, n_g)
-        for i, a in enumerate(atoms):
-            rows = slice(i * n_l, (i + 1) * n_l)
-            timed("Loop 1", KernelKind.GEMM, (n_l, n_g, n_l),
-                  kernels.gemm, 1, "C", p.t_ab[a], "N", p.a_blocks[a], 0, z_buf[rows], engine)
-            timed("Loop 1", KernelKind.HEMM, (n_l, n_g),
-                  kernels.hemm_left, 0.5, p.t_bb[a], p.b_blocks[a], 1, z_buf[rows], engine)
+        for gemm_s, hemm_s in kernels.loop1(p.t_ab[a0:a1], p.a_blocks[a0:a1], p.t_bb[a0:a1],
+                                            p.b_blocks[a0:a1], z_buf, engine):
+            ledger.add(KernelKind.GEMM, (n_l, n_g, n_l), gemm_s, "Loop 1")
+            ledger.add(KernelKind.HEMM, (n_l, n_g), hemm_s, "Loop 1")
 
         update("H1", KernelKind.HER2K, (n_g, k), 1, z_buf, b_rows, beta, h)
         update("S1", KernelKind.HERK, (n_g, k), 1, a_rows, beta, s)
@@ -101,24 +104,21 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         update("S2", KernelKind.HERK, (n_g, k), 1, b_buf, 1, s)
 
         # Z and B are spent: Y rows go to the top of Z's buffer and X rows
-        # to the top of B's; H2 gathers the failed atoms' A rows.
-        y_rows = x_rows = 0
-        failed = []
-        for a in atoms:
-            t0 = time.perf_counter()
-            factor, _ = kernels.potrf_lower(p.t_aa[a])
-            if factor is not None:
-                ledger.add(KernelKind.POTRF, (n_l,), time.perf_counter() - t0, "Loop 2")
-                timed("Loop 2", KernelKind.TRMM, (n_l, n_g), kernels.trmm_left_conjtrans,
-                      factor, p.a_blocks[a], z_buf[y_rows : y_rows + n_l], engine)
-                y_rows += n_l
+        # to the top of B's; H2 gathers the failed atoms' A rows.  An HPD
+        # atom's POTRF record covers both of its factorizations.
+        info, potrf_s = kernels.potrf_route(p.t_aa[a0:a1], engine)
+        rows_s = kernels.loop2(info, p.t_aa[a0:a1], p.a_blocks[a0:a1], z_buf, b_buf, engine)
+        for code, route_s, (refactor_s, product_s) in zip(info, potrf_s, rows_s):
+            if code == 0:
+                ledger.add(KernelKind.POTRF, (n_l,), route_s + refactor_s, "Loop 2")
+                ledger.add(KernelKind.TRMM, (n_l, n_g), product_s, "Loop 2")
             else:
-                timed("Loop 2", KernelKind.HEMM, (n_l, n_g), kernels.hemm_left,
-                      1, p.t_aa[a], p.a_blocks[a], 0, b_buf[x_rows : x_rows + n_l], engine)
-                failed.append(a)
-                x_rows += n_l
+                ledger.add(KernelKind.HEMM, (n_l, n_g), product_s, "Loop 2")
+        failed = a0 + np.flatnonzero(info)
+        x_rows = len(failed) * n_l
+        y_rows = k - x_rows
 
-        if failed:  # the gathered A rows are freed when H2 returns
+        if x_rows:  # the gathered A rows are freed when H2 returns
             update("H2", KernelKind.GEMM, (n_g, n_g, x_rows), 1, "C",
                    p.a_blocks[failed].reshape(x_rows, n_g), "N", b_buf[:x_rows], 1, h)
         if y_rows:

@@ -26,6 +26,10 @@ Every element still receives its subtractions one at a time in ascending
 column order, so the factor is bit-identical to the left-looking scalar
 loop it replaces.
 
+The native engine runs POTRF in C with the same operations; its column
+scaling copies numpy's complex-by-float division (Smith's form with a
++0.0 imaginary divisor), not a plain ``re/l``.
+
 GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
 into one product ``op(L) R`` whose operands join one or two terms along
 the inner dimension, plans the output's tiles and computes each tile as
@@ -39,6 +43,15 @@ change the bits.  The public kernels, and TRMM as a GEMM, run ``_run``
 serially on the ``_BLOCK`` grid; the executor runs it on the policy's
 grid, never coarser than ``_BLOCK``.  Every kernel writes the output it
 is given and returns it.
+
+A build's per-atom loops (``loop1``, ``potrf_route``, ``loop2``) take one
+chunk's stacked blocks.  Under ``numpy`` they call the public kernels
+atom by atom; under ``native`` each is one call of ``native.py``, whose C
+also serves the native ``potrf_lower``, ``hemm_left`` and
+``trmm_left_conjtrans`` with one atom, so the loops and the kernels share
+one path.  Native TRMM skips the zeros before the diagonal of each row of
+C^H, which add only +-0 to a +0.0 start: the same bits for finite
+operands, at half the work.
 
 The per-tile update is the one swappable part, named by an engine
 (``ENGINES``): one call writes one tile of the caller's output.
@@ -62,6 +75,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -306,9 +320,7 @@ def _terms(kind: KernelKind, operands: tuple):
         terms = [(z.T, b), (b.T, z)]
     else:
         raise InputError(f"no tiled update for {kind!r}")
-    arrays = [x for term in terms for x in term] + [c]
-    if not all(isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
-               and not any(s % x.itemsize for s in x.strides) for x in arrays) or not c.flags.writeable:
+    if not all(map(_is_operand, [x for term in terms for x in term] + [c])) or not c.flags.writeable:
         raise InputError("the operands and a writeable c must be aligned complex128 arrays "
                          "with whole-element strides")
     left, right = terms[0]
@@ -321,6 +333,13 @@ def _terms(kind: KernelKind, operands: tuple):
     if beta not in (0, 1):
         raise InputError(f"beta must be 0 or 1, got {beta!r}")
     return float(np.real(alpha)), terms, conj_left, beta, c
+
+
+def _is_operand(x) -> bool:
+    """Whether ``x`` is an aligned complex128 array with whole-element
+    strides, as the engines take an operand."""
+    return (isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
+            and not any(s % x.itemsize for s in x.strides))
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
@@ -343,16 +362,20 @@ def _numpy_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) ->
 ENGINES = ("native", "numpy")
 
 
-def _update(engine: str):
-    """The engine's per-tile update ``(terms, conj_left, alpha, beta, c,
-    lower)``, loading the native library on first use; InputError for an
-    unknown engine."""
+def _native(engine: str) -> bool:
+    """Whether ``engine`` is ``native``, whose library is then loaded on
+    first use; InputError for an unknown engine."""
+    if engine not in ENGINES:
+        raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "native":
         native.load()
-        return native.tile_update
-    if engine == "numpy":
-        return _numpy_update
-    raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return engine == "native"
+
+
+def _update(engine: str):
+    """The engine's per-tile update ``(terms, conj_left, alpha, beta, c,
+    lower)``."""
+    return native.tile_update if _native(engine) else _numpy_update
 
 
 def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
@@ -397,11 +420,17 @@ def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
 
 
 def hemm_left(alpha, t, b, beta, c, engine: str = ENGINES[0]):
-    """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower triangle."""
+    """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower
+    triangle: a GEMM with ``hermitian_mirror``'s T, which the native engine
+    builds in C."""
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionError(f"t must be square, got {t.shape}")
-    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c,
-                engine)
+    t = t.astype(complex, order="F")
+    if not _native(engine):
+        return gemm(alpha, "N", hermitian_mirror(t), "N", b, beta, c, engine)
+    alpha, _, _, beta, c = _terms(KernelKind.GEMM, (alpha, "N", t, "N", b, beta, c))
+    native.loop1_atoms(None, None, alpha, t, b, beta, c)
+    return c
 
 
 def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
@@ -420,14 +449,24 @@ def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
 
 def trmm_left_conjtrans(c_factor, a, c, engine: str = ENGINES[0]):
     """c <- C^H * a for the lower-triangular C stored in c_factor (c is
-    write-only, as with beta 0)."""
+    write-only, as with beta 0).
+
+    The numpy engine runs the GEMM over ``tril(c_factor)``; the native one
+    skips the zeros before the diagonal of each row of C^H, which add only
+    +-0 to a +0.0 start, so the bits are the same for a finite ``a``.  (An
+    infinite or NaN entry of ``a`` times those zeros is a NaN only on the
+    numpy engine.)"""
     if c_factor.ndim != 2 or c_factor.shape[0] != c_factor.shape[1]:
         raise DimensionError(f"c_factor must be square, got {c_factor.shape}")
-    _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK, engine=engine)
+    if not _native(engine):
+        _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK, engine=engine)
+        return c
+    _terms(KernelKind.GEMM, (1, "C", c_factor, "N", a, 0, c))
+    native.loop2_atoms([0], True, c_factor, a, c, None)
     return c
 
 
-def potrf_lower(t):
+def potrf_lower(t, engine: str = ENGINES[0]):
     """Lower Cholesky of the Hermitian matrix stored in t's lower triangle.
 
     Returns ``(factor, 0)`` on success, with factor @ factor^H reconstructing
@@ -441,7 +480,9 @@ def potrf_lower(t):
     same subtractions, in the same ascending column order, as the
     left-looking scalar loop, and the diagonal's ``lr*lr - li*(-li)`` equals that loop's
     ``lr*lr + li*li``, so factors and failure indices are bit-identical to
-    it.
+    it.  The native engine runs the same operations in C (``native.c``'s
+    ``potrf``), with the column scaled as numpy divides a complex number by
+    a real one.
     """
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionError(f"potrf needs a square matrix, got {t.shape}")
@@ -449,6 +490,10 @@ def potrf_lower(t):
     w = np.array(np.tril(t), dtype=np.complex128, order="F")
     if not np.isfinite(w).all():
         raise InputError("potrf input contains non-finite entries")
+    if _native(engine):
+        factor = zeros(n, n)
+        (info,), _ = native.potrf_atoms(w, factor)
+        return (factor, 0) if info == 0 else (None, int(info))
     wr, wi = w.real, w.imag  # the trailing matrix as two float64 planes
     factor = zeros(n, n)
     for j in range(n):
@@ -480,3 +525,88 @@ def diag_scale(u, b):
     b.real *= u[:, None]
     b.imag *= u[:, None]
     return b
+
+
+# ---------------------------------------------------------------------------
+# the per-atom loops of a build, one call per chunk of atoms
+
+
+def _chunk(squares, blocks=(), outputs=()):
+    """Check one chunk's stacks for the per-atom loops: ``squares``
+    (count, n, n), ``blocks`` (count, n, m) and writeable ``outputs``
+    (count*n, m), all as ``_is_operand`` takes them; returns n."""
+    count, n = len(squares[0]), squares[0].shape[-1]
+    m = blocks[0].shape[-1] if blocks else n
+    for xs, shape in ((squares, (count, n, n)), (blocks, (count, n, m)), (outputs, (count * n, m))):
+        for x in xs:
+            if x.shape != shape:
+                raise DimensionError(f"a chunk stack has shape {x.shape}, expected {shape}")
+            if not _is_operand(x):
+                raise InputError("a chunk's stacks must be aligned complex128 arrays "
+                                 "with whole-element strides")
+    if not all(x.flags.writeable for x in outputs):
+        raise InputError("a chunk's outputs must be writeable")
+    return n
+
+
+def loop1(t_ab, a, t_bb, b, z, engine: str = ENGINES[0]):
+    """Loop 1 over one chunk's stacked blocks: rows [i n, (i+1) n) of z get
+    T_ab,i^H A_i + 1/2 herm(T_bb,i) B_i, a GEMM then a HEMM; returns each
+    atom's ``(GEMM, HEMM)`` seconds, shape (count, 2).  One native call, or
+    the public kernels atom by atom on the numpy engine."""
+    n = _chunk((t_ab, t_bb), (a, b), (z,))
+    if _native(engine):
+        return native.loop1_atoms(t_ab, a, 0.5, t_bb, b, 1, z)
+    seconds = np.empty((len(a), 2))
+    for i in range(len(a)):
+        rows = z[i * n : (i + 1) * n]
+        t0 = time.perf_counter()
+        gemm(1, "C", t_ab[i], "N", a[i], 0, rows, engine)
+        t1 = time.perf_counter()
+        hemm_left(0.5, t_bb[i], b[i], 1, rows, engine)
+        seconds[i] = t1 - t0, time.perf_counter() - t1
+    return seconds
+
+
+def potrf_route(t_aa, engine: str = ENGINES[0]):
+    """Loop 2's split, the one place a build decides it: factor each block
+    of the stack ``t_aa`` as ``potrf_lower`` does and keep no factor;
+    returns ``(info, seconds)``, per atom its failure index (0 if it
+    factored, and then goes down TRMM and H3; HEMM and H2 otherwise) and
+    the factorization's time."""
+    if _native(engine):
+        n = _chunk((t_aa,))
+        return native.potrf_atoms(t_aa, zeros(n, n))
+    info, seconds = np.empty(len(t_aa), dtype=np.intc), np.empty(len(t_aa))
+    for i, t in enumerate(t_aa):
+        t0 = time.perf_counter()
+        info[i] = potrf_lower(t, engine)[1]
+        seconds[i] = time.perf_counter() - t0
+    return info, seconds
+
+
+def loop2(info, t_aa, a, y, x, engine: str = ENGINES[0]):
+    """Loop 2's rows over one chunk's stacked blocks, in atom order: an atom
+    whose ``info`` is 0 is factored again and writes C^H A_i into the next
+    n-row slot of y (TRMM); any other writes herm(T_aa,i) A_i into the next
+    slot of x (HEMM).  Returns each atom's ``(refactorization, product)``
+    seconds, shape (count, 2), the first 0 for a HEMM atom."""
+    n = _chunk((t_aa,), (a,), (y, x))
+    if len(info) != len(a):
+        raise DimensionError(f"{len(info)} routes for {len(a)} atoms")
+    if _native(engine):
+        return native.loop2_atoms(info, False, t_aa, a, y, x)
+    seconds = np.empty((len(a), 2))
+    ys = xs = 0
+    for i, (t, blk) in enumerate(zip(t_aa, a)):
+        t0 = t1 = time.perf_counter()
+        if info[i] == 0:
+            factor, _ = potrf_lower(t, engine)
+            t1 = time.perf_counter()
+            trmm_left_conjtrans(factor, blk, y[ys : ys + n], engine)
+            ys += n
+        else:
+            hemm_left(1, t, blk, 0, x[xs : xs + n], engine)
+            xs += n
+        seconds[i] = t1 - t0, time.perf_counter() - t1
+    return seconds

@@ -8,7 +8,6 @@ package's one Hermitian predicate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,24 +94,28 @@ def hermitian_mirror(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_defect(m: np.ndarray) -> float:
+def hermitian_defect(m: np.ndarray):
     """max of |M - M^H| entries and diagonal imaginary magnitudes; NaN if
-    ``m`` holds a non-finite entry.  DimensionError unless ``m`` is square."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"hermitian_defect needs a square matrix, got {m.shape}")
+    ``m`` holds a non-finite entry.  A stack of matrices along leading axes
+    gives an array of their defects.  DimensionError unless the matrices
+    are square."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"hermitian_defect needs square matrices, got {m.shape}")
     if m.size == 0:
-        return 0.0
-    off = float(np.abs(m - np.conj(m.T)).max())
-    if not math.isfinite(off):  # a non-finite entry; inf - x is inf, not NaN
-        return math.nan
-    dia = float(np.abs(np.diagonal(m).imag).max())
-    return max(off, dia)
+        return np.zeros(m.shape[:-2])[()]
+    off = np.abs(m - np.conj(np.swapaxes(m, -2, -1))).max(axis=(-2, -1))
+    dia = np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag).max(axis=-1)
+    # a non-finite entry; inf - x is inf, not NaN
+    return np.where(np.isfinite(off), np.maximum(off, dia), np.nan)[()]
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = 1e-12):
     """Whether the square ``m`` is Hermitian within ``tol`` relative to its
-    size; never for a non-finite entry, whose defect is NaN."""
-    return hermitian_defect(m) <= tol * (1.0 + frobenius(m))
+    size; never for a non-finite entry, whose defect is NaN.  A stack of
+    matrices gives an array of verdicts."""
+    defect = hermitian_defect(m)
+    with np.errstate(invalid="ignore"):  # the norm of a non-finite m, whose defect is NaN
+        return defect <= tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))
 
 
 def rel_frob_error(a: np.ndarray, b: np.ndarray) -> float:

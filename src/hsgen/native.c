@@ -1,14 +1,19 @@
-/* The native exact engine: one output tile's whole update,
+/* The native exact engine.  tile_update is one output tile's whole update,
    c <- alpha*op(L) R + beta*c on c's stored region, for a nonzero alpha,
    where L = [a0 a1] and R = [b0; b1] join one or two terms along their
    inner dimension k, so HER2K's z^H b + b^H z is one product (kernels._terms
-   checks the update before it gets here).
+   checks the update before it gets here).  The per-atom loops of a build
+   run here too, one call per chunk of atoms: potrf_atoms factors each atom
+   (Loop 2's routing), loop1_atoms writes each atom's Z rows and
+   loop2_atoms each atom's Y or X rows.  With one atom they are the native
+   POTRF, HEMM and TRMM of kernels.py.
 
    Every product element is accumulated in ascending p over the joined
    K = nterms*k with the separated formula, acc_r += xr*yr - xi*yi and
    acc_i += xr*yi + xi*yr, from +0.0; then, in the order of
    kernels._numpy_update, it is scaled as alpha*xr - 0.0*xi and
    alpha*xi + 0.0*xr when alpha is not 1, and c is added when beta is 1.
+   POTRF is kernels.potrf_lower's right-looking order, written out below.
    Built with -ffp-contract=off and without -ffast-math, the compiler may
    neither fuse, fold nor reorder any of it, so the bits are those of the
    numpy engine.
@@ -20,15 +25,19 @@
    imaginary vectors, kept in the plane pair `acc` between k-blocks.  The
    last k-block writes c itself: only rows >= columns when `lower` (whose
    diagonal gets imaginary part +0.0), through c's strides, in complex
-   elements like every stride here.  The caller owns c and one scratch
-   buffer of tile_scratch() doubles, which tile_update carves into the
-   plane pair and both packs; nothing here allocates. */
+   elements like every stride here.  The caller owns every output and one
+   scratch buffer, of tile_scratch() doubles for a tile and of
+   atoms_scratch() doubles for a loop (potrf_atoms works in its n x n
+   output); nothing here allocates. */
 
+#include <math.h>
 #include <stddef.h>
+#include <time.h>
 
 #define MR 8
 #define NR 4
 #define KC 64 /* the deepest k-block: a 256-row left pack is 256 KiB */
+#define BLOCK 256 /* the largest tile edge, kernels._BLOCK */
 
 typedef ptrdiff_t idx;
 /* GCC/Clang vector extensions (GCC 12 or later for __builtin_shufflevector):
@@ -185,6 +194,47 @@ size_t tile_scratch(idx m, idx n, idx k, int nterms)
     return (size_t)(l.pair + 2 * l.kc * (l.rows + NR));
 }
 
+/* One tile's update; tile_update's, plus `tri`: when it is not negative,
+   row i of L is zero before column tri + i (TRMM's C^H, whose tile starts
+   at row tri).  Each micro-panel then starts its k loop at its own first
+   row, skipping whole k-blocks before it and packing only the rows that
+   have begun; what it skips would add only +-0 to its +0.0 start, so the
+   bits are those of the full product for finite operands. */
+static void update(const struct tile *t, idx m, idx n, idx k, int nterms,
+                   const struct operand *left, const struct operand *right, int conj_left,
+                   idx tri, double *scratch)
+{
+    const idx K = nterms * k;
+    const struct layout l = layout_of(m, n, K);
+    const idx kc = l.kc, mb = (m + MR - 1) / MR;
+    uvec *acc = (uvec *)scratch;
+    double *pack_a = scratch + l.pair, *pack_b = pack_a + 2 * kc * l.rows;
+    idx p0 = 0;
+    do {  /* K == 0 still runs one empty block, which starts from +0.0 */
+        const idx kb = K - p0 < kc ? K - p0 : kc;
+        const int last = p0 + kb >= K;
+        idx begun = tri < 0 ? m : p0 + kb - tri;
+        begun = begun <= 0 ? 0 : (begun + MR - 1) / MR * MR;
+        pack_left(begun < m ? begun : m, p0, kb, k, left, conj_left, pack_a);
+        for (idx j0 = 0; j0 < n; j0 += NR) {
+            const idx nr = n - j0 < NR ? n - j0 : NR;
+            pack_right(j0, nr, p0, kb, k, right, pack_b);
+            /* a lower tile skips the micro-tiles wholly above its diagonal */
+            for (idx i0 = t->lower ? j0 / MR * MR : 0; i0 < m; i0 += MR) {
+                const idx first = tri < 0 ? 0 : tri + i0;  /* the panel's first k */
+                if (first >= p0 + kb && !last)
+                    continue;
+                const idx skip = first <= p0 ? 0 : first - p0 < kb ? first - p0 : kb;
+                const idx mr = m - i0 < MR ? m - i0 : MR;
+                const idx at = 2 * NR * (i0 / MR + (j0 / NR) * mb);
+                micro(t, kb - skip, pack_a + 2 * kb * i0 + 2 * MR * skip, pack_b + 2 * NR * skip,
+                      i0, j0, mr, nr, first < p0 ? acc + at : NULL, last ? NULL : acc + at);
+            }
+        }
+        p0 += kc;
+    } while (p0 < K);
+}
+
 void tile_update(idx m, idx n, idx k, int nterms,
                  const double *a0, idx sa00, idx sa01, const double *b0, idx sb00, idx sb01,
                  const double *a1, idx sa10, idx sa11, const double *b1, idx sb10, idx sb11,
@@ -194,26 +244,206 @@ void tile_update(idx m, idx n, idx k, int nterms,
     const struct tile t = {alpha, beta, lower, c, sc0, sc1};
     const struct operand left[2] = {{a0, sa00, sa01}, {a1, sa10, sa11}};
     const struct operand right[2] = {{b0, sb00, sb01}, {b1, sb10, sb11}};
-    const idx K = nterms * k;
-    const struct layout l = layout_of(m, n, K);
-    const idx kc = l.kc, mb = (m + MR - 1) / MR;
-    uvec *acc = (uvec *)scratch;
-    double *pack_a = scratch + l.pair, *pack_b = pack_a + 2 * kc * l.rows;
-    idx p0 = 0;
-    do {  /* K == 0 still runs one empty block, which starts from +0.0 */
-        const idx kb = K - p0 < kc ? K - p0 : kc;
-        pack_left(m, p0, kb, k, left, conj_left, pack_a);
-        for (idx j0 = 0; j0 < n; j0 += NR) {
-            const idx nr = n - j0 < NR ? n - j0 : NR;
-            pack_right(j0, nr, p0, kb, k, right, pack_b);
-            /* a lower tile skips the micro-tiles wholly above its diagonal */
-            for (idx i0 = lower ? j0 / MR * MR : 0; i0 < m; i0 += MR) {
-                const idx mr = m - i0 < MR ? m - i0 : MR;
-                const idx at = 2 * NR * (i0 / MR + (j0 / NR) * mb);
-                micro(&t, kb, pack_a + 2 * kb * i0, pack_b, i0, j0, mr, nr,
-                      p0 ? acc + at : NULL, p0 + kb < K ? acc + at : NULL);
-            }
+    update(&t, m, n, k, nterms, left, right, conj_left, -1, scratch);
+}
+
+/* ---------------------------------------------------------------------------
+   The per-atom loops.  A stack of blocks is passed as its first element and
+   its atom, row and column strides; block i starts 2*i*sa doubles in.  An
+   output stack is a buffer cut into slots of n rows. */
+
+/* Block i of a stack. */
+static struct operand block(const double *x, idx sa, idx s0, idx s1, idx i)
+{
+    return (struct operand){x + 2 * i * sa, s0, s1};
+}
+
+/* The most scratch any tile of an n x m output of inner dimension k needs,
+   on tiles of at most BLOCK: a ragged tile can need a plane pair that a
+   full one does not. */
+static size_t grid_scratch(idx n, idx m, idx k)
+{
+    const idx rows[2] = {n < BLOCK ? n : BLOCK, n % BLOCK};
+    const idx cols[2] = {m < BLOCK ? m : BLOCK, m % BLOCK};
+    size_t most = 0;
+    for (int i = 0; i < 2; i++)
+        for (int j = 0; j < 2; j++) {
+            const size_t s = tile_scratch(rows[i], cols[j], k, 1);
+            most = s > most ? s : most;
         }
-        p0 += kc;
-    } while (p0 < K);
+    return most;
+}
+
+/* c <- alpha*op(L) R + beta*c for the n x m c and the n x n L, tile by
+   tile on the BLOCK grid that kernels._run plans for a GEMM; `tri` makes
+   L upper triangular (see update). */
+static void product(idx n, idx m, struct operand l, int conj, int tri, struct operand r,
+                    double alpha, int beta, double *c, idx sc0, idx sc1, double *scratch)
+{
+    for (idx r0 = 0; r0 < n; r0 += BLOCK)
+        for (idx c0 = 0; c0 < m; c0 += BLOCK) {
+            const struct tile t = {alpha, beta, 0, c + 2 * (r0 * sc0 + c0 * sc1), sc0, sc1};
+            const struct operand left = {l.x + 2 * r0 * l.s0, l.s0, l.s1};
+            const struct operand right = {r.x + 2 * c0 * r.s1, r.s0, r.s1};
+            update(&t, n - r0 < BLOCK ? n - r0 : BLOCK, m - c0 < BLOCK ? m - c0 : BLOCK, n, 1,
+                   &left, &right, conj, tri ? r0 : -1, scratch);
+        }
+}
+
+/* The lower triangle of the n x n t into the column-major w, zeros above. */
+static void tril(idx n, struct operand t, double *w)
+{
+    for (idx j = 0; j < n; j++)
+        for (idx i = 0; i < n; i++, w += 2) {
+            const double *x = t.x + 2 * (i * t.s0 + j * t.s1);
+            w[0] = i >= j ? x[0] : 0.0;
+            w[1] = i >= j ? x[1] : 0.0;
+        }
+}
+
+/* The Hermitian matrix of t's lower triangle into the column-major n x n
+   w, as matcore.hermitian_mirror makes it: the strict upper part is the
+   conjugate of the strict lower one, the diagonal's imaginary part +0.0. */
+static void mirror(idx n, struct operand t, double *w)
+{
+    for (idx j = 0; j < n; j++)
+        for (idx i = j; i < n; i++) {
+            const double *x = t.x + 2 * (i * t.s0 + j * t.s1);
+            double *lo = w + 2 * (i + j * n), *up = w + 2 * (j + i * n);
+            up[0] = lo[0] = x[0];
+            lo[1] = i == j ? 0.0 : x[1];
+            up[1] = i == j ? 0.0 : -x[1];
+        }
+}
+
+/* The lower Cholesky factor of t's lower triangle, into the column-major
+   n x n w, in kernels.potrf_lower's order: after column j is formed, its
+   term u*conj(v) is subtracted from the trailing lower triangle with the
+   separated formula, so every element gets its subtractions in ascending
+   column order.  The column is scaled as numpy divides a complex number by
+   the real l, Smith's form with the ratio 0.0 of a +0.0 imaginary part.
+   Returns 0, or the 1-based index of the first pivot that is not > 0
+   (then w holds a partial factor). */
+static int potrf(idx n, struct operand t, double *w)
+{
+    tril(n, t, w);
+    for (idx j = 0; j < n; j++) {
+        double *wj = w + 2 * j * n;
+        const double d = wj[2 * j];
+        if (!(d > 0.0))
+            return (int)(j + 1);
+        const double l = sqrt(d), s = 1.0 / (l + 0.0 * 0.0);
+        wj[2 * j] = l;
+        wj[2 * j + 1] = 0.0;
+        for (idx i = j + 1; i < n; i++) {
+            const double ar = wj[2 * i], ai = wj[2 * i + 1];
+            wj[2 * i] = (ar + ai * 0.0) * s;
+            wj[2 * i + 1] = (ai - ar * 0.0) * s;
+        }
+        for (idx q = j + 1; q < n; q++) {
+            const double vr = wj[2 * q], vi = -wj[2 * q + 1];
+            double *wq = w + 2 * q * n;
+            /* the real and the imaginary parts in two loops: as one, GCC 12
+               vectorizes the pair as a complex multiply-subtract and fuses
+               it (vfmaddsub) despite -ffp-contract=off */
+            for (idx p = q; p < n; p++)
+                wq[2 * p] -= wj[2 * p] * vr - wj[2 * p + 1] * vi;
+            for (idx p = q; p < n; p++)
+                wq[2 * p + 1] -= wj[2 * p] * vi + wj[2 * p + 1] * vr;
+        }
+    }
+    return 0;
+}
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* Doubles of scratch that loop1_atoms and loop2_atoms need for n x n
+   blocks applied to n x m ones: one n x n complex block, then the
+   scratch of the largest tile. */
+size_t atoms_scratch(idx n, idx m)
+{
+    return (size_t)(2 * n * n) + grid_scratch(n, m, n);
+}
+
+/* Loop 2's routing: factor each of the count n x n blocks of t into w, the
+   last one's factor staying there; info[i] is potrf's result and
+   seconds[i] its time. */
+void potrf_atoms(idx count, idx n, const double *t, idx ta, idx t0, idx t1,
+                 int *info, double *seconds, double *w)
+{
+    for (idx i = 0; i < count; i++) {
+        const double start = now();
+        info[i] = potrf(n, block(t, ta, t0, t1, i), w);
+        seconds[i] = now() - start;
+    }
+}
+
+/* Loop 1, or one HEMM when tab is NULL: per atom i,
+   c_i <- T_ab,i^H A_i (GEMM, when tab is given), then
+   c_i <- alpha*herm(T_i) B_i + beta*c_i (HEMM; Loop 1 passes 1/2 and 1).
+   seconds[2i] and seconds[2i + 1] are the two kernels' times. */
+void loop1_atoms(idx count, idx n, idx m, const double *tab, idx taa, idx ta0, idx ta1,
+                 const double *a, idx aa, idx a0, idx a1, double alpha,
+                 const double *t, idx ta, idx t0, idx t1, const double *b, idx ba, idx b0, idx b1,
+                 int beta, double *c, idx ca, idx c0, idx c1, double *seconds, double *scratch)
+{
+    double *w = scratch, *tiles = scratch + 2 * n * n;
+    for (idx i = 0; i < count; i++) {
+        double *ci = c + 2 * i * ca;
+        const double start = now();
+        double mid = start;
+        if (tab) {
+            const struct operand h = block(tab, taa, ta0, ta1, i);
+            product(n, m, (struct operand){h.x, h.s1, h.s0}, 1, 0, block(a, aa, a0, a1, i),
+                    1.0, 0, ci, c0, c1, tiles);
+            mid = now();
+        }
+        mirror(n, block(t, ta, t0, t1, i), w);
+        product(n, m, (struct operand){w, 1, n}, 0, 0, block(b, ba, b0, b1, i), alpha, beta,
+                ci, c0, c1, tiles);
+        seconds[2 * i] = mid - start;
+        seconds[2 * i + 1] = now() - mid;
+    }
+}
+
+/* Loop 2's rows, in atom order: an atom with info[i] == 0 is factored
+   again into the scratch (or, when `factored`, t holds its factor) and
+   writes C^H A_i into the next slot of y (TRMM); any other atom writes
+   herm(T_i) A_i into the next slot of x (HEMM).  seconds[2i] is the
+   factorization's time (0 for a HEMM atom), seconds[2i + 1] the
+   product's. */
+void loop2_atoms(idx count, idx n, idx m, const int *info, int factored,
+                 const double *t, idx ta, idx t0, idx t1, const double *a, idx aa, idx a0, idx a1,
+                 double *y, idx ya, idx y0, idx y1, double *x, idx xa, idx x0, idx x1,
+                 double *seconds, double *scratch)
+{
+    double *w = scratch, *tiles = scratch + 2 * n * n;
+    idx ys = 0, xs = 0;
+    for (idx i = 0; i < count; i++) {
+        const struct operand ti = block(t, ta, t0, t1, i), ai = block(a, aa, a0, a1, i);
+        const double start = now();
+        double mid = start;
+        if (info[i] == 0) {
+            if (factored)
+                tril(n, ti, w);
+            else
+                potrf(n, ti, w);
+            mid = now();
+            product(n, m, (struct operand){w, n, 1}, 1, 1, ai, 1.0, 0, y + 2 * ys * ya, y0, y1,
+                    tiles);
+            ys++;
+        } else {
+            mirror(n, ti, w);
+            product(n, m, (struct operand){w, 1, n}, 0, 0, ai, 1.0, 0, x + 2 * xs * xa, x0, x1,
+                    tiles);
+            xs++;
+        }
+        seconds[2 * i] = mid - start;
+        seconds[2 * i + 1] = now() - mid;
+    }
 }

@@ -1,11 +1,18 @@
-"""The native exact engine: the per-tile update of ``native.c``, compiled
-on first use and called through ctypes.
+"""The native exact engine: ``native.c``, compiled on first use and
+called through ctypes.
 
 ``tile_update`` does in one call what ``kernels._numpy_update`` does for
 one tile: one exact product over every term's inner dimension in turn,
 alpha and the tail into the caller's output, with the same IEEE
 operations per element, so the two engines give the same bits (NaN sign
-and payload aside, which neither fixes).  The library is built with ``cc -O3
+and payload aside, which neither fixes).  ``potrf_atoms``, ``loop1_atoms``
+and ``loop2_atoms`` run a build's per-atom loops over a chunk of atoms in
+one call each, with the same bits as the numpy engine's per-atom loops in
+``kernels``; with one atom they are the native ``potrf_lower``,
+``hemm_left`` and ``trmm_left_conjtrans``.  C times each kernel with
+``clock_gettime(CLOCK_MONOTONIC)`` and returns the seconds for the ledger.
+
+The library is built with ``cc -O3
 -march=native -ffp-contract=off -fPIC -shared``, never with
 ``-ffast-math``, into ``$XDG_CACHE_HOME/hsgen`` (or ``~/.cache/hsgen``)
 under a name keyed by the SHA-256 of the source, the flags, ``cc
@@ -18,11 +25,11 @@ fallback to the numpy engine.
 ctypes releases the interpreter lock during the call, so the executor's
 workers run whole tiles in parallel.  The blocking (register tile,
 k-block depth, plane and pack layout) is ``native.c``'s alone: its
-``tile_scratch`` says how many doubles a tile needs, and the scratch is
-one numpy array of that size, so tracemalloc sees all of the engine's
-memory; the C code allocates nothing.  The operands and ``c`` are taken
-as ``kernels._terms`` checked them: aligned complex128 arrays whose
-strides are whole elements.
+``tile_scratch`` and ``atoms_scratch`` say how many doubles a tile or a
+loop needs, and the scratch is one numpy array of that size, so
+tracemalloc sees all of the engine's memory; the C code allocates
+nothing.  The operands and outputs are taken as ``kernels`` checked them:
+aligned complex128 arrays whose strides are whole elements.
 """
 
 from __future__ import annotations
@@ -112,6 +119,16 @@ def _load():
     lib.tile_update.argtypes = [idx, idx, idx, ctypes.c_int, *term, *term, ctypes.c_int,
                                 ctypes.c_double, ctypes.c_int, ctypes.c_int, ptr, idx, idx, ptr]
     lib.tile_update.restype = None
+    lib.atoms_scratch.argtypes = [idx, idx]
+    lib.atoms_scratch.restype = ctypes.c_size_t
+    stack = [ptr, idx, idx, idx]  # first element, atom, row and column strides
+    lib.potrf_atoms.argtypes = [idx, idx, *stack, ptr, ptr, ptr]
+    lib.loop1_atoms.argtypes = [idx, idx, idx, *stack, *stack, ctypes.c_double, *stack, *stack,
+                                ctypes.c_int, *stack, ptr, ptr]
+    lib.loop2_atoms.argtypes = [idx, idx, idx, ptr, ctypes.c_int, *stack, *stack, *stack, *stack,
+                                ptr, ptr]
+    for name in ("potrf_atoms", "loop1_atoms", "loop2_atoms"):
+        getattr(lib, name).restype = None
     return lib
 
 
@@ -138,6 +155,65 @@ def tile_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) -> N
     # C reads only the first len(terms) of its two operand pairs
     _lib.tile_update(m, n, k, len(terms), *(args * 2)[:12], conj_left, alpha, int(beta),
                      int(lower), _address(c), *_strides(c), _address(scratch))
+
+
+def potrf_atoms(t, w):
+    """Factor each n x n block of the stack ``t`` (or the one block ``t``)
+    as ``kernels.potrf_lower`` does, into the n x n complex128 Fortran
+    array ``w``, which keeps the last block's factor; returns
+    ``(info, seconds)``, each block's failure index (0 if it factored) and
+    time."""
+    count, n = _count(t), t.shape[-1]
+    info, seconds = np.empty(count, dtype=np.intc), np.empty(count)
+    _lib.potrf_atoms(count, n, *_stack(t), _address(info), _address(seconds), _address(w))
+    return info, seconds
+
+
+def loop1_atoms(t_ab, a, alpha, t, b, beta, c):
+    """Per block i of the stacks (or the one block each): c_i <- T_ab,i^H
+    A_i unless ``t_ab`` is None, then c_i <- alpha*herm(T_i) B_i + beta*c_i,
+    where c_i is rows [i n, (i+1) n) of ``c``; returns the ``(count, 2)``
+    seconds of the two products (0 for a missing first one)."""
+    count, (n, m) = _count(t), b.shape[-2:]
+    seconds = np.empty((count, 2))
+    scratch = np.empty(_lib.atoms_scratch(n, m))
+    gemm = (None, 0, 0, 0) * 2 if t_ab is None else _stack(t_ab) + _stack(a)
+    _lib.loop1_atoms(count, n, m, *gemm, alpha, *_stack(t), *_stack(b), int(beta),
+                     *_slots(c, n), _address(seconds), _address(scratch))
+    return seconds
+
+
+def loop2_atoms(info, factored: bool, t, a, y, x):
+    """Per block i of the stacks (or the one block each), in order: if
+    ``info[i]`` is 0, C^H A_i into the next n-row slot of ``y``, C being
+    the factor of T_i (or T_i's lower triangle when ``factored``), else
+    herm(T_i) A_i into the next slot of ``x``; returns the ``(count, 2)``
+    seconds of the factorization (0 for a HEMM block) and the product."""
+    count, (n, m) = len(info), a.shape[-2:]
+    info = np.ascontiguousarray(info, dtype=np.intc)
+    seconds = np.empty((count, 2))
+    scratch = np.empty(_lib.atoms_scratch(n, m))
+    _lib.loop2_atoms(count, n, m, _address(info), int(factored), *_stack(t), *_stack(a),
+                     *_slots(y, n), *_slots(x, n), _address(seconds), _address(scratch))
+    return seconds
+
+
+def _count(x: np.ndarray) -> int:
+    return 1 if x.ndim == 2 else x.shape[0]
+
+
+def _stack(x: np.ndarray):
+    """A stack of blocks as C takes it: the first element, then the atom,
+    row and column strides in elements; a 2-D array is one block."""
+    return (_address(x), *((0,) if x.ndim == 2 else ()), *_strides(x))
+
+
+def _slots(buf, rows: int):
+    """The 2-D ``buf`` (or None) as a stack of ``rows``-row slots."""
+    if buf is None:
+        return None, 0, 0, 0
+    s0, s1 = _strides(buf)
+    return _address(buf), rows * s0, s0, s1
 
 
 def _strides(x: np.ndarray):

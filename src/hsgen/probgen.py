@@ -144,6 +144,13 @@ def atom_chunks(dims: Dims) -> list:
     return [(a0, min(a0 + per, dims.n_atoms)) for a0 in range(0, dims.n_atoms, per)]
 
 
+#: Bytes of the coupling blocks ``validate_instance`` checks at once, so a
+#: group and its temporaries stay in cache.  On a 2-vCPU x86-64 host, the
+#: 16 blocks of n_l = 49 (614 KB) checked as one group took longer than
+#: block by block, and in groups of 4 to 8 about half as long.
+_CHECK_BYTES = 256 << 10
+
+
 def validate_instance(p: ProblemInstance) -> None:
     """Raise InvariantError if the instance violates its declared invariants."""
     for name, (shape, _) in instance_fields(p.dims).items():
@@ -152,9 +159,11 @@ def validate_instance(p: ProblemInstance) -> None:
             raise InvariantError(f"{name} has shape {got}, expected {shape}")
         if not np.isfinite(x).all():
             raise InvariantError(f"{name} contains non-finite entries")
+    step = max(1, _CHECK_BYTES // (16 * p.dims.n_l**2))
     for name in ("t_aa", "t_bb"):
-        for a, blk in enumerate(getattr(p, name)):
-            if not is_hermitian(blk, tol=1e-14):
-                raise InvariantError(f"{name}[{a}] is not Hermitian within 1e-14")
+        for a0 in range(0, p.dims.n_atoms, step):
+            bad = np.flatnonzero(~is_hermitian(getattr(p, name)[a0 : a0 + step], tol=1e-14))
+            if bad.size:
+                raise InvariantError(f"{name}[{a0 + bad[0]}] is not Hermitian within 1e-14")
     if not (p.u_norms > 0).all():
         raise InvariantError("u_norms has non-positive entries")

@@ -77,7 +77,8 @@ def test_criterion_4_cholesky_path_equivalence(capsys, monkeypatch):
         p = generate(ProblemSpec(dims, seed=1000 + trial, nonhpd_fraction=0.0))
         normal = build_hs(p)
         with monkeypatch.context() as m:  # every factorization fails
-            m.setattr(kernels, "potrf_lower", lambda t: (None, 1))
+            m.setattr(kernels, "potrf_route",
+                      lambda t, engine: (np.ones(len(t), dtype=np.intc), np.zeros(len(t))))
             forced = build_hs(p)
         assert normal.split.nonhpd == 0
         assert forced.split.hpd == 0

@@ -198,8 +198,10 @@ def test_phase2_identity_taa_reproduces_gram():
 
 
 def _fail_every_factorization(monkeypatch):
-    """Send every atom down the fallback path of Loop 2."""
-    monkeypatch.setattr(kernels, "potrf_lower", lambda t: (None, 1))
+    """Send every atom down the fallback path of Loop 2: its routing says
+    that no block factors."""
+    monkeypatch.setattr(kernels, "potrf_route",
+                        lambda t, engine: (np.ones(len(t), dtype=np.intc), np.zeros(len(t))))
 
 
 def test_phase2_forced_branch_matches_hpd_path(monkeypatch):

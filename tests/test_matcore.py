@@ -156,3 +156,22 @@ def test_is_hermitian_mirrored():
     assert not is_hermitian(m)
     assert is_hermitian(hermitian_mirror(m), tol=0.0)
     assert hermitian_defect(m) == 0.0
+
+
+def test_a_stack_gets_each_matrix_s_defect_and_verdict():
+    rng = np.random.default_rng(11)
+    stack = np.stack([hermitian_mirror(random_complex(rng, 5, 5)) for _ in range(6)])
+    stack[1, 0, 3] += 1e-3  # upper-triangle defect
+    stack[2, 4, 4] += 1j  # imaginary diagonal
+    stack[3, 2, 1] = np.nan
+    stack[4, 1, 0] = np.inf  # no inf partner
+    defects = hermitian_defect(stack)
+    verdicts = is_hermitian(stack)
+    assert defects.shape == verdicts.shape == (6,)
+    for m, defect, verdict in zip(stack, defects, verdicts):
+        single = hermitian_defect(m)
+        assert np.isnan(defect) == np.isnan(single) and (np.isnan(single) or defect == single)
+        assert verdict == is_hermitian(m)
+    assert verdicts.tolist() == [True, False, False, False, False, True]
+    with pytest.raises(DimensionError):
+        is_hermitian(np.ones((3, 2, 3)))

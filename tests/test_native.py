@@ -175,6 +175,155 @@ def test_an_unknown_engine_is_an_input_error():
 
 
 # ---------------------------------------------------------------------------
+# the per-atom loops: POTRF, HEMM, TRMM and the chunk calls
+
+
+def _plant_zeros(rng, x, share=0.2):
+    """x with about ``share`` of its parts replaced by +0.0 and as many by -0.0."""
+    for part in (x.real, x.imag):
+        part[rng.random(part.shape) < share] = 0.0
+        part[rng.random(part.shape) < share] = -0.0
+    return x
+
+
+def _coupling(rng, n, kind):
+    """An n x n block of the given kind for POTRF, with junk above its
+    diagonal (which POTRF never reads)."""
+    eigs = rng.uniform(0.5, 2.0, n)
+    if kind == "near-singular":
+        eigs[rng.integers(n)] = 1e-15
+    if kind == "non-hpd":
+        eigs[rng.integers(n)] = -rng.uniform(0.01, 0.5)
+    t = oracles.random_hermitian(rng, n, eigs)
+    if kind in ("diagonal", "block-diagonal"):
+        off = np.tril(np.ones((n, n), dtype=bool), -1)
+        if kind == "block-diagonal":  # two Hermitian blocks, nothing between
+            h = n // 2
+            off[:h, :h] = off[h:, h:] = False
+        t.real[off] = rng.choice([0.0, -0.0], off.sum())
+        t.imag[off] = rng.choice([0.0, -0.0], off.sum())
+        t[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
+    t[np.triu_indices(n, 1)] = oracles.random_complex(rng, n, n)[np.triu_indices(n, 1)]
+    return t
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 7, 8, 9, 49, 65]),
+       kind=st.sampled_from(["hpd", "near-singular", "non-hpd", "diagonal", "block-diagonal"]),
+       seed=st.integers(0, 2**16))
+def test_potrf_is_the_same_on_both_engines_bitwise(n, kind, seed):
+    # the factor's bytes and the failure index; the routing call agrees
+    t = _coupling(np.random.default_rng(seed), n, kind)
+    factor, info = kernels.potrf_lower(t, "native")
+    want, want_info = kernels.potrf_lower(t, "numpy")
+    assert info == want_info
+    assert (factor is None) == (want is None)
+    if want is not None:
+        assert factor.tobytes() == want.tobytes()
+    (routed,), _ = kernels.potrf_route(np.ascontiguousarray(t[None]), "native")
+    assert routed == info
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70]), m=st.integers(1, 300),
+       seed=st.integers(0, 2**16))
+@example(n=260, m=5, seed=1)  # the factor spans two row tiles of 256
+def test_trmm_is_the_same_on_both_engines_bitwise(n, m, seed):
+    # native skips each row's zeros before the diagonal; the numpy engine
+    # multiplies them, and the signed zeros that leaves must not show
+    rng = np.random.default_rng(seed)
+    c_factor = _plant_zeros(rng, oracles.random_complex(rng, n, n))
+    a = _plant_zeros(rng, oracles.random_complex(rng, n, m))
+    got, want = (kernels.trmm_left_conjtrans(c_factor, a, np.full((n, m), complex(_GUARD, 0)), e)
+                 for e in ("native", "numpy"))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 70), m=st.integers(1, 300), alpha=st.sampled_from([1.0, 0.5, -0.75]),
+       beta=st.sampled_from([0, 1]), seed=st.integers(0, 2**16))
+def test_hemm_is_the_same_on_both_engines_bitwise(n, m, alpha, beta, seed):
+    # t's diagonal has nonzero imaginary parts, which both drop
+    rng = np.random.default_rng(seed)
+    t = _plant_zeros(rng, oracles.random_complex(rng, n, n), 0.05)
+    assert (t.imag.diagonal() != 0).any()
+    b = _plant_zeros(rng, oracles.random_complex(rng, n, m), 0.05)
+    c0 = oracles.random_complex(rng, n, m)
+    got, want = (kernels.hemm_left(alpha, t, b, beta, c0.copy(order="F"), e)
+                 for e in ("native", "numpy"))
+    assert got.tobytes() == want.tobytes()
+
+
+def _chunk_case(count, n_l, n_g, fraction, seed):
+    """A chunk's stacks, and guard-filled Fortran buffers of count*n_l rows."""
+    p = generate(ProblemSpec(Dims(count, n_l, n_g), seed=seed, nonhpd_fraction=fraction))
+    def guard():
+        return np.full((count * n_l, n_g), complex(_GUARD, _GUARD), order="F")
+    return p, guard
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(count=st.integers(1, 5), n_l=st.sampled_from([1, 7, 8, 9, 49]), n_g=st.integers(1, 300),
+       fraction=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**16))
+def test_the_chunk_calls_are_the_same_on_both_engines_bitwise(count, n_l, n_g, fraction, seed):
+    # Loop 1 writes every row; Loop 2 fills Y and X slots in atom order and
+    # leaves the rows past the last slot as they were
+    p, guard = _chunk_case(count, n_l, n_g, fraction, seed)
+    outputs = []
+    for engine in kernels.ENGINES:
+        z = guard()
+        seconds = kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, z, engine)
+        assert seconds.shape == (count, 2) and (seconds >= 0).all()
+        info, _ = kernels.potrf_route(p.t_aa, engine)
+        y, x = guard(), guard()
+        seconds = kernels.loop2(info, p.t_aa, p.a_blocks, y, x, engine)
+        assert seconds.shape == (count, 2) and (seconds[info != 0, 0] == 0).all()
+        used_y, used_x = n_l * (info == 0).sum(), n_l * (info != 0).sum()
+        assert y[used_y:].tobytes() == guard()[used_y:].tobytes()
+        assert x[used_x:].tobytes() == guard()[used_x:].tobytes()
+        outputs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_both_engines_route_a_mixed_chunk_identically():
+    p = generate(ProblemSpec(Dims(8, 9, 4), seed=40, nonhpd_fraction=0.5))
+    routes = [kernels.potrf_route(p.t_aa, engine)[0].tolist() for engine in kernels.ENGINES]
+    assert routes[0] == routes[1]
+    assert sum(code == 0 for code in routes[0]) == 4  # four atoms of each kind
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(count=st.integers(1, 3), n_l=st.sampled_from([1, 4, 8, 9, 49]), n_g=st.integers(1, 300),
+       seed=st.integers(0, 2**16))
+@example(count=2, n_l=4, n_g=257, seed=5)  # a ragged 1-column tile needs a plane pair
+def test_the_chunk_calls_stay_inside_atoms_scratch(count, n_l, n_g, seed):
+    # the foreign calls themselves, with exactly atoms_scratch doubles of
+    # guard-filled scratch and a guard after them
+    p, guard = _chunk_case(count, n_l, n_g, 0.5, seed)
+    native.load()
+    size = native._lib.atoms_scratch(n_l, n_g)
+
+    def call(name, *args):
+        scratch = np.full(size + 64, _GUARD)
+        seconds = np.empty((count, 2))
+        getattr(native._lib, name)(count, n_l, n_g, *args, native._address(seconds),
+                                   native._address(scratch))
+        assert scratch[size:].tobytes() == np.full(64, _GUARD).tobytes()
+
+    z, want_z = guard(), guard()
+    call("loop1_atoms", *native._stack(p.t_ab), *native._stack(p.a_blocks), 0.5,
+         *native._stack(p.t_bb), *native._stack(p.b_blocks), 1, *native._slots(z, n_l))
+    kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, want_z, "numpy")
+    assert z.tobytes() == want_z.tobytes()
+    info, _ = kernels.potrf_route(p.t_aa, "numpy")
+    y, x, want_y, want_x = guard(), guard(), guard(), guard()
+    call("loop2_atoms", native._address(info), 0, *native._stack(p.t_aa),
+         *native._stack(p.a_blocks), *native._slots(y, n_l), *native._slots(x, n_l))
+    kernels.loop2(info, p.t_aa, p.a_blocks, want_y, want_x, "numpy")
+    assert y.tobytes() == want_y.tobytes() and x.tobytes() == want_x.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # building, caching and failing
 
 
@@ -231,11 +380,14 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
 
 #: Run in a child process under the undefined-behaviour build, which
 #: aborts on the first report: HER2K, HERK and GEMM updates at inner
-#: dimensions on both sides of the block depth, checked bitwise against the
-#: numpy engine.
+#: dimensions on both sides of the block depth, POTRF on both sides of the
+#: register tile (and a block that fails), and one chunk of each per-atom
+#: loop with a mixed split, all checked bitwise against the numpy engine.
 _UBSAN_CHILD = """
 import numpy as np
 from hsgen import kernels, native
+from hsgen.matcore import Dims
+from hsgen.probgen import ProblemSpec, generate
 
 native._FLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 rng = np.random.default_rng(9)
@@ -250,6 +402,20 @@ for k in (0, 1, 64, 65, 130):
         run(native_c, "native")
         run(numpy_c, "numpy")
         assert native_c.tobytes() == numpy_c.tobytes(), k
+for n in (1, 8, 9, 49):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for t in (g @ g.conj().T + n * np.eye(n), g @ g.conj().T - n * np.eye(n)):
+        (f, i), (f0, i0) = (kernels.potrf_lower(t, e) for e in ("native", "numpy"))
+        assert i == i0 and (f is None or f.tobytes() == f0.tobytes()), n
+p = generate(ProblemSpec(Dims(4, 9, 70), seed=3, nonhpd_fraction=0.5))
+outs = []
+for e in ("native", "numpy"):
+    z, y, x = (np.zeros((36, 70), dtype=complex, order="F") for _ in range(3))
+    kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, z, e)
+    info, _ = kernels.potrf_route(p.t_aa, e)
+    kernels.loop2(info, p.t_aa, p.a_blocks, y, x, e)
+    outs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
+assert outs[0] == outs[1] and 0 < sum(outs[0][1]) and 0 in outs[0][1]
 print("clean")
 """
 

@@ -158,3 +158,13 @@ def test_validate_instance_catches_corruption():
     r.a_blocks = r.a_blocks[:, :, :2]
     with pytest.raises(InvariantError, match="a_blocks"):
         validate_instance(r)
+
+
+def test_validate_instance_names_the_first_bad_block_across_groups():
+    # 49 x 49 blocks are checked a few atoms at a time; the first bad
+    # block is named whichever group it falls in
+    p = generate(ProblemSpec(Dims(20, 49, 2), seed=9))
+    for a in (17, 9):
+        p.t_bb[a][3, 40] += 1.0
+        with pytest.raises(InvariantError, match=rf"t_bb\[{a}\] is not Hermitian"):
+            validate_instance(p)
