@@ -20,15 +20,11 @@ their sign and payload are not part of the contract: IEEE 754 leaves them
 unspecified, and numpy's SIMD body and scalar tail (and the native code)
 pick different operands to propagate.
 
-POTRF is right-looking on the same two-plane layout: after each column
-it subtracts that column's rank-1 term from the whole trailing block.
-Every element still receives its subtractions one at a time in ascending
-column order, so the factor is bit-identical to the left-looking scalar
-loop it replaces.
-
-The native engine runs POTRF in C with the same operations; its column
-scaling copies numpy's complex-by-float division (Smith's form with a
-+0.0 imaginary divisor), not a plain ``re/l``.
+POTRF is right-looking on the same two-plane layout (``_potrf`` says
+why that keeps the bits of the left-looking scalar loop).  The native
+engine runs the same operations in C; its column scaling copies numpy's
+complex-by-float division (Smith's form with a +0.0 imaginary divisor),
+not a plain ``re/l``.
 
 GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
 into one product ``op(L) R`` whose operands join one or two terms along
@@ -39,27 +35,25 @@ stays in cache; tiles above the diagonal of a triangular output are
 never planned, and an empty output plans none.  A conjugated L is a view
 with the update's one flag, negated as it is copied.
 Every element gets the same operations on any grid, so the grid does not
-change the bits.  The public kernels, and TRMM as a GEMM, run ``_run``
-serially on the ``_BLOCK`` grid; the executor runs it on the policy's
-grid, never coarser than ``_BLOCK``.  Every kernel writes the output it
-is given and returns it.
+change the bits.  The public kernels, HEMM and TRMM as GEMMs, run
+``_run`` serially on the ``_BLOCK`` grid; the executor runs it on the
+policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
+output it is given and returns it.
 
-A build's per-atom loops (``loop1``, ``potrf_route``, ``loop2``) take one
-chunk's stacked blocks.  Under ``numpy`` they call the public kernels
-atom by atom; under ``native`` each is one call of ``native.py``, whose C
-also serves the native ``potrf_lower``, ``hemm_left`` and
-``trmm_left_conjtrans`` with one atom, so the loops and the kernels share
-one path.  Native TRMM skips the zeros before the diagonal of each row of
-C^H, which add only +-0 to a +0.0 start: the same bits for finite
-operands, at half the work.
-
-The per-tile update is the one swappable part, named by an engine
-(``ENGINES``): one call writes one tile of the caller's output.
-``native``, the default, is the compiled kernel of ``native.py``, which
-does the product, alpha and the tail in C; ``numpy`` is ``_numpy_update``
-(``_acc_product``, alpha, then ``_tail``), the oracle it is tested
-against.  Both run the same operations per element, so H and S have the
-same bits under either.
+An engine (``ENGINES``) is one object with four entry points, chosen by
+name in ``_engine`` alone: ``tile_update(terms, conj_left, alpha, beta,
+c, lower)`` writes one tile of the caller's output for ``_run``, and
+``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a build's
+per-atom loops over one chunk's stacked blocks, for ``potrf_lower``
+(one block), ``potrf_route``, ``loop1`` and ``loop2``.  ``native``, the
+default, is the module ``native.py``, whose C does all four; ``numpy``
+is ``_NUMPY``: ``_numpy_update`` (``_acc_product``, alpha, then
+``_tail``), the oracle the native engine is tested against, and loops
+that call ``_potrf`` and the public kernels atom by atom.  Both run the
+same operations per element, so H and S have the same bits under
+either.  Native Loop 2 runs TRMM on the triangle only: it skips the
+zeros before the diagonal of each row of C^H, which add only +-0 to a
++0.0 start, so the bits are the same for finite operands.
 
 One update contract, the one the pipeline uses, checked once in
 ``_terms`` so that the engines carry no special path: alpha is real and
@@ -78,6 +72,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -358,24 +353,19 @@ def _numpy_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) ->
     _tail(c, prod if alpha == 1 else _cprod(alpha, prod), beta, lower)
 
 
-#: Per-tile update engines; the first is the default.
+#: Engine names; the first is the default.
 ENGINES = ("native", "numpy")
 
 
-def _native(engine: str) -> bool:
-    """Whether ``engine`` is ``native``, whose library is then loaded on
-    first use; InputError for an unknown engine."""
-    if engine not in ENGINES:
-        raise InputError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "native":
-        native.load()
-    return engine == "native"
-
-
-def _update(engine: str):
-    """The engine's per-tile update ``(terms, conj_left, alpha, beta, c,
-    lower)``."""
-    return native.tile_update if _native(engine) else _numpy_update
+def _engine(name: str):
+    """The engine named ``name``: the ``native`` module, its library loaded
+    on first use, or ``_NUMPY``; InputError for an unknown name."""
+    if name not in ENGINES:
+        raise InputError(f"engine must be one of {ENGINES}, got {name!r}")
+    if name == "numpy":
+        return _NUMPY
+    native.load()
+    return native
 
 
 def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
@@ -391,7 +381,7 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     with the same bits.  An empty output plans no tile.
     """
     alpha, terms, conj_left, beta, c = _terms(kind, operands)
-    update = _update(engine)
+    update = _engine(engine).tile_update
     tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
 
     def work(t: Tile) -> None:
@@ -421,16 +411,9 @@ def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
 
 def hemm_left(alpha, t, b, beta, c, engine: str = ENGINES[0]):
     """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower
-    triangle: a GEMM with ``hermitian_mirror``'s T, which the native engine
-    builds in C."""
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionError(f"t must be square, got {t.shape}")
-    t = t.astype(complex, order="F")
-    if not _native(engine):
-        return gemm(alpha, "N", hermitian_mirror(t), "N", b, beta, c, engine)
-    alpha, _, _, beta, c = _terms(KernelKind.GEMM, (alpha, "N", t, "N", b, beta, c))
-    native.loop1_atoms(None, None, alpha, t, b, beta, c)
-    return c
+    triangle: a GEMM with ``hermitian_mirror``'s T."""
+    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c,
+                engine)
 
 
 def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
@@ -449,21 +432,10 @@ def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
 
 def trmm_left_conjtrans(c_factor, a, c, engine: str = ENGINES[0]):
     """c <- C^H * a for the lower-triangular C stored in c_factor (c is
-    write-only, as with beta 0).
-
-    The numpy engine runs the GEMM over ``tril(c_factor)``; the native one
-    skips the zeros before the diagonal of each row of C^H, which add only
-    +-0 to a +0.0 start, so the bits are the same for a finite ``a``.  (An
-    infinite or NaN entry of ``a`` times those zeros is a NaN only on the
-    numpy engine.)"""
+    write-only, as with beta 0): the GEMM over ``tril(c_factor)``."""
     if c_factor.ndim != 2 or c_factor.shape[0] != c_factor.shape[1]:
         raise DimensionError(f"c_factor must be square, got {c_factor.shape}")
-    if not _native(engine):
-        _run(KernelKind.GEMM, (1, "C", np.tril(c_factor), "N", a, 0, c), _BLOCK, engine=engine)
-        return c
-    _terms(KernelKind.GEMM, (1, "C", c_factor, "N", a, 0, c))
-    native.loop2_atoms([0], True, c_factor, a, c, None)
-    return c
+    return gemm(1, "C", np.tril(c_factor), "N", a, 0, c, engine)
 
 
 def potrf_lower(t, engine: str = ENGINES[0]):
@@ -473,6 +445,24 @@ def potrf_lower(t, engine: str = ENGINES[0]):
     the matrix.  On failure returns ``(None, k)`` where k is the 1-based
     order of the first non-positive leading minor; failure is an expected
     data condition consumed by the builder's branch logic, not an error.
+    One block of the engine's ``potrf_atoms``, which runs ``_potrf``'s
+    operations on either engine.
+    """
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise DimensionError(f"potrf needs a square matrix, got {t.shape}")
+    w = np.array(np.tril(t), dtype=np.complex128, order="F")
+    if not np.isfinite(w).all():
+        raise InputError("potrf input contains non-finite entries")
+    factor = zeros(*w.shape)
+    (info,), _ = _engine(engine).potrf_atoms(w[None], factor)
+    return (factor, 0) if info == 0 else (None, int(info))
+
+
+def _potrf(t, factor) -> int:
+    """Factor the Hermitian matrix stored in t's lower triangle into the
+    lower triangle of ``factor``, whose strict upper triangle must be zero
+    and stays so; returns 0, or the 1-based order of the first
+    non-positive leading minor (``factor`` then holds a partial factor).
 
     Right-looking on two float64 planes: once column j of the factor is
     formed, ``L[i,j]*conj(L[m,j])`` is subtracted from the whole trailing
@@ -484,22 +474,13 @@ def potrf_lower(t, engine: str = ENGINES[0]):
     ``potrf``), with the column scaled as numpy divides a complex number by
     a real one.
     """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionError(f"potrf needs a square matrix, got {t.shape}")
     n = t.shape[0]
     w = np.array(np.tril(t), dtype=np.complex128, order="F")
-    if not np.isfinite(w).all():
-        raise InputError("potrf input contains non-finite entries")
-    if _native(engine):
-        factor = zeros(n, n)
-        (info,), _ = native.potrf_atoms(w, factor)
-        return (factor, 0) if info == 0 else (None, int(info))
     wr, wi = w.real, w.imag  # the trailing matrix as two float64 planes
-    factor = zeros(n, n)
     for j in range(n):
         d = float(wr[j, j])
         if not d > 0.0:
-            return None, j + 1
+            return j + 1
         ljj = math.sqrt(d)
         factor[j, j] = ljj
         if j + 1 < n:
@@ -510,7 +491,7 @@ def potrf_lower(t, engine: str = ENGINES[0]):
             vi = -ui  # conj(L[m, j]).imag
             wr[r, r] -= ur[:, None] * ur - ui[:, None] * vi
             wi[r, r] -= ur[:, None] * vi + ui[:, None] * ur
-    return factor, 0
+    return 0
 
 
 def diag_scale(u, b):
@@ -552,20 +533,9 @@ def _chunk(squares, blocks=(), outputs=()):
 def loop1(t_ab, a, t_bb, b, z, engine: str = ENGINES[0]):
     """Loop 1 over one chunk's stacked blocks: rows [i n, (i+1) n) of z get
     T_ab,i^H A_i + 1/2 herm(T_bb,i) B_i, a GEMM then a HEMM; returns each
-    atom's ``(GEMM, HEMM)`` seconds, shape (count, 2).  One native call, or
-    the public kernels atom by atom on the numpy engine."""
-    n = _chunk((t_ab, t_bb), (a, b), (z,))
-    if _native(engine):
-        return native.loop1_atoms(t_ab, a, 0.5, t_bb, b, 1, z)
-    seconds = np.empty((len(a), 2))
-    for i in range(len(a)):
-        rows = z[i * n : (i + 1) * n]
-        t0 = time.perf_counter()
-        gemm(1, "C", t_ab[i], "N", a[i], 0, rows, engine)
-        t1 = time.perf_counter()
-        hemm_left(0.5, t_bb[i], b[i], 1, rows, engine)
-        seconds[i] = t1 - t0, time.perf_counter() - t1
-    return seconds
+    atom's ``(GEMM, HEMM)`` seconds, shape (count, 2)."""
+    _chunk((t_ab, t_bb), (a, b), (z,))
+    return _engine(engine).loop1_atoms(t_ab, a, t_bb, b, z)
 
 
 def potrf_route(t_aa, engine: str = ENGINES[0]):
@@ -574,15 +544,8 @@ def potrf_route(t_aa, engine: str = ENGINES[0]):
     returns ``(info, seconds)``, per atom its failure index (0 if it
     factored, and then goes down TRMM and H3; HEMM and H2 otherwise) and
     the factorization's time."""
-    if _native(engine):
-        n = _chunk((t_aa,))
-        return native.potrf_atoms(t_aa, zeros(n, n))
-    info, seconds = np.empty(len(t_aa), dtype=np.intc), np.empty(len(t_aa))
-    for i, t in enumerate(t_aa):
-        t0 = time.perf_counter()
-        info[i] = potrf_lower(t, engine)[1]
-        seconds[i] = time.perf_counter() - t0
-    return info, seconds
+    n = _chunk((t_aa,))
+    return _engine(engine).potrf_atoms(t_aa, zeros(n, n))
 
 
 def loop2(info, t_aa, a, y, x, engine: str = ENGINES[0]):
@@ -591,22 +554,62 @@ def loop2(info, t_aa, a, y, x, engine: str = ENGINES[0]):
     n-row slot of y (TRMM); any other writes herm(T_aa,i) A_i into the next
     slot of x (HEMM).  Returns each atom's ``(refactorization, product)``
     seconds, shape (count, 2), the first 0 for a HEMM atom."""
-    n = _chunk((t_aa,), (a,), (y, x))
+    _chunk((t_aa,), (a,), (y, x))
+    info = np.ascontiguousarray(info, dtype=np.intc)
     if len(info) != len(a):
         raise DimensionError(f"{len(info)} routes for {len(a)} atoms")
-    if _native(engine):
-        return native.loop2_atoms(info, False, t_aa, a, y, x)
+    return _engine(engine).loop2_atoms(info, t_aa, a, y, x)
+
+
+# ---------------------------------------------------------------------------
+# the numpy engine: native.py's four entry points, with _numpy_update per tile
+
+
+def _numpy_potrf_atoms(t, w):
+    """``_potrf`` of each block of the stack ``t`` into ``w``; returns
+    ``(info, seconds)`` as ``native.potrf_atoms`` does."""
+    info, seconds = np.empty(len(t), dtype=np.intc), np.empty(len(t))
+    for i, block in enumerate(t):
+        t0 = time.perf_counter()
+        info[i] = _potrf(block, w)
+        seconds[i] = time.perf_counter() - t0
+    return info, seconds
+
+
+def _numpy_loop1_atoms(t_ab, a, t_bb, b, z):
+    """``native.loop1_atoms`` with the public GEMM and HEMM, atom by atom."""
+    n = b.shape[1]
+    seconds = np.empty((len(a), 2))
+    for i in range(len(a)):
+        rows = z[i * n : (i + 1) * n]
+        t0 = time.perf_counter()
+        gemm(1, "C", t_ab[i], "N", a[i], 0, rows, "numpy")
+        t1 = time.perf_counter()
+        hemm_left(0.5, t_bb[i], b[i], 1, rows, "numpy")
+        seconds[i] = t1 - t0, time.perf_counter() - t1
+    return seconds
+
+
+def _numpy_loop2_atoms(info, t_aa, a, y, x):
+    """``native.loop2_atoms`` with ``_potrf`` and the public TRMM and HEMM,
+    atom by atom."""
+    n = a.shape[1]
+    factor = zeros(n, n)
     seconds = np.empty((len(a), 2))
     ys = xs = 0
     for i, (t, blk) in enumerate(zip(t_aa, a)):
         t0 = t1 = time.perf_counter()
         if info[i] == 0:
-            factor, _ = potrf_lower(t, engine)
+            _potrf(t, factor)
             t1 = time.perf_counter()
-            trmm_left_conjtrans(factor, blk, y[ys : ys + n], engine)
+            trmm_left_conjtrans(factor, blk, y[ys : ys + n], "numpy")
             ys += n
         else:
-            hemm_left(1, t, blk, 0, x[xs : xs + n], engine)
+            hemm_left(1, t, blk, 0, x[xs : xs + n], "numpy")
             xs += n
         seconds[i] = t1 - t0, time.perf_counter() - t1
     return seconds
+
+
+_NUMPY = SimpleNamespace(tile_update=_numpy_update, potrf_atoms=_numpy_potrf_atoms,
+                         loop1_atoms=_numpy_loop1_atoms, loop2_atoms=_numpy_loop2_atoms)

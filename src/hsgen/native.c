@@ -4,9 +4,10 @@
    inner dimension k, so HER2K's z^H b + b^H z is one product (kernels._terms
    checks the update before it gets here).  The per-atom loops of a build
    run here too, one call per chunk of atoms: potrf_atoms factors each atom
-   (Loop 2's routing), loop1_atoms writes each atom's Z rows and
-   loop2_atoms each atom's Y or X rows.  With one atom they are the native
-   POTRF, HEMM and TRMM of kernels.py.
+   (Loop 2's routing, and kernels.potrf_lower with one atom), loop1_atoms
+   writes each atom's Z rows and loop2_atoms each atom's Y or X rows.  These
+   four are the engine's entry points; kernels.py runs HEMM and TRMM as
+   GEMMs through tile_update.
 
    Every product element is accumulated in ascending p over the joined
    K = nterms*k with the separated formula, acc_r += xr*yr - xi*yi and
@@ -383,41 +384,36 @@ void potrf_atoms(idx count, idx n, const double *t, idx ta, idx t0, idx t1,
     }
 }
 
-/* Loop 1, or one HEMM when tab is NULL: per atom i,
-   c_i <- T_ab,i^H A_i (GEMM, when tab is given), then
-   c_i <- alpha*herm(T_i) B_i + beta*c_i (HEMM; Loop 1 passes 1/2 and 1).
-   seconds[2i] and seconds[2i + 1] are the two kernels' times. */
+/* Loop 1: per atom i, c_i <- T_ab,i^H A_i (GEMM), then
+   c_i <- 1/2 herm(T_i) B_i + c_i (HEMM).  seconds[2i] and seconds[2i + 1]
+   are the two kernels' times. */
 void loop1_atoms(idx count, idx n, idx m, const double *tab, idx taa, idx ta0, idx ta1,
-                 const double *a, idx aa, idx a0, idx a1, double alpha,
+                 const double *a, idx aa, idx a0, idx a1,
                  const double *t, idx ta, idx t0, idx t1, const double *b, idx ba, idx b0, idx b1,
-                 int beta, double *c, idx ca, idx c0, idx c1, double *seconds, double *scratch)
+                 double *c, idx ca, idx c0, idx c1, double *seconds, double *scratch)
 {
     double *w = scratch, *tiles = scratch + 2 * n * n;
     for (idx i = 0; i < count; i++) {
         double *ci = c + 2 * i * ca;
+        const struct operand h = block(tab, taa, ta0, ta1, i);
         const double start = now();
-        double mid = start;
-        if (tab) {
-            const struct operand h = block(tab, taa, ta0, ta1, i);
-            product(n, m, (struct operand){h.x, h.s1, h.s0}, 1, 0, block(a, aa, a0, a1, i),
-                    1.0, 0, ci, c0, c1, tiles);
-            mid = now();
-        }
-        mirror(n, block(t, ta, t0, t1, i), w);
-        product(n, m, (struct operand){w, 1, n}, 0, 0, block(b, ba, b0, b1, i), alpha, beta,
+        product(n, m, (struct operand){h.x, h.s1, h.s0}, 1, 0, block(a, aa, a0, a1, i), 1.0, 0,
                 ci, c0, c1, tiles);
+        const double mid = now();
+        mirror(n, block(t, ta, t0, t1, i), w);
+        product(n, m, (struct operand){w, 1, n}, 0, 0, block(b, ba, b0, b1, i), 0.5, 1, ci, c0,
+                c1, tiles);
         seconds[2 * i] = mid - start;
         seconds[2 * i + 1] = now() - mid;
     }
 }
 
 /* Loop 2's rows, in atom order: an atom with info[i] == 0 is factored
-   again into the scratch (or, when `factored`, t holds its factor) and
-   writes C^H A_i into the next slot of y (TRMM); any other atom writes
-   herm(T_i) A_i into the next slot of x (HEMM).  seconds[2i] is the
-   factorization's time (0 for a HEMM atom), seconds[2i + 1] the
-   product's. */
-void loop2_atoms(idx count, idx n, idx m, const int *info, int factored,
+   again into the scratch and writes C^H A_i into the next slot of y
+   (TRMM); any other atom writes herm(T_i) A_i into the next slot of x
+   (HEMM).  seconds[2i] is the factorization's time (0 for a HEMM atom),
+   seconds[2i + 1] the product's. */
+void loop2_atoms(idx count, idx n, idx m, const int *info,
                  const double *t, idx ta, idx t0, idx t1, const double *a, idx aa, idx a0, idx a1,
                  double *y, idx ya, idx y0, idx y1, double *x, idx xa, idx x0, idx x1,
                  double *seconds, double *scratch)
@@ -429,10 +425,7 @@ void loop2_atoms(idx count, idx n, idx m, const int *info, int factored,
         const double start = now();
         double mid = start;
         if (info[i] == 0) {
-            if (factored)
-                tril(n, ti, w);
-            else
-                potrf(n, ti, w);
+            potrf(n, ti, w);
             mid = now();
             product(n, m, (struct operand){w, n, 1}, 1, 1, ai, 1.0, 0, y + 2 * ys * ya, y0, y1,
                     tiles);

@@ -1,15 +1,16 @@
 """The native exact engine: ``native.c``, compiled on first use and
 called through ctypes.
 
-``tile_update`` does in one call what ``kernels._numpy_update`` does for
-one tile: one exact product over every term's inner dimension in turn,
-alpha and the tail into the caller's output, with the same IEEE
-operations per element, so the two engines give the same bits (NaN sign
-and payload aside, which neither fixes).  ``potrf_atoms``, ``loop1_atoms``
-and ``loop2_atoms`` run a build's per-atom loops over a chunk of atoms in
-one call each, with the same bits as the numpy engine's per-atom loops in
-``kernels``; with one atom they are the native ``potrf_lower``,
-``hemm_left`` and ``trmm_left_conjtrans``.  C times each kernel with
+This module is the engine object: the four entry points that
+``kernels._engine`` returns for ``native``, as ``kernels._NUMPY`` has
+them for ``numpy``.  ``tile_update`` does in one call what
+``kernels._numpy_update`` does for one tile: one exact product over
+every term's inner dimension in turn, alpha and the tail into the
+caller's output, with the same IEEE operations per element, so the two
+engines give the same bits (NaN sign and payload aside, which neither
+fixes).  ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a
+build's per-atom loops over a chunk's stacks in one call each, with the
+same bits as the numpy engine's loops.  C times each kernel with
 ``clock_gettime(CLOCK_MONOTONIC)`` and returns the seconds for the ledger.
 
 The library is built with ``cc -O3
@@ -123,10 +124,8 @@ def _load():
     lib.atoms_scratch.restype = ctypes.c_size_t
     stack = [ptr, idx, idx, idx]  # first element, atom, row and column strides
     lib.potrf_atoms.argtypes = [idx, idx, *stack, ptr, ptr, ptr]
-    lib.loop1_atoms.argtypes = [idx, idx, idx, *stack, *stack, ctypes.c_double, *stack, *stack,
-                                ctypes.c_int, *stack, ptr, ptr]
-    lib.loop2_atoms.argtypes = [idx, idx, idx, ptr, ctypes.c_int, *stack, *stack, *stack, *stack,
-                                ptr, ptr]
+    lib.loop1_atoms.argtypes = [idx, idx, idx, *stack, *stack, *stack, *stack, *stack, ptr, ptr]
+    lib.loop2_atoms.argtypes = [idx, idx, idx, ptr, *stack, *stack, *stack, *stack, ptr, ptr]
     for name in ("potrf_atoms", "loop1_atoms", "loop2_atoms"):
         getattr(lib, name).restype = None
     return lib
@@ -158,60 +157,50 @@ def tile_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) -> N
 
 
 def potrf_atoms(t, w):
-    """Factor each n x n block of the stack ``t`` (or the one block ``t``)
-    as ``kernels.potrf_lower`` does, into the n x n complex128 Fortran
-    array ``w``, which keeps the last block's factor; returns
-    ``(info, seconds)``, each block's failure index (0 if it factored) and
-    time."""
-    count, n = _count(t), t.shape[-1]
+    """Factor each n x n block of the stack ``t`` as ``kernels._potrf``
+    does, into the n x n complex128 Fortran array ``w``, which keeps the
+    last block's factor; returns ``(info, seconds)``, each block's failure
+    index (0 if it factored) and time."""
+    count, n = t.shape[:2]
     info, seconds = np.empty(count, dtype=np.intc), np.empty(count)
     _lib.potrf_atoms(count, n, *_stack(t), _address(info), _address(seconds), _address(w))
     return info, seconds
 
 
-def loop1_atoms(t_ab, a, alpha, t, b, beta, c):
-    """Per block i of the stacks (or the one block each): c_i <- T_ab,i^H
-    A_i unless ``t_ab`` is None, then c_i <- alpha*herm(T_i) B_i + beta*c_i,
-    where c_i is rows [i n, (i+1) n) of ``c``; returns the ``(count, 2)``
-    seconds of the two products (0 for a missing first one)."""
-    count, (n, m) = _count(t), b.shape[-2:]
+def loop1_atoms(t_ab, a, t_bb, b, z):
+    """Per atom i of the stacks: z_i <- T_ab,i^H A_i, then z_i <- 1/2
+    herm(T_bb,i) B_i + z_i, where z_i is rows [i n, (i+1) n) of ``z``;
+    returns the ``(count, 2)`` seconds of the two products."""
+    count, n, m = b.shape
     seconds = np.empty((count, 2))
     scratch = np.empty(_lib.atoms_scratch(n, m))
-    gemm = (None, 0, 0, 0) * 2 if t_ab is None else _stack(t_ab) + _stack(a)
-    _lib.loop1_atoms(count, n, m, *gemm, alpha, *_stack(t), *_stack(b), int(beta),
-                     *_slots(c, n), _address(seconds), _address(scratch))
+    _lib.loop1_atoms(count, n, m, *_stack(t_ab), *_stack(a), *_stack(t_bb), *_stack(b),
+                     *_slots(z, n), _address(seconds), _address(scratch))
     return seconds
 
 
-def loop2_atoms(info, factored: bool, t, a, y, x):
-    """Per block i of the stacks (or the one block each), in order: if
-    ``info[i]`` is 0, C^H A_i into the next n-row slot of ``y``, C being
-    the factor of T_i (or T_i's lower triangle when ``factored``), else
-    herm(T_i) A_i into the next slot of ``x``; returns the ``(count, 2)``
-    seconds of the factorization (0 for a HEMM block) and the product."""
-    count, (n, m) = len(info), a.shape[-2:]
-    info = np.ascontiguousarray(info, dtype=np.intc)
+def loop2_atoms(info, t, a, y, x):
+    """Per atom i of the stacks, in order: if the intc ``info[i]`` is 0,
+    C^H A_i into the next n-row slot of ``y``, C being the factor of T_i,
+    else herm(T_i) A_i into the next slot of ``x``; returns the
+    ``(count, 2)`` seconds of the factorization (0 for a HEMM atom) and
+    the product."""
+    count, n, m = a.shape
     seconds = np.empty((count, 2))
     scratch = np.empty(_lib.atoms_scratch(n, m))
-    _lib.loop2_atoms(count, n, m, _address(info), int(factored), *_stack(t), *_stack(a),
-                     *_slots(y, n), *_slots(x, n), _address(seconds), _address(scratch))
+    _lib.loop2_atoms(count, n, m, _address(info), *_stack(t), *_stack(a), *_slots(y, n),
+                     *_slots(x, n), _address(seconds), _address(scratch))
     return seconds
-
-
-def _count(x: np.ndarray) -> int:
-    return 1 if x.ndim == 2 else x.shape[0]
 
 
 def _stack(x: np.ndarray):
     """A stack of blocks as C takes it: the first element, then the atom,
-    row and column strides in elements; a 2-D array is one block."""
-    return (_address(x), *((0,) if x.ndim == 2 else ()), *_strides(x))
+    row and column strides in elements."""
+    return (_address(x), *_strides(x))
 
 
-def _slots(buf, rows: int):
-    """The 2-D ``buf`` (or None) as a stack of ``rows``-row slots."""
-    if buf is None:
-        return None, 0, 0, 0
+def _slots(buf: np.ndarray, rows: int):
+    """The 2-D ``buf`` as a stack of ``rows``-row slots."""
     s0, s1 = _strides(buf)
     return _address(buf), rows * s0, s0, s1
 

@@ -445,16 +445,17 @@ def test_build_peak_is_the_same_for_a_generated_and_a_loaded_instance(tmp_path):
     stack = 16 * dims.n_atoms * dims.n_l * dims.n_g
     outputs = 2 * 16 * dims.n_g**2  # H and S, mirrored in place
     assert abs(generated - loaded) < 0.01 * stack
-    # Z, the scaled copy of B and tile scratch read about 3.1 stacks; a
-    # conjugated copy of H1's operands and the mirror's copy of an output
-    # read 4.2, and copying A and B into chunk buffers adds 2 more
+    # Z, the scaled copy of B and the scratch read 2.6 stacks under the
+    # native engine and 3.0 under numpy; copying A or B into a chunk
+    # buffer would add one more
     assert (loaded - outputs) / stack < 3.6
 
 
-#: Scratch one worker holds while it computes one block of a large update:
-#: the two accumulator and two product planes, the packed product, its
-#: copy scaled by alpha and the tail's temporaries, at most four complex
-#: blocks of the output's grid.
+#: Scratch one worker holds while it computes one block of a large update,
+#: in complex blocks of the output's grid: at most four under numpy (the
+#: two accumulator and two product planes, the packed product, its copy
+#: scaled by alpha and the tail's temporaries) and at most two under
+#: native (its packs and at most one plane pair).
 _BLOCK_SCRATCH = 4 * 16 * kernels._BLOCK**2
 
 

@@ -355,14 +355,12 @@ def test_block_grid_matches_one_tile_kernel_and_oracle(
 
 def _record_updates(monkeypatch, record):
     """Make every engine's per-tile update call ``record(terms, c)`` first."""
-    hook = kernels._update
-
-    def recorded(engine):
-        update = hook(engine)
-        return lambda terms, conj_left, alpha, beta, c, lower: (
-            record(terms, c) or update(terms, conj_left, alpha, beta, c, lower))
-
-    monkeypatch.setattr(kernels, "_update", recorded)
+    for name in kernels.ENGINES:
+        engine = kernels._engine(name)
+        update = engine.tile_update
+        monkeypatch.setattr(engine, "tile_update",
+                            lambda terms, conj_left, alpha, beta, c, lower, update=update: (
+                                record(terms, c) or update(terms, conj_left, alpha, beta, c, lower)))
 
 
 @pytest.mark.parametrize("kind,terms", [(KernelKind.HERK, 1), (KernelKind.HER2K, 2)])

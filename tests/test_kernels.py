@@ -9,8 +9,8 @@ from hsgen.kernels import (
     FlopRecord,
     KernelKind,
     _acc_product,
+    _engine,
     _tail,
-    _update,
     diag_scale,
     flops_of,
     gemm,
@@ -487,7 +487,7 @@ def test_acc_product_bitwise_with_signed_zeros_inf_nan():
             expected = oracles.acc_product_rank1(x, y)
             for engine in ENGINES:
                 out = np.empty(expected.shape, dtype=np.complex128)
-                _update(engine)([(x, y)], False, 1.0, 0, out, False)
+                _engine(engine).tile_update([(x, y)], False, 1.0, 0, out, False)
                 assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
                 canonical = oracles.canonical_nans
                 assert canonical(out).tobytes() == canonical(expected).tobytes()

@@ -2,6 +2,8 @@
 rank-1 oracle, built on first use into a cache, never a silent fallback."""
 
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -226,32 +228,48 @@ def test_potrf_is_the_same_on_both_engines_bitwise(n, kind, seed):
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(n=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70]), m=st.integers(1, 300),
-       seed=st.integers(0, 2**16))
-@example(n=260, m=5, seed=1)  # the factor spans two row tiles of 256
-def test_trmm_is_the_same_on_both_engines_bitwise(n, m, seed):
-    # native skips each row's zeros before the diagonal; the numpy engine
-    # multiplies them, and the signed zeros that leaves must not show
+       kind=st.sampled_from(["hpd", "diagonal", "block-diagonal"]), seed=st.integers(0, 2**16))
+@example(n=260, m=5, kind="hpd", seed=1)  # the factor spans two row tiles of 256
+def test_trmm_is_the_same_on_both_engines_bitwise(n, m, kind, seed):
+    # every atom is routed to TRMM: native Loop 2 skips each row's zeros
+    # before the diagonal of C^H, the numpy engine multiplies them, and the
+    # signed zeros that leaves must not show
     rng = np.random.default_rng(seed)
-    c_factor = _plant_zeros(rng, oracles.random_complex(rng, n, n))
-    a = _plant_zeros(rng, oracles.random_complex(rng, n, m))
-    got, want = (kernels.trmm_left_conjtrans(c_factor, a, np.full((n, m), complex(_GUARD, 0)), e)
-                 for e in ("native", "numpy"))
-    assert got.tobytes() == want.tobytes()
+    t_aa = np.stack([_coupling(rng, n, kind) for _ in range(2)])
+    a = np.stack([_plant_zeros(rng, oracles.random_complex(rng, n, m)) for _ in range(2)])
+    info, _ = kernels.potrf_route(t_aa, "native")
+    assert (info == 0).all()
+    outputs = []
+    for engine in kernels.ENGINES:
+        y, x = (np.full((2 * n, m), complex(_GUARD, _GUARD), order="F") for _ in range(2))
+        kernels.loop2(info, t_aa, a, y, x, engine)
+        outputs.append((y.tobytes(), x.tobytes()))
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(n=st.integers(1, 70), m=st.integers(1, 300), alpha=st.sampled_from([1.0, 0.5, -0.75]),
-       beta=st.sampled_from([0, 1]), seed=st.integers(0, 2**16))
-def test_hemm_is_the_same_on_both_engines_bitwise(n, m, alpha, beta, seed):
-    # t's diagonal has nonzero imaginary parts, which both drop
+@given(n=st.integers(1, 70), m=st.integers(1, 300), count=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_hemm_is_the_same_on_both_engines_bitwise(n, m, count, seed):
+    # Loop 1's Z rows (its HEMM adds onto the GEMM's rows) and Loop 2's X
+    # slots, every atom routed to HEMM: T_bb and T_aa have nonzero
+    # diagonal imaginary parts and junk above the diagonal, which both drop
     rng = np.random.default_rng(seed)
-    t = _plant_zeros(rng, oracles.random_complex(rng, n, n), 0.05)
-    assert (t.imag.diagonal() != 0).any()
-    b = _plant_zeros(rng, oracles.random_complex(rng, n, m), 0.05)
-    c0 = oracles.random_complex(rng, n, m)
-    got, want = (kernels.hemm_left(alpha, t, b, beta, c0.copy(order="F"), e)
-                 for e in ("native", "numpy"))
-    assert got.tobytes() == want.tobytes()
+
+    def stack(cols):
+        return np.stack([_plant_zeros(rng, oracles.random_complex(rng, n, cols), 0.05)
+                         for _ in range(count)])
+
+    t_ab, t_bb, t_aa, a, b = stack(n), stack(n), stack(n), stack(m), stack(m)
+    for t in (t_bb, t_aa):
+        t.imag[:, np.arange(n), np.arange(n)] = rng.uniform(0.5, 1.0, (count, n))
+    outputs = []
+    for engine in kernels.ENGINES:
+        z, y, x = (np.full((count * n, m), complex(_GUARD, _GUARD), order="F") for _ in range(3))
+        kernels.loop1(t_ab, a, t_bb, b, z, engine)
+        kernels.loop2(np.ones(count, dtype=np.intc), t_aa, a, y, x, engine)
+        outputs.append((z.tobytes(), y.tobytes(), x.tobytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _chunk_case(count, n_l, n_g, fraction, seed):
@@ -311,13 +329,13 @@ def test_the_chunk_calls_stay_inside_atoms_scratch(count, n_l, n_g, seed):
         assert scratch[size:].tobytes() == np.full(64, _GUARD).tobytes()
 
     z, want_z = guard(), guard()
-    call("loop1_atoms", *native._stack(p.t_ab), *native._stack(p.a_blocks), 0.5,
-         *native._stack(p.t_bb), *native._stack(p.b_blocks), 1, *native._slots(z, n_l))
+    call("loop1_atoms", *native._stack(p.t_ab), *native._stack(p.a_blocks),
+         *native._stack(p.t_bb), *native._stack(p.b_blocks), *native._slots(z, n_l))
     kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, want_z, "numpy")
     assert z.tobytes() == want_z.tobytes()
     info, _ = kernels.potrf_route(p.t_aa, "numpy")
     y, x, want_y, want_x = guard(), guard(), guard(), guard()
-    call("loop2_atoms", native._address(info), 0, *native._stack(p.t_aa),
+    call("loop2_atoms", native._address(info), *native._stack(p.t_aa),
          *native._stack(p.a_blocks), *native._slots(y, n_l), *native._slots(x, n_l))
     kernels.loop2(info, p.t_aa, p.a_blocks, want_y, want_x, "numpy")
     assert y.tobytes() == want_y.tobytes() and x.tobytes() == want_x.tobytes()
@@ -381,8 +399,9 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
 #: Run in a child process under the undefined-behaviour build, which
 #: aborts on the first report: HER2K, HERK and GEMM updates at inner
 #: dimensions on both sides of the block depth, POTRF on both sides of the
-#: register tile (and a block that fails), and one chunk of each per-atom
-#: loop with a mixed split, all checked bitwise against the numpy engine.
+#: register tile (and a block that fails), and two chunks of each per-atom
+#: loop with a mixed split, the second with n_l = 260 (two row tiles of
+#: the 256 grid), all checked bitwise against the numpy engine.
 _UBSAN_CHILD = """
 import numpy as np
 from hsgen import kernels, native
@@ -407,15 +426,17 @@ for n in (1, 8, 9, 49):
     for t in (g @ g.conj().T + n * np.eye(n), g @ g.conj().T - n * np.eye(n)):
         (f, i), (f0, i0) = (kernels.potrf_lower(t, e) for e in ("native", "numpy"))
         assert i == i0 and (f is None or f.tobytes() == f0.tobytes()), n
-p = generate(ProblemSpec(Dims(4, 9, 70), seed=3, nonhpd_fraction=0.5))
-outs = []
-for e in ("native", "numpy"):
-    z, y, x = (np.zeros((36, 70), dtype=complex, order="F") for _ in range(3))
-    kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, z, e)
-    info, _ = kernels.potrf_route(p.t_aa, e)
-    kernels.loop2(info, p.t_aa, p.a_blocks, y, x, e)
-    outs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
-assert outs[0] == outs[1] and 0 < sum(outs[0][1]) and 0 in outs[0][1]
+for dims in (Dims(4, 9, 70), Dims(2, 260, 5)):
+    p = generate(ProblemSpec(dims, seed=3, nonhpd_fraction=0.5))
+    outs = []
+    for e in ("native", "numpy"):
+        z, y, x = (np.zeros((dims.n_atoms * dims.n_l, dims.n_g), dtype=complex, order="F")
+                   for _ in range(3))
+        kernels.loop1(p.t_ab, p.a_blocks, p.t_bb, p.b_blocks, z, e)
+        info, _ = kernels.potrf_route(p.t_aa, e)
+        kernels.loop2(info, p.t_aa, p.a_blocks, y, x, e)
+        outs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
+    assert outs[0] == outs[1] and 0 < sum(outs[0][1]) and 0 in outs[0][1], dims
 print("clean")
 """
 
@@ -441,3 +462,17 @@ def test_the_engine_compiles_without_warnings(tmp_path):
             "-o", str(tmp_path / "native.so"), str(native._SOURCE)]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or shutil.which(native._COMPILER) is None, reason="needs cc on x86-64")
+def test_the_engine_emits_no_fused_multiply_add(tmp_path):
+    # -ffp-contract=off does not stop GCC's vectorizer from pairing a
+    # complex multiply-subtract into one vfmaddsub, which rounds once
+    # instead of twice: the shipped flags' assembly has no FMA of any form
+    asm = tmp_path / "native.s"
+    argv = [native._COMPILER, *native._FLAGS, "-S", "-o", str(asm), str(native._SOURCE)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    fused = re.findall(r"\bvfn?m(?:add|sub)\w*", asm.read_text())
+    assert fused == [], sorted(set(fused))
