@@ -13,11 +13,8 @@ from .kernels import (
     diag_scale,
     flops_of,
     gemm,
-    hemm_left,
     her2k,
     herk,
-    potrf_lower,
-    trmm_left_conjtrans,
 )
 from .matcore import (
     DimensionError,

@@ -7,10 +7,10 @@ tile is computed whole by exactly one worker.  ``run_partitioned`` is
 policy's grid and engine, plus a count of the bytes the tiles touch; it
 takes the updates the public kernels take, checked by the same
 ``kernels._terms``.  A tile is at most one block of the output's fixed
-``kernels._BLOCK`` grid: a policy tile above it plans the block grid, and
-tiles above the diagonal of a triangular output are never planned.  No
-cross-tile reduction exists, so results are bit-identical for every
-worker count and every tile size.
+``kernels._BLOCK`` grid: ``ExecPolicy`` stores an edge above it as the
+block edge, and tiles above the diagonal of a triangular output are
+never planned.  No cross-tile reduction exists, so results are
+bit-identical for every worker count and every tile size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ _ITEMSIZE = 16  # complex128
 @dataclass(frozen=True)
 class ExecPolicy:
     """Worker count, output-tile edge and per-tile product engine
-    (``kernels.ENGINES``) for the partitioned kernels."""
+    (``kernels.ENGINES``) for the partitioned kernels.  An edge above
+    ``kernels._BLOCK`` is stored as ``kernels._BLOCK``, the edge that
+    runs."""
 
     workers: int = 1
     tile: int = kernels._BLOCK
@@ -37,6 +39,7 @@ class ExecPolicy:
 
     def __post_init__(self):
         int_fields(self, workers=1, tile=32)
+        object.__setattr__(self, "tile", min(self.tile, kernels._BLOCK))
         if self.engine not in kernels.ENGINES:
             raise InputError(f"engine must be one of {kernels.ENGINES}, got {self.engine!r}")
 
@@ -52,14 +55,12 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
 
     Operand tuples mirror the public kernels: GEMM
     ``(alpha, opa, a, opb, b, beta, c)``, HERK ``(alpha, a, beta, c)``,
-    HER2K ``(alpha, z, b, beta, c)``.  The tile edge is
-    ``min(policy.tile, kernels._BLOCK)``.  ``bytes_touched`` counts, per
+    HER2K ``(alpha, z, b, beta, c)``.  ``bytes_touched`` counts, per
     tile, the output tile plus one row and one column panel of the inner
     dimension per product term.  An update outside ``kernels``' contract
     is an ``InputError`` that leaves the output as it was.
     """
-    tiles, panels = kernels._run(kind, operands, min(policy.tile, kernels._BLOCK),
-                                 policy.workers, policy.engine)
+    tiles, panels = kernels._run(kind, operands, policy.tile, policy.workers, policy.engine)
     bytes_touched = sum(
         ((t.row1 - t.row0) * (t.col1 - t.col0)
          + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * _ITEMSIZE

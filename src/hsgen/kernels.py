@@ -1,4 +1,5 @@
-"""The seven computational kernels, each with a flop formula attached.
+"""The computational kernels, and the flop formulas of the seven kinds
+the ledger records.
 
 Deterministic-accumulation contract: every kernel reduces over its inner
 dimension in ascending order, one rank-1 update at a time, and complex
@@ -35,8 +36,8 @@ stays in cache; tiles above the diagonal of a triangular output are
 never planned, and an empty output plans none.  A conjugated L is a view
 with the update's one flag, negated as it is copied.
 Every element gets the same operations on any grid, so the grid does not
-change the bits.  The public kernels, HEMM and TRMM as GEMMs, run
-``_run`` serially on the ``_BLOCK`` grid; the executor runs it on the
+change the bits.  The public GEMM, HERK and HER2K run ``_run``
+serially on the ``_BLOCK`` grid; the executor runs it on the
 policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
 output it is given and returns it.
 
@@ -44,14 +45,15 @@ An engine (``ENGINES``) is one object with four entry points, chosen by
 name in ``_engine`` alone: ``tile_update(terms, conj_left, alpha, beta,
 c, lower)`` writes one tile of the caller's output for ``_run``, and
 ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a build's
-per-atom loops over one chunk's stacked blocks, for ``potrf_lower``
-(one block), ``potrf_route``, ``loop1`` and ``loop2``.  ``native``, the
-default, is the module ``native.py``, whose C does all four; ``numpy``
-is ``_NUMPY``: ``_numpy_update`` (``_acc_product``, alpha, then
-``_tail``), the oracle the native engine is tested against, and loops
-that call ``_potrf`` and the public kernels atom by atom.  Both run the
-same operations per element, so H and S have the same bits under
-either.  Native Loop 2 runs TRMM on the triangle only: it skips the
+per-atom loops over one chunk's stacked blocks, for ``potrf_route``,
+``loop1`` and ``loop2``: the only place HEMM, TRMM and POTRF run.
+``native``, the default, is the module ``native.py``, whose C does all
+four; ``numpy`` is ``_NUMPY``: ``_numpy_update`` (``_acc_product``,
+alpha, then ``_tail``), the oracle the native engine is tested against,
+and loops that run ``_potrf`` and GEMMs atom by atom, HEMM over
+``hermitian_mirror``'s T and TRMM the ``C`` op over the factor.  Both
+run the same operations per element, so H and S have the same bits
+under either.  Native Loop 2 runs TRMM on the triangle only: it skips the
 zeros before the diagonal of each row of C^H, which add only +-0 to a
 +0.0 start, so the bits are the same for finite operands.
 
@@ -409,13 +411,6 @@ def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
     return c
 
 
-def hemm_left(alpha, t, b, beta, c, engine: str = ENGINES[0]):
-    """c <- alpha*T*b + beta*c for the Hermitian T stored in t's lower
-    triangle: a GEMM with ``hermitian_mirror``'s T."""
-    return gemm(alpha, "N", hermitian_mirror(t.astype(complex, order="F")), "N", b, beta, c,
-                engine)
-
-
 def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, nonzero; beta 0 or 1."""
     _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK, engine=engine)
@@ -428,34 +423,6 @@ def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
     beta 0 or 1."""
     _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK, engine=engine)
     return c
-
-
-def trmm_left_conjtrans(c_factor, a, c, engine: str = ENGINES[0]):
-    """c <- C^H * a for the lower-triangular C stored in c_factor (c is
-    write-only, as with beta 0): the GEMM over ``tril(c_factor)``."""
-    if c_factor.ndim != 2 or c_factor.shape[0] != c_factor.shape[1]:
-        raise DimensionError(f"c_factor must be square, got {c_factor.shape}")
-    return gemm(1, "C", np.tril(c_factor), "N", a, 0, c, engine)
-
-
-def potrf_lower(t, engine: str = ENGINES[0]):
-    """Lower Cholesky of the Hermitian matrix stored in t's lower triangle.
-
-    Returns ``(factor, 0)`` on success, with factor @ factor^H reconstructing
-    the matrix.  On failure returns ``(None, k)`` where k is the 1-based
-    order of the first non-positive leading minor; failure is an expected
-    data condition consumed by the builder's branch logic, not an error.
-    One block of the engine's ``potrf_atoms``, which runs ``_potrf``'s
-    operations on either engine.
-    """
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionError(f"potrf needs a square matrix, got {t.shape}")
-    w = np.array(np.tril(t), dtype=np.complex128, order="F")
-    if not np.isfinite(w).all():
-        raise InputError("potrf input contains non-finite entries")
-    factor = zeros(*w.shape)
-    (info,), _ = _engine(engine).potrf_atoms(w[None], factor)
-    return (factor, 0) if info == 0 else (None, int(info))
 
 
 def _potrf(t, factor) -> int:
@@ -540,7 +507,7 @@ def loop1(t_ab, a, t_bb, b, z, engine: str = ENGINES[0]):
 
 def potrf_route(t_aa, engine: str = ENGINES[0]):
     """Loop 2's split, the one place a build decides it: factor each block
-    of the stack ``t_aa`` as ``potrf_lower`` does and keep no factor;
+    of the stack ``t_aa`` as ``_potrf`` does and keep no factor;
     returns ``(info, seconds)``, per atom its failure index (0 if it
     factored, and then goes down TRMM and H3; HEMM and H2 otherwise) and
     the factorization's time."""
@@ -577,7 +544,8 @@ def _numpy_potrf_atoms(t, w):
 
 
 def _numpy_loop1_atoms(t_ab, a, t_bb, b, z):
-    """``native.loop1_atoms`` with the public GEMM and HEMM, atom by atom."""
+    """``native.loop1_atoms`` atom by atom: the GEMM, then the HEMM as the
+    GEMM over ``hermitian_mirror``'s T."""
     n = b.shape[1]
     seconds = np.empty((len(a), 2))
     for i in range(len(a)):
@@ -585,14 +553,16 @@ def _numpy_loop1_atoms(t_ab, a, t_bb, b, z):
         t0 = time.perf_counter()
         gemm(1, "C", t_ab[i], "N", a[i], 0, rows, "numpy")
         t1 = time.perf_counter()
-        hemm_left(0.5, t_bb[i], b[i], 1, rows, "numpy")
+        gemm(0.5, "N", hermitian_mirror(np.array(t_bb[i], order="F")), "N", b[i], 1, rows,
+             "numpy")
         seconds[i] = t1 - t0, time.perf_counter() - t1
     return seconds
 
 
 def _numpy_loop2_atoms(info, t_aa, a, y, x):
-    """``native.loop2_atoms`` with ``_potrf`` and the public TRMM and HEMM,
-    atom by atom."""
+    """``native.loop2_atoms`` atom by atom: ``_potrf`` then TRMM as the
+    ``C``-op GEMM over the factor, whose upper triangle ``_potrf`` leaves
+    zero, or HEMM as the GEMM over ``hermitian_mirror``'s T."""
     n = a.shape[1]
     factor = zeros(n, n)
     seconds = np.empty((len(a), 2))
@@ -602,10 +572,11 @@ def _numpy_loop2_atoms(info, t_aa, a, y, x):
         if info[i] == 0:
             _potrf(t, factor)
             t1 = time.perf_counter()
-            trmm_left_conjtrans(factor, blk, y[ys : ys + n], "numpy")
+            gemm(1, "C", factor, "N", blk, 0, y[ys : ys + n], "numpy")
             ys += n
         else:
-            hemm_left(1, t, blk, 0, x[xs : xs + n], "numpy")
+            gemm(1, "N", hermitian_mirror(np.array(t, order="F")), "N", blk, 0, x[xs : xs + n],
+                 "numpy")
             xs += n
         seconds[i] = t1 - t0, time.perf_counter() - t1
     return seconds

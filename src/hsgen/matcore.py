@@ -27,14 +27,15 @@ class InvariantError(ValueError):
 
 def int_fields(obj, **least) -> None:
     """Store each named field of the frozen dataclass ``obj`` as an int;
-    InputError unless its value is an integer no less than its bound."""
+    InputError unless its value is an integer no less than its bound (a
+    bool is not one, though Python counts True as 1)."""
     for name, low in least.items():
         v = getattr(obj, name)
         try:
             n = int(v)
         except (OverflowError, TypeError, ValueError):  # inf, None, nan
             n = 0
-        if n != v or n < low:
+        if isinstance(v, (bool, np.bool_)) or n != v or n < low:
             raise InputError(f"{name} must be an integer >= {low}, got {v!r}")
         object.__setattr__(obj, name, n)
 

@@ -4,17 +4,16 @@
    inner dimension k, so HER2K's z^H b + b^H z is one product (kernels._terms
    checks the update before it gets here).  The per-atom loops of a build
    run here too, one call per chunk of atoms: potrf_atoms factors each atom
-   (Loop 2's routing, and kernels.potrf_lower with one atom), loop1_atoms
-   writes each atom's Z rows and loop2_atoms each atom's Y or X rows.  These
-   four are the engine's entry points; kernels.py runs HEMM and TRMM as
-   GEMMs through tile_update.
+   (Loop 2's routing), loop1_atoms writes each atom's Z rows and
+   loop2_atoms each atom's Y or X rows.  These four are the engine's entry
+   points, and the two loops are the only place HEMM and TRMM run.
 
    Every product element is accumulated in ascending p over the joined
    K = nterms*k with the separated formula, acc_r += xr*yr - xi*yi and
    acc_i += xr*yi + xi*yr, from +0.0; then, in the order of
    kernels._numpy_update, it is scaled as alpha*xr - 0.0*xi and
    alpha*xi + 0.0*xr when alpha is not 1, and c is added when beta is 1.
-   POTRF is kernels.potrf_lower's right-looking order, written out below.
+   POTRF is kernels._potrf's right-looking order, written out below.
    Built with -ffp-contract=off and without -ffast-math, the compiler may
    neither fuse, fold nor reorder any of it, so the bits are those of the
    numpy engine.
@@ -318,7 +317,7 @@ static void mirror(idx n, struct operand t, double *w)
 }
 
 /* The lower Cholesky factor of t's lower triangle, into the column-major
-   n x n w, in kernels.potrf_lower's order: after column j is formed, its
+   n x n w, in kernels._potrf's order: after column j is formed, its
    term u*conj(v) is subtracted from the trailing lower triangle with the
    separated formula, so every element gets its subtractions in ascending
    column order.  The column is scaled as numpy divides a complex number by

@@ -10,7 +10,8 @@ caller's output, with the same IEEE operations per element, so the two
 engines give the same bits (NaN sign and payload aside, which neither
 fixes).  ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a
 build's per-atom loops over a chunk's stacks in one call each, with the
-same bits as the numpy engine's loops.  C times each kernel with
+same bits as the numpy engine's loops; they are the engine's only POTRF,
+HEMM and TRMM.  C times each kernel with
 ``clock_gettime(CLOCK_MONOTONIC)`` and returns the seconds for the ledger.
 
 The library is built with ``cc -O3

@@ -111,8 +111,9 @@ def trmm_conjtrans_loops(c_factor, a):
 
 def trmm_conj_copy(c_factor, a):
     """TRMM as a product with an explicit Fortran copy of ``conj(tril(c)).T``,
-    the form ``trmm_left_conjtrans`` had before it ran on the GEMM engine,
-    with ``acc_product_rank1`` for the engine's accumulation."""
+    with ``acc_product_rank1`` for the engines' accumulation; the ``C``-op
+    GEMM over ``tril(c)``, as the numpy engine's Loop 2 runs TRMM, must
+    match it bit for bit."""
     ch = np.conj(np.tril(c_factor)).T
     return acc_product_rank1(np.asfortranarray(ch), a)
 
@@ -196,8 +197,9 @@ def update_loops(terms, conj_left, alpha, beta, c, lower):
 def potrf_loops(t):
     """Left-looking Cholesky, one column at a time with a scalar loop over k.
 
-    The right-looking plane update in hsgen.kernels.potrf_lower must match
-    this bit for bit: factors, and ``(None, k)`` failure indices.
+    The right-looking plane update in hsgen.kernels._potrf, and the native
+    engine's port of it, must match this bit for bit: factors, and the
+    failure index k of ``(None, k)``.
     """
     n = t.shape[0]
     factor = np.zeros((n, n), dtype=np.complex128, order="F")

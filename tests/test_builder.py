@@ -6,7 +6,7 @@ import pytest
 from hsgen import kernels, probgen
 from hsgen.builder import build_hs
 from hsgen.executor import ExecPolicy
-from hsgen.kernels import SECTIONS, KernelKind, gemm, potrf_lower, trmm_left_conjtrans
+from hsgen.kernels import SECTIONS, KernelKind, gemm, loop2, potrf_route
 from hsgen.matcore import (
     Dims,
     InvariantError,
@@ -234,9 +234,10 @@ def test_cholesky_path_identity():
         n_l, n_g = int(rng.integers(2, 9)), int(rng.integers(2, 17))
         t = random_hermitian(rng, n_l, rng.uniform(0.5, 2.0, n_l))
         a = random_complex(rng, n_l, n_g)
-        factor, info = potrf_lower(t)
-        assert info == 0
-        y = trmm_left_conjtrans(factor, a, zeros(n_l, n_g))
+        info, _ = potrf_route(t[None])
+        assert info.tolist() == [0]
+        y = zeros(n_l, n_g)
+        loop2(info, t[None], a[None], y, zeros(n_l, n_g))
         direct = np.conj(a.T) @ hermitian_mirror(t) @ a
         gram = np.conj(y.T) @ y
         assert frobenius(direct - gram) <= 1e-10 * (1 + frobenius(direct))

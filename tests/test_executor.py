@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hsgen import kernels
 from hsgen.executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
-from hsgen.kernels import KernelKind, gemm, hemm_left, her2k, herk
+from hsgen.kernels import KernelKind, gemm, her2k, herk
 from hsgen.matcore import InputError, zeros
 
 import oracles
@@ -23,10 +23,13 @@ def test_policy_validation():
         ExecPolicy(tile=16)
     with pytest.raises(InputError, match="engine"):
         ExecPolicy(engine="blas")
+    # an edge above the block grid is stored as the edge that runs
+    assert ExecPolicy(tile=512).tile == kernels._BLOCK == 256
+    assert ExecPolicy(tile=kernels._BLOCK - 1).tile == kernels._BLOCK - 1
 
 
 @pytest.mark.parametrize("field", ["workers", "tile"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 64.5, "64"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 64.5, "64", True])
 def test_policy_rejects_non_integers_as_input_errors(field, value):
     with pytest.raises(InputError, match=field):
         ExecPolicy(**{field: value})
@@ -274,8 +277,6 @@ def _her2k_ops(alpha=1, beta=0, c="complex128"):
     pytest.param(gemm, KernelKind.GEMM, _gemm_ops(opb="T"), id="gemm-opb-T"),
     pytest.param(gemm, KernelKind.GEMM, _gemm_ops(alpha=0.5 - 1j), id="gemm-alpha-complex"),
     pytest.param(her2k, KernelKind.HER2K, _her2k_ops(alpha=0.5 - 1j), id="her2k-alpha-complex"),
-    pytest.param(hemm_left, None, (0.5 - 1j, zeros(3, 3), zeros(3, 2), 0, np.full((3, 2), 1j)),
-                 id="hemm-alpha-complex"),
     pytest.param(gemm, KernelKind.GEMM, _gemm_ops(alpha=0, beta=1), id="gemm-alpha-0"),
     pytest.param(herk, KernelKind.HERK, _herk_ops(alpha=0.0), id="herk-alpha-0"),
     pytest.param(her2k, KernelKind.HER2K, _her2k_ops(alpha=0.0, beta=1), id="her2k-alpha-0"),
@@ -298,9 +299,8 @@ def test_inputs_outside_the_product_contract_are_input_errors(kernel, kind, ops)
     before = ops[-1].tobytes()
     with pytest.raises(InputError):
         kernel(*ops)
-    if kind is not None:  # HEMM runs only as the public kernel
-        with pytest.raises(InputError):
-            run_partitioned(kind, ops, _policy(2, tile=32))
+    with pytest.raises(InputError):
+        run_partitioned(kind, ops, _policy(2, tile=32))
     assert ops[-1].tobytes() == before
 
 

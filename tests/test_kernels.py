@@ -14,11 +14,11 @@ from hsgen.kernels import (
     diag_scale,
     flops_of,
     gemm,
-    hemm_left,
     her2k,
     herk,
-    potrf_lower,
-    trmm_left_conjtrans,
+    loop1,
+    loop2,
+    potrf_route,
 )
 from hsgen.matcore import (
     DimensionError,
@@ -77,42 +77,51 @@ def test_gemm_dimension_errors_name_operand():
 
 
 # ---------------------------------------------------------------------------
-# hemm
+# hemm: Loop 1's second product and Loop 2's rows for an atom routed to it
+
+
+def _hemm(t, b, engine=ENGINES[0]):
+    """herm(t) b from Loop 2's X slot, the one atom routed to HEMM."""
+    x = np.full(b.shape, complex(np.nan, np.nan), order="F")  # beta 0 never reads x
+    loop2(np.ones(1), t[None], b[None], zeros(*b.shape), x, engine)
+    return x
 
 
 def test_hemm_identity():
+    # Loop 1 adds 1/2 herm(T_bb) B onto its GEMM's rows
     rng = np.random.default_rng(2)
-    b = random_complex(rng, 3, 4)
-    c = random_complex(rng, 3, 4)
-    expected = oracles.hemm_loops(2.0, np.eye(3), b, 1, c)
-    hemm_left(2.0, cmatrix(np.eye(3)), b, 1, c)
-    np.testing.assert_array_equal(c, expected)
+    t_ab, a, b = random_complex(rng, 3, 3), random_complex(rng, 3, 4), random_complex(rng, 3, 4)
+    c = oracles.gemm_loops(1, "C", t_ab, "N", a, 0, zeros(3, 4))
+    expected = oracles.hemm_loops(0.5, np.eye(3), b, 1, c)
+    z = zeros(3, 4)
+    loop1(t_ab[None], a[None], cmatrix(np.eye(3))[None], b[None], z)
+    np.testing.assert_array_equal(z, expected)
 
 
 def test_hemm_hand_example():
     t = cmatrix([[2, 0], [1 - 1j, 3]])  # upper entry is ignored
     b = cmatrix([[1], [0]])
-    c = zeros(2, 1)
-    hemm_left(1, t, b, 0, c)
-    np.testing.assert_array_equal(c, np.array([[2], [1 - 1j]]))
+    np.testing.assert_array_equal(_hemm(t, b), np.array([[2], [1 - 1j]]))
 
 
 def test_hemm_matches_gemm_with_mirrored_operand_bitwise():
     rng = np.random.default_rng(3)
-    t = random_complex(rng, 5, 5)
-    b = random_complex(rng, 5, 3)
-    c1 = random_complex(rng, 5, 3)
-    c2 = c1.copy()
-    hemm_left(-0.75, t, b, 1, c1)
-    gemm(-0.75, "N", hermitian_mirror(t), "N", b, 1, c2)
-    assert c1.tobytes() == c2.tobytes()
+    t_ab, t = random_complex(rng, 5, 5), random_complex(rng, 5, 5)
+    a, b = random_complex(rng, 5, 3), random_complex(rng, 5, 3)
+    expected = zeros(5, 3)
+    gemm(1, "C", t_ab, "N", a, 0, expected)
+    gemm(0.5, "N", hermitian_mirror(t.copy(order="F")), "N", b, 1, expected)
+    for engine in ENGINES:
+        z = zeros(5, 3)
+        loop1(t_ab[None], a[None], t[None], b[None], z, engine)
+        assert z.tobytes() == expected.tobytes()
 
 
 def test_hemm_dimension_errors():
     with pytest.raises(DimensionError):
-        hemm_left(1, zeros(2, 3), zeros(2, 2), 0, zeros(2, 2))
+        loop2(np.ones(1), zeros(2, 3)[None], zeros(2, 2)[None], zeros(2, 2), zeros(2, 2))
     with pytest.raises(DimensionError):
-        hemm_left(1, zeros(2, 2), zeros(3, 2), 0, zeros(3, 2))
+        loop2(np.ones(1), zeros(2, 2)[None], zeros(3, 2)[None], zeros(3, 2), zeros(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,67 +205,84 @@ def test_her2k_matches_gemm_sum_exactly():
 
 
 # ---------------------------------------------------------------------------
-# trmm
+# trmm: Loop 2's rows for an atom routed to it
+
+
+def _trmm(t, a, engine=ENGINES[0]):
+    """C^H a from Loop 2's Y slot, C the factor of t, the one atom routed
+    to TRMM."""
+    y = np.full(a.shape, complex(np.nan, np.nan), order="F")  # beta 0 never reads y
+    loop2(np.zeros(1), t[None], a[None], y, zeros(*a.shape), engine)
+    return y
 
 
 def test_trmm_identity():
     rng = np.random.default_rng(9)
     a = random_complex(rng, 3, 4)
-    out = zeros(3, 4)
-    assert trmm_left_conjtrans(cmatrix(np.eye(3)), a, out) is out
-    np.testing.assert_array_equal(out, a)
+    np.testing.assert_array_equal(_trmm(cmatrix(np.eye(3)), a), a)
 
 
 def test_trmm_hand_example():
-    c = cmatrix([[2, 0], [1, 3]])
+    t = cmatrix([[4, 0], [2, 10]])  # the factor is [[2, 0], [1, 3]]
     a = cmatrix([[1], [1]])
-    out = trmm_left_conjtrans(c, a, random_complex(np.random.default_rng(3), 2, 1))
-    np.testing.assert_array_equal(out, np.array([[3], [3]], dtype=complex))
+    np.testing.assert_array_equal(_trmm(t, a), np.array([[3], [3]], dtype=complex))
 
 
 def test_trmm_matches_gemm_bitwise():
     rng = np.random.default_rng(10)
-    c_factor = cmatrix(np.tril(random_complex(rng, 6, 6)))
+    t = random_hermitian(rng, 6, rng.uniform(0.5, 2.0, 6))
     a = random_complex(rng, 6, 4)
-    out = trmm_left_conjtrans(c_factor, a, zeros(6, 4))
+    c_factor, info = _factor(t)
+    assert info == 0
     expected = zeros(6, 4)
     gemm(1, "C", c_factor, "N", a, 0, expected)
-    assert out.tobytes() == expected.tobytes()
+    assert _trmm(t, a).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_g", [300, 600])
 def test_trmm_matches_the_conjugated_copy_bitwise(n_g):
+    # the numpy engine's TRMM, the C-op GEMM over a factor with a zero
+    # upper triangle, on either engine
     rng = np.random.default_rng(11)
     c_factor, a = random_complex(rng, 9, 9), random_complex(rng, 9, n_g)
     for x in (c_factor, a):  # signed zeros in both parts
         for part in (x.real, x.imag):
             part[rng.random(x.shape) < 0.2] = 0.0
             part[rng.random(x.shape) < 0.2] = -0.0
-    out = trmm_left_conjtrans(c_factor, a, zeros(9, n_g))
-    assert out.tobytes() == oracles.trmm_conj_copy(c_factor, a).tobytes()
+    for engine in ENGINES:
+        out = gemm(1, "C", np.tril(c_factor), "N", a, 0, zeros(9, n_g), engine)
+        assert out.tobytes() == oracles.trmm_conj_copy(c_factor, a).tobytes()
 
 
 def test_trmm_dimension_errors():
     with pytest.raises(DimensionError):
-        trmm_left_conjtrans(zeros(2, 3), zeros(2, 2), zeros(3, 2))
+        loop2(np.zeros(1), zeros(2, 3)[None], zeros(2, 2)[None], zeros(3, 2), zeros(3, 2))
     with pytest.raises(DimensionError):
-        trmm_left_conjtrans(zeros(2, 2), zeros(3, 2), zeros(2, 2))
+        loop2(np.zeros(1), zeros(2, 2)[None], zeros(3, 2)[None], zeros(2, 2), zeros(2, 2))
     with pytest.raises(DimensionError):
-        trmm_left_conjtrans(zeros(2, 2), zeros(2, 3), zeros(2, 2))
+        loop2(np.zeros(1), zeros(2, 2)[None], zeros(2, 3)[None], zeros(2, 2), zeros(2, 3))
 
 
 # ---------------------------------------------------------------------------
-# potrf
+# potrf: one block of an engine's potrf_atoms
+
+
+def _factor(t, engine=ENGINES[0]):
+    """``(factor, info)`` of t's lower triangle from one block of the
+    engine's ``potrf_atoms``; the factor is partial when info is not 0."""
+    factor = zeros(*t.shape)
+    (info,), _ = _engine(engine).potrf_atoms(t[None], factor)
+    return factor, int(info)
 
 
 def test_potrf_identity():
-    factor, info = potrf_lower(cmatrix(np.eye(3)))
+    factor, info = _factor(cmatrix(np.eye(3)))
     assert info == 0
     np.testing.assert_array_equal(factor, np.eye(3))
 
 
 def test_potrf_scalar():
-    factor, info = potrf_lower(cmatrix([[4.0]]))
+    factor, info = _factor(cmatrix([[4.0]]))
     assert info == 0
     np.testing.assert_array_equal(factor, np.array([[2.0]], dtype=complex))
 
@@ -264,8 +290,7 @@ def test_potrf_scalar():
 def test_potrf_indefinite_failure_index():
     # leading minors: 1 > 0, then 1 - 4 = -3 < 0
     t = cmatrix([[1, 0], [2, 1]])
-    factor, info = potrf_lower(t)
-    assert factor is None
+    _, info = _factor(t)
     assert info == 2
 
 
@@ -273,7 +298,7 @@ def test_potrf_reconstruction():
     rng = np.random.default_rng(11)
     for n in (2, 5, 16, 64):
         t = random_hermitian(rng, n, rng.uniform(0.5, 2.0, n))
-        factor, info = potrf_lower(t)
+        factor, info = _factor(t)
         assert info == 0
         rec = factor @ np.conj(factor).T
         assert rel_frob_error(rec, t) <= 1e-12
@@ -286,30 +311,25 @@ def test_potrf_succeeds_hpd_fails_indefinite_property():
         n = int(rng.integers(1, 33))
         eigs = rng.uniform(0.5, 3.0, n)
         t = random_hermitian(rng, n, eigs)
-        _, info = potrf_lower(t)
+        _, info = _factor(t)
         assert info == 0
         eigs[int(rng.integers(0, n))] = -rng.uniform(0.01, 0.5)
         t_bad = random_hermitian(rng, n, eigs)
-        factor, info = potrf_lower(t_bad)
-        assert factor is None
+        _, info = _factor(t_bad)
         assert 1 <= info <= n
 
 
 def test_potrf_large_order():
     rng = np.random.default_rng(13)
     t = random_hermitian(rng, 256, rng.uniform(0.5, 2.0, 256))
-    factor, info = potrf_lower(t)
+    factor, info = _factor(t)
     assert info == 0
     assert rel_frob_error(factor @ np.conj(factor).T, t) <= 1e-12
 
 
 def test_potrf_errors():
     with pytest.raises(DimensionError):
-        potrf_lower(zeros(2, 3))
-    bad = cmatrix(np.eye(2))
-    bad[1, 0] = np.nan
-    with pytest.raises(InputError):
-        potrf_lower(bad)
+        potrf_route(zeros(2, 3)[None])
 
 
 def test_potrf_reads_only_lower_triangle():
@@ -317,9 +337,10 @@ def test_potrf_reads_only_lower_triangle():
     t = random_hermitian(rng, 5, rng.uniform(0.5, 2.0, 5))
     junk = t.copy()
     junk[np.triu_indices(5, 1)] = 123.0 + 4.0j
-    f1, _ = potrf_lower(t)
-    f2, _ = potrf_lower(junk)
-    assert f1.tobytes() == f2.tobytes()
+    for engine in ENGINES:
+        f1, _ = _factor(t, engine)
+        f2, _ = _factor(junk, engine)
+        assert f1.tobytes() == f2.tobytes()
 
 
 def _potrf_bitwise_cases():
@@ -352,14 +373,13 @@ def test_potrf_matches_scalar_loop_bitwise():
     cases = list(_potrf_bitwise_cases())
     failures = 0
     for t in cases:
-        got, info = potrf_lower(t)
         want, want_info = oracles.potrf_loops(t)
-        assert info == want_info
-        if want is None:
-            assert got is None
-            failures += 1
-        else:
-            assert got.tobytes() == want.tobytes()
+        failures += want is None
+        for engine in ENGINES:
+            got, info = _factor(t, engine)
+            assert info == want_info
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
     assert 0 < failures < len(cases)
 
 
@@ -420,10 +440,7 @@ def test_kernels_match_triple_loops_exactly():
 
         t = random_complex(rng, m, m)
         bb = random_complex(rng, m, n)
-        cc = random_complex(rng, m, n)
-        expected = oracles.hemm_loops(alpha, t, bb, beta, cc)
-        hemm_left(alpha, t, bb, beta, cc)
-        np.testing.assert_array_equal(cc, expected)
+        np.testing.assert_array_equal(_hemm(t, bb), oracles.hemm_loops(1, t, bb, 0, zeros(m, n)))
 
         ah = random_complex(rng, k, n)
         ch = random_complex(rng, n, n)
@@ -438,11 +455,10 @@ def test_kernels_match_triple_loops_exactly():
         her2k(alpha, z2, b2, beta, c2)
         np.testing.assert_array_equal(c2, expected)
 
-        cf = cmatrix(np.tril(random_complex(rng, m, m)))
+        t3 = random_hermitian(rng, m, rng.uniform(0.5, 2.0, m))
         a3 = random_complex(rng, m, n)
-        np.testing.assert_array_equal(
-            trmm_left_conjtrans(cf, a3, zeros(m, n)), oracles.trmm_conjtrans_loops(cf, a3)
-        )
+        cf, _ = _factor(t3)
+        np.testing.assert_array_equal(_trmm(t3, a3), oracles.trmm_conjtrans_loops(cf, a3))
 
         u = rng.uniform(0.0, 2.0, m)
         b3 = random_complex(rng, m, n)

@@ -214,16 +214,16 @@ def _coupling(rng, n, kind):
        kind=st.sampled_from(["hpd", "near-singular", "non-hpd", "diagonal", "block-diagonal"]),
        seed=st.integers(0, 2**16))
 def test_potrf_is_the_same_on_both_engines_bitwise(n, kind, seed):
-    # the factor's bytes and the failure index; the routing call agrees
+    # the failure index, and the factor's bytes if there is one; the
+    # routing call agrees
     t = _coupling(np.random.default_rng(seed), n, kind)
-    factor, info = kernels.potrf_lower(t, "native")
-    want, want_info = kernels.potrf_lower(t, "numpy")
-    assert info == want_info
-    assert (factor is None) == (want is None)
-    if want is not None:
-        assert factor.tobytes() == want.tobytes()
+    factors = {e: zeros(n, n) for e in kernels.ENGINES}
+    infos = {e: kernels._engine(e).potrf_atoms(t[None], factors[e])[0][0] for e in factors}
+    assert infos["native"] == infos["numpy"]
+    if infos["numpy"] == 0:
+        assert factors["native"].tobytes() == factors["numpy"].tobytes()
     (routed,), _ = kernels.potrf_route(np.ascontiguousarray(t[None]), "native")
-    assert routed == info
+    assert routed == infos["native"]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -396,19 +396,22 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
     assert cli.main(["run", "--in", str(inst), "--engine", "numpy"]) == 0  # no compiler needed
 
 
-#: Run in a child process under the undefined-behaviour build, which
-#: aborts on the first report: HER2K, HERK and GEMM updates at inner
-#: dimensions on both sides of the block depth, POTRF on both sides of the
-#: register tile (and a block that fails), and two chunks of each per-atom
-#: loop with a mixed split, the second with n_l = 260 (two row tiles of
-#: the 256 grid), all checked bitwise against the numpy engine.
-_UBSAN_CHILD = """
+#: Run in a child process with the shipped flags plus its arguments (the
+#: undefined-behaviour build aborts on the first report): HER2K, HERK and
+#: GEMM updates at inner dimensions on both sides of the block depth, POTRF
+#: on both sides of the register tile (and a block that fails), and two
+#: chunks of each per-atom loop with a mixed split, the second with
+#: n_l = 260 (two row tiles of the 256 grid), all checked bitwise against
+#: the numpy engine.
+_CHILD = """
+import sys
+
 import numpy as np
 from hsgen import kernels, native
 from hsgen.matcore import Dims
 from hsgen.probgen import ProblemSpec, generate
 
-native._FLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+native._FLAGS += tuple(sys.argv[1:])
 rng = np.random.default_rng(9)
 for k in (0, 1, 64, 65, 130):
     z, b = (np.asfortranarray(rng.standard_normal((k, 70)) + 1j * rng.standard_normal((k, 70)))
@@ -424,8 +427,12 @@ for k in (0, 1, 64, 65, 130):
 for n in (1, 8, 9, 49):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for t in (g @ g.conj().T + n * np.eye(n), g @ g.conj().T - n * np.eye(n)):
-        (f, i), (f0, i0) = (kernels.potrf_lower(t, e) for e in ("native", "numpy"))
-        assert i == i0 and (f is None or f.tobytes() == f0.tobytes()), n
+        outs = []
+        for e in ("native", "numpy"):
+            w = np.zeros((n, n), dtype=complex, order="F")
+            (i,), _ = kernels._engine(e).potrf_atoms(t[None], w)
+            outs.append((i, w.tobytes() if i == 0 else None))
+        assert outs[0] == outs[1], n
 for dims in (Dims(4, 9, 70), Dims(2, 260, 5)):
     p = generate(ProblemSpec(dims, seed=3, nonhpd_fraction=0.5))
     outs = []
@@ -441,15 +448,44 @@ print("clean")
 """
 
 
-@pytest.mark.skipif(shutil.which(native._COMPILER) is None, reason="no C compiler")
-def test_the_engine_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
-    # the shipped flags plus -fsanitize=undefined, built into a cache under
-    # tmp_path (the flags are part of its key) and loaded in a child
+_ON_X86_64 = platform.machine() in ("x86_64", "AMD64") and shutil.which(native._COMPILER)
+
+#: The /proc/cpuinfo flags each x86-64 microarchitecture level adds to the
+#: one below it.
+_LEVELS = {
+    "x86-64": set(),
+    "x86-64-v2": {"cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3"},
+    "x86-64-v3": {"abm", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "movbe", "xsave"},
+    "x86-64-v4": {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+
+
+def _host_runs(level):
+    """Whether this host's CPU flags cover ``level`` and every level below."""
+    names = list(_LEVELS)
+    need = set().union(*(_LEVELS[n] for n in names[: names.index(level) + 1]))
+    return need <= set(native._cpu_flags().split())
+
+
+@pytest.mark.skipif(not _ON_X86_64, reason="needs cc on x86-64")
+@pytest.mark.parametrize("flags", [
+    pytest.param(("-fsanitize=undefined", "-fno-sanitize-recover=all"), id="ubsan"),
+    pytest.param(("-march=x86-64",), id="x86-64"),
+    pytest.param(("-march=x86-64-v3",), id="x86-64-v3"),
+])
+def test_the_engine_matches_numpy_under_each_flag_set(tmp_path, flags):
+    # the shipped flags plus the set (a later -march wins), built into a
+    # cache under tmp_path (the flags are part of its key) and loaded in a
+    # child: the undefined-behaviour build, and instruction-set levels
+    # below the host's -march=native
+    level = flags[0].removeprefix("-march=")
+    if level in _LEVELS and not _host_runs(level):
+        pytest.skip(f"this CPU cannot run {level} code")
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
            "PYTHONPATH": os.pathsep.join([str(Path(native.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", _UBSAN_CHILD], capture_output=True, text=True,
-                          env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-c", _CHILD, *flags], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert done.returncode == 0 and "runtime error" not in done.stderr, done.stderr
     assert done.stdout.strip() == "clean"
     assert len(list((tmp_path / "hsgen").glob("native-*.so"))) == 1
@@ -464,14 +500,16 @@ def test_the_engine_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
-                    or shutil.which(native._COMPILER) is None, reason="needs cc on x86-64")
-def test_the_engine_emits_no_fused_multiply_add(tmp_path):
+@pytest.mark.skipif(not _ON_X86_64, reason="needs cc on x86-64")
+@pytest.mark.parametrize("level", [*_LEVELS, "native"])
+def test_the_engine_emits_no_fused_multiply_add(tmp_path, level):
     # -ffp-contract=off does not stop GCC's vectorizer from pairing a
     # complex multiply-subtract into one vfmaddsub, which rounds once
     # instead of twice: the shipped flags' assembly has no FMA of any form
+    # at any instruction-set level (a later -march wins; no code runs)
     asm = tmp_path / "native.s"
-    argv = [native._COMPILER, *native._FLAGS, "-S", "-o", str(asm), str(native._SOURCE)]
+    argv = [native._COMPILER, *native._FLAGS, f"-march={level}", "-S", "-o", str(asm),
+            str(native._SOURCE)]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     fused = re.findall(r"\bvfn?m(?:add|sub)\w*", asm.read_text())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsgen.kernels import potrf_lower
+from hsgen.kernels import potrf_route
 from hsgen.matcore import Dims, InputError, InvariantError
 from hsgen.probgen import (
     EIGENVALUE_RANGE,
@@ -85,22 +85,20 @@ def test_generated_instance_passes_invariants():
 
 def test_nonhpd_fraction_zero_all_factor():
     p = generate(ProblemSpec(Dims(5, 6, 4), seed=3, nonhpd_fraction=0.0))
-    for t in p.t_aa:
-        _, info = potrf_lower(t)
-        assert info == 0
+    info, _ = potrf_route(p.t_aa)
+    assert (info == 0).all()
 
 
 def test_nonhpd_fraction_one_all_fail():
     p = generate(ProblemSpec(Dims(5, 6, 4), seed=4, nonhpd_fraction=1.0))
-    for t in p.t_aa:
-        factor, info = potrf_lower(t)
-        assert factor is None and info >= 1
+    info, _ = potrf_route(p.t_aa)
+    assert (info >= 1).all()
 
 
 def test_nonhpd_split_counts_round():
     p = generate(ProblemSpec(Dims(4, 3, 4), seed=5, nonhpd_fraction=0.5))
-    fails = sum(potrf_lower(t)[0] is None for t in p.t_aa)
-    assert fails == 2
+    info, _ = potrf_route(p.t_aa)
+    assert (info != 0).sum() == 2
 
 
 def test_hpd_nonhpd_property_sweep():
@@ -111,7 +109,7 @@ def test_hpd_nonhpd_property_sweep():
         n_l = int(rng.integers(2, 65))
         spec = ProblemSpec(Dims(10, n_l, 3), seed=seed, nonhpd_fraction=0.5)
         p = generate(spec)
-        fails = [potrf_lower(t)[0] is None for t in p.t_aa]
+        fails = (potrf_route(p.t_aa)[0] != 0).tolist()
         assert sum(fails) == 5
         trials += len(fails)
     assert trials == 100

@@ -142,8 +142,9 @@ def test_load_detects_wrong_length_u_vector(tmp_path):
 
 @pytest.mark.parametrize("text", ['{"dims": {"n_atoms": 1e400, "n_l": 1, "n_g": 1}}',
                                   '{"dims": {"n_atoms": NaN, "n_l": 1, "n_g": 1}}',
+                                  '{"dims": {"n_atoms": true, "n_l": 1, "n_g": 1}}',
                                   "[" * 200_000],
-                         ids=["infinite-dims", "nan-dims", "deep-nesting"])
+                         ids=["infinite-dims", "nan-dims", "bool-dims", "deep-nesting"])
 def test_load_rejects_hostile_manifest_text(tmp_path, text):
     (tmp_path / "manifest.json").write_text(text)
     with pytest.raises(StorageError, match="malformed"):
