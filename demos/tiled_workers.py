@@ -12,10 +12,11 @@ threads.  Under the default native engine a tile's whole update (its
 products, alpha, the term sum and the tail) is one C call with the
 interpreter lock released, so one update scales across workers; the
 numpy engine issues a few short numpy calls per rank-1 step under the
-lock and scales less.  A whole build scales less than one update, since
-the Hermitian mirror and the per-atom loops run on one thread (README,
-Determinism, gives the measured figures); the property being
-demonstrated is bitwise reproducibility of the partition.
+lock and scales less.  The closing Hermitian mirror shares its column
+blocks among the same workers; a whole build still scales less than one
+update, since the per-atom loops run on one thread (README, Determinism,
+gives the measured figures).  The property being demonstrated is
+bitwise reproducibility of the partition.
 """
 
 import time

@@ -6,10 +6,13 @@ scaling ("S1", "U norm", "S2"), then the per-atom Cholesky split
 ("Loop 2") feeding the final large updates ("H2" for atoms whose AA block
 failed to factor, "H3" for the rest).  Every kernel invocation lands in a
 FlopLedger with its section tag; the five large updates are dispatched
-through the executor under the caller's policy.  The per-atom loops run
-on the coordinating thread, one call per chunk each on the policy's
-engine (``kernels.loop1``, ``potrf_route`` then ``loop2``): one C call
-under ``native``, the public kernels atom by atom under ``numpy``.  Each
+through the executor under the caller's policy, and the closing
+Hermitian mirror of H and S (``kernels.mirror``, not in the ledger)
+shares its column blocks among the policy's workers the same way.  The
+per-atom loops run on the coordinating thread, one call per chunk each
+on the policy's engine (``kernels.loop1``, ``potrf_route`` then
+``loop2``): one C call under ``native``, the public kernels atom by atom
+under ``numpy``.  Each
 returns its kernels' seconds, and the ledger gets one record per kernel
 in atom order, as if each had been timed on its own.
 
@@ -36,7 +39,7 @@ import numpy as np
 from . import kernels
 from .executor import ExecPolicy, run_partitioned
 from .kernels import FlopLedger, KernelKind
-from .matcore import HermitianResult, hermitian_mirror, zeros
+from .matcore import HermitianResult, zeros
 from .probgen import ProblemInstance, atom_chunks, validate_instance
 
 
@@ -126,7 +129,6 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         nonhpd += len(failed)
         del b_buf, z_buf
 
-    hermitian_mirror(h)
-    hermitian_mirror(s)
+    kernels.mirror((h, s), policy.workers, engine)
     return BuildOutput(HermitianResult(h), HermitianResult(s),
                        SplitCounts(n_a - nonhpd, nonhpd), ledger)

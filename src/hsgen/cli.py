@@ -69,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="assemble H and S from an instance directory")
     run.add_argument("--in", dest="indir", required=True)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=1,
+                     help="threads that share each large update and the closing mirror, "
+                          "the calling thread included")
     run.add_argument("--tile", type=int, default=ExecPolicy.tile,
                      help="output-tile edge, at least 32; an edge above 256 runs as 256")
     run.add_argument("--report", help="path for the JSON report (default: DIR/report.json)")

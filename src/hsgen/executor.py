@@ -1,8 +1,11 @@
 """Deterministic tiled execution of the large GEMM/HERK/HER2K updates.
 
-Emulates output-partitioned multi-device BLAS on a thread pool: the output
-is cut into tiles, every tile consumes the full inner dimension, and each
-tile is computed whole by exactly one worker.  ``run_partitioned`` is
+Emulates output-partitioned multi-device BLAS on threads: the output is
+cut into tiles, every tile consumes the full inner dimension, and each
+tile is computed whole by exactly one worker.  The workers are the
+calling thread plus ``workers - 1`` helpers from a pool kept for the
+life of the process (``kernels._share``), all taking tiles from one
+queue, so a build starts threads only the first time.  ``run_partitioned`` is
 ``kernels._run``, the one driver the public kernels run serially, on the
 policy's grid and engine, plus a count of the bytes the tiles touch; it
 takes the updates the public kernels take, checked by the same

@@ -30,7 +30,7 @@ not a plain ``re/l``.
 GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
 into one product ``op(L) R`` whose operands join one or two terms along
 the inner dimension, plans the output's tiles and computes each tile as
-that exact product plus one tail, serially or on a thread pool.  A tile
+that exact product plus one tail, serially or shared by ``_share``.  A tile
 is at most one block of the fixed ``_BLOCK`` grid, so its accumulator
 stays in cache; tiles above the diagonal of a triangular output are
 never planned, and an empty output plans none.  A conjugated L is a view
@@ -41,21 +41,30 @@ serially on the ``_BLOCK`` grid; the executor runs it on the
 policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
 output it is given and returns it.
 
-An engine (``ENGINES``) is one object with four entry points, chosen by
+An engine (``ENGINES``) is one object with five entry points, chosen by
 name in ``_engine`` alone: ``tile_update(terms, conj_left, alpha, beta,
-c, lower)`` writes one tile of the caller's output for ``_run``, and
+c, lower)`` writes one tile of the caller's output for ``_run``;
 ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a build's
 per-atom loops over one chunk's stacked blocks, for ``potrf_route``,
-``loop1`` and ``loop2``: the only place HEMM, TRMM and POTRF run.
-``native``, the default, is the module ``native.py``, whose C does all
-four; ``numpy`` is ``_NUMPY``: ``_numpy_update`` (``_acc_product``,
-alpha, then ``_tail``), the oracle the native engine is tested against,
-and loops that run ``_potrf`` and GEMMs atom by atom, HEMM over
-``hermitian_mirror``'s T and TRMM the ``C`` op over the factor.  Both
-run the same operations per element, so H and S have the same bits
-under either.  Native Loop 2 runs TRMM on the triangle only: it skips the
-zeros before the diagonal of each row of C^H, which add only +-0 to a
-+0.0 start, so the bits are the same for finite operands.
+``loop1`` and ``loop2``: the only place HEMM, TRMM and POTRF run; and
+``mirror_columns(c, c0, c1)`` fills columns [c0, c1) of c's Hermitian
+mirror for ``mirror``.  ``native``, the default, is the module
+``native.py``, whose C does all five; ``numpy`` is ``_NUMPY``:
+``_numpy_update`` (``_acc_product``, alpha, then ``_tail``), the oracle
+the native engine is tested against, loops that run ``_potrf`` and GEMMs
+atom by atom, HEMM over ``hermitian_mirror``'s T and TRMM the ``C`` op
+over the factor, and ``matcore.mirror_columns``.  Both run the same
+operations per element, so H and S have the same bits under either.
+Native Loop 2 runs TRMM on the triangle only: it skips the zeros before
+the diagonal of each row of C^H, which add only +-0 to a +0.0 start, so
+the bits are the same for finite operands.
+
+A multi-worker update or mirror puts its tasks on one shared queue
+(``_share``): ``workers - 1`` helper threads and the calling thread take
+tasks from it until it is empty.  The helpers come from one pool per
+helper count, made on first use and kept for the life of the process
+(``_pool``), so later builds start no thread; a forked child forgets
+the parent's pools, whose threads it does not have.
 
 One update contract, the one the pipeline uses, checked once in
 ``_terms`` so that the engines carry no special path: alpha is real and
@@ -71,15 +80,17 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import native
-from .matcore import DimensionError, InputError, hermitian_mirror, zeros
+from .matcore import DimensionError, InputError, hermitian_mirror, mirror_columns, zeros
 
 
 class KernelKind(enum.Enum):
@@ -370,6 +381,71 @@ def _engine(name: str):
     return native
 
 
+_pools: dict[int, ThreadPoolExecutor] = {}  # helper count -> its pool
+_pools_lock = threading.Lock()
+
+
+def _pool(helpers: int) -> ThreadPoolExecutor:
+    """The process-wide pool of ``helpers`` threads, made on first use.
+    A thread is started only when a task finds none idle, and then kept:
+    in a 2-worker HERK at n_g 768 and inner dimension 64 on a pool made
+    for it, the second thread began its first tile 1.5 ms after the
+    first, in a 3.8 ms update."""
+    with _pools_lock:
+        if helpers not in _pools:
+            _pools[helpers] = ThreadPoolExecutor(helpers, thread_name_prefix="hsgen")
+        return _pools[helpers]
+
+
+def _forget_pools() -> None:
+    """In a forked child: drop the parent's pools, whose threads did not
+    survive the fork, and a lock some parent thread may have held."""
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _share(fn, items: list, workers: int) -> None:
+    """Call ``fn`` once on each of ``items``: in order on the calling
+    thread for one worker; otherwise ``min(workers, len(items)) - 1``
+    helpers of ``_pool(workers - 1)`` and the calling thread take items
+    from one queue until it is empty.
+
+    Then the helpers that have not started are cancelled, and the caller
+    waits for the ones that have before it returns or raises, so every
+    started call has returned when an error surfaces: the caller's own,
+    or else a helper's, re-raised here.
+    """
+    helpers = min(workers, len(items)) - 1
+    if helpers < 1:
+        for item in items:
+            fn(item)
+        return
+    queue, lock = iter(items), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                item = next(queue, queue)  # the iterator itself marks the end
+            if item is queue:
+                return
+            fn(item)
+
+    pool = _pool(workers - 1)
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a cancelled future is done only once a pool thread dequeues it
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+
+
 def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
          engine: str = ENGINES[0]):
     """The one tiled path: check one GEMM/HERK/HER2K update and run it on
@@ -378,9 +454,9 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
     the number of terms.
 
     Each tile gets the exact product over every term, scaled by alpha,
-    then the tail.  Tiles never share an output element,
-    so they run serially for one worker and on a thread pool otherwise
-    with the same bits.  An empty output plans no tile.
+    then the tail.  Tiles never share an output element, so ``_share``
+    runs them on any number of workers with the same bits.  An empty
+    output plans no tile.
     """
     alpha, terms, conj_left, beta, c = _terms(kind, operands)
     update = _engine(engine).tile_update
@@ -391,13 +467,27 @@ def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
         update([(left[rows], right[:, cols]) for left, right in terms], conj_left,
                alpha, beta, c[rows, cols], t.diagonal)
 
-    if workers == 1:
-        for t in tiles:
-            work(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, tiles))  # list() propagates worker exceptions
+    _share(work, tiles, workers)
     return tiles, len(terms) * terms[0][0].shape[1]
+
+
+def mirror(outputs, workers: int = 1, engine: str = ENGINES[0]) -> None:
+    """Make each square matrix of ``outputs`` the Hermitian matrix of its
+    lower triangle, in place, as ``hermitian_mirror`` does, with the same
+    bits.  The ``_BLOCK``-wide column blocks of all of them are one task
+    list for ``_share``, the blocks with the most elements to write
+    first; a block's copies and sign flips are exact, so the split does
+    not change a bit.  Each matrix must be writeable and taken as an
+    operand (``_is_operand``)."""
+    for c in outputs:
+        if not (_is_operand(c) and c.flags.writeable) or c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise InputError("mirror takes writeable square complex128 arrays with "
+                             "whole-element strides")
+    fill = _engine(engine).mirror_columns
+    blocks = [(c, j0, min(j0 + _BLOCK, len(c))) for c in outputs
+              for j0 in range(0, len(c), _BLOCK)]
+    blocks.sort(key=lambda b: b[2] * (b[2] - 1) - b[1] * (b[1] - 1), reverse=True)
+    _share(lambda b: fill(*b), blocks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +619,7 @@ def loop2(info, t_aa, a, y, x, engine: str = ENGINES[0]):
 
 
 # ---------------------------------------------------------------------------
-# the numpy engine: native.py's four entry points, with _numpy_update per tile
+# the numpy engine: native.py's five entry points, with _numpy_update per tile
 
 
 def _numpy_potrf_atoms(t, w):
@@ -583,4 +673,5 @@ def _numpy_loop2_atoms(info, t_aa, a, y, x):
 
 
 _NUMPY = SimpleNamespace(tile_update=_numpy_update, potrf_atoms=_numpy_potrf_atoms,
-                         loop1_atoms=_numpy_loop1_atoms, loop2_atoms=_numpy_loop2_atoms)
+                         loop1_atoms=_numpy_loop1_atoms, loop2_atoms=_numpy_loop2_atoms,
+                         mirror_columns=mirror_columns)

@@ -63,7 +63,7 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-#: Edge of the square blocks ``hermitian_mirror`` copies: a block and its
+#: Edge of the square blocks ``mirror_columns`` copies: a block and its
 #: transposed source (64 KiB each) stay in cache together.
 _MIRROR_BLOCK = 64
 
@@ -75,24 +75,35 @@ def hermitian_mirror(m: np.ndarray) -> np.ndarray:
     The upper triangle is overwritten with the conjugate transpose of the
     strict lower triangle and diagonal imaginary parts are dropped; the
     lower triangle passes through bit-identically, which makes the
-    operation idempotent.  The upper triangle is filled one
-    ``_MIRROR_BLOCK`` square at a time from its transposed source block,
-    so the working set beyond ``m`` stays at one diagonal block's indices.
+    operation idempotent.  It is ``mirror_columns`` over every column.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermitian_mirror needs a square matrix, got {m.shape}")
-    n, b = m.shape[0], _MIRROR_BLOCK
-    iu = np.triu_indices(min(b, n), k=1)
-    for j0 in range(0, n, b):
-        j1 = min(j0 + b, n)
+    mirror_columns(m, 0, m.shape[0])
+    return m
+
+
+def mirror_columns(m: np.ndarray, c0: int, c1: int) -> None:
+    """``hermitian_mirror`` of the square ``m`` on columns [c0, c1) only:
+    their strict upper elements get the conjugates of the matching lower
+    ones, and their diagonal elements an imaginary part of +0.0.
+
+    The columns are filled one ``_MIRROR_BLOCK`` square at a time from
+    the transposed source block, so the working set beyond ``m`` stays at
+    one diagonal block's indices.  Every element written is one exact
+    copy or sign flip, so any split of the columns gives the same bits.
+    """
+    b = _MIRROR_BLOCK
+    whole = np.triu_indices(b, k=1)
+    for j0 in range(c0, c1, b):
+        j1 = min(j0 + b, c1)
         for i0 in range(0, j0, b):
-            np.conj(m[j0:j1, i0 : i0 + b].T, out=m[i0 : i0 + b, j0:j1])
+            i1 = min(i0 + b, j0)
+            np.conj(m[j0:j1, i0:i1].T, out=m[i0:i1, j0:j1])
         blk = m[j0:j1, j0:j1]
-        if j1 - j0 < min(b, n):  # the last, ragged block of a multi-block matrix
-            iu = np.triu_indices(j1 - j0, k=1)
+        iu = whole if j1 - j0 == b else np.triu_indices(j1 - j0, k=1)
         blk[iu] = np.conj(blk.T[iu])
         np.fill_diagonal(blk.imag, 0)
-    return m
 
 
 def hermitian_defect(m: np.ndarray):

@@ -5,8 +5,10 @@
    checks the update before it gets here).  The per-atom loops of a build
    run here too, one call per chunk of atoms: potrf_atoms factors each atom
    (Loop 2's routing), loop1_atoms writes each atom's Z rows and
-   loop2_atoms each atom's Y or X rows.  These four are the engine's entry
-   points, and the two loops are the only place HEMM and TRMM run.
+   loop2_atoms each atom's Y or X rows; the two loops are the only place
+   HEMM and TRMM run.  mirror_columns fills a range of columns of an
+   output's Hermitian mirror, the end of a build.  These five are the
+   engine's entry points.
 
    Every product element is accumulated in ascending p over the joined
    K = nterms*k with the separated formula, acc_r += xr*yr - xi*yi and
@@ -437,5 +439,35 @@ void loop2_atoms(idx count, idx n, idx m, const int *info,
         }
         seconds[2 * i] = mid - start;
         seconds[2 * i + 1] = now() - mid;
+    }
+}
+
+/* ---------------------------------------------------------------------------
+   The closing mirror of a build. */
+
+#define MB 16 /* the edge of a copied block: it and its source fit in L1 */
+
+/* Columns [c0, c1) of the square c's Hermitian mirror, as
+   matcore.mirror_columns makes them: element (i, j) above the diagonal
+   gets the conjugate of (j, i), and a diagonal element's imaginary part
+   +0.0.  Each MB-column block is filled MB rows at a time from its
+   transposed source block.  Copies and sign flips are exact, so any split
+   of the columns gives the same bits. */
+void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
+{
+    for (idx j0 = c0; j0 < c1; j0 += MB) {
+        const idx j1 = j0 + MB < c1 ? j0 + MB : c1;
+        for (idx i0 = 0; i0 < j1 - 1; i0 += MB)
+            for (idx j = j0; j < j1; j++) {
+                const idx i1 = i0 + MB < j ? i0 + MB : j;
+                double *col = c + 2 * j * s1;
+                const double *row = c + 2 * j * s0;
+                for (idx i = i0; i < i1; i++) {
+                    col[2 * i * s0] = row[2 * i * s1];
+                    col[2 * i * s0 + 1] = -row[2 * i * s1 + 1];
+                }
+            }
+        for (idx j = j0; j < j1; j++)
+            c[2 * j * (s0 + s1) + 1] = 0.0;
     }
 }

@@ -1,7 +1,7 @@
 """The native exact engine: ``native.c``, compiled on first use and
 called through ctypes.
 
-This module is the engine object: the four entry points that
+This module is the engine object: the five entry points that
 ``kernels._engine`` returns for ``native``, as ``kernels._NUMPY`` has
 them for ``numpy``.  ``tile_update`` does in one call what
 ``kernels._numpy_update`` does for one tile: one exact product over
@@ -11,8 +11,10 @@ engines give the same bits (NaN sign and payload aside, which neither
 fixes).  ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a
 build's per-atom loops over a chunk's stacks in one call each, with the
 same bits as the numpy engine's loops; they are the engine's only POTRF,
-HEMM and TRMM.  C times each kernel with
-``clock_gettime(CLOCK_MONOTONIC)`` and returns the seconds for the ledger.
+HEMM and TRMM.  ``mirror_columns`` fills a range of columns of a
+build's Hermitian mirror as ``matcore.mirror_columns`` does.  C times
+each kernel with ``clock_gettime(CLOCK_MONOTONIC)`` and returns the
+seconds for the ledger.
 
 The library is built with ``cc -O3
 -march=native -ffp-contract=off -fPIC -shared``, never with
@@ -25,12 +27,12 @@ failing compiler is an ``InputError`` that names it; there is no silent
 fallback to the numpy engine.
 
 ctypes releases the interpreter lock during the call, so the executor's
-workers run whole tiles in parallel.  The blocking (register tile,
-k-block depth, plane and pack layout) is ``native.c``'s alone: its
-``tile_scratch`` and ``atoms_scratch`` say how many doubles a tile or a
-loop needs, and the scratch is one numpy array of that size, so
-tracemalloc sees all of the engine's memory; the C code allocates
-nothing.  The operands and outputs are taken as ``kernels`` checked them:
+workers run whole tiles, and the mirror's column blocks, in parallel.
+The blocking (register tile, k-block depth, plane and pack layout) is
+``native.c``'s alone: its ``tile_scratch`` and ``atoms_scratch`` say how
+many doubles a tile or a loop needs, and the scratch is one numpy array
+of that size, so tracemalloc sees all of the engine's memory; the C code
+allocates nothing.  The operands and outputs are taken as ``kernels`` checked them:
 aligned complex128 arrays whose strides are whole elements.
 """
 
@@ -127,7 +129,8 @@ def _load():
     lib.potrf_atoms.argtypes = [idx, idx, *stack, ptr, ptr, ptr]
     lib.loop1_atoms.argtypes = [idx, idx, idx, *stack, *stack, *stack, *stack, *stack, ptr, ptr]
     lib.loop2_atoms.argtypes = [idx, idx, idx, ptr, *stack, *stack, *stack, *stack, ptr, ptr]
-    for name in ("potrf_atoms", "loop1_atoms", "loop2_atoms"):
+    lib.mirror_columns.argtypes = [ptr, idx, idx, idx, idx]
+    for name in ("potrf_atoms", "loop1_atoms", "loop2_atoms", "mirror_columns"):
         getattr(lib, name).restype = None
     return lib
 
@@ -192,6 +195,12 @@ def loop2_atoms(info, t, a, y, x):
     _lib.loop2_atoms(count, n, m, _address(info), *_stack(t), *_stack(a), *_slots(y, n),
                      *_slots(x, n), _address(seconds), _address(scratch))
     return seconds
+
+
+def mirror_columns(c, c0: int, c1: int) -> None:
+    """Columns [c0, c1) of the square ``c``'s Hermitian mirror, in place,
+    bit-identical to ``matcore.mirror_columns``."""
+    _lib.mirror_columns(_address(c), *_strides(c), c0, c1)
 
 
 def _stack(x: np.ndarray):

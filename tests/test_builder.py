@@ -410,6 +410,8 @@ def test_chunked_build_leaves_blocks_untouched(monkeypatch, atoms):
 
 def test_build_peak_does_not_grow_with_atoms(monkeypatch):
     # at a fixed 2-atom chunk the scratch memory is the same for any atom count
+    build_hs(generate(ProblemSpec(Dims(2, 8, 64), seed=36)))  # first-call allocations stay out
+
     def peak(n_atoms):
         dims = Dims(n_atoms, 8, 64)
         _set_chunk_atoms(monkeypatch, dims, 2)

@@ -1,3 +1,10 @@
+import collections
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -5,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsgen import kernels
+from hsgen import kernels, native
 from hsgen.executor import ExecPolicy, ExecResult, Tile, plan_tiles, run_partitioned
 from hsgen.kernels import KernelKind, gemm, her2k, herk
 from hsgen.matcore import InputError, zeros
@@ -418,3 +425,148 @@ def test_a_tile_above_the_block_edge_runs_as_blocks(monkeypatch, kind):
     assert max(max(s) for s in shapes) == kernels._BLOCK
     assert (big.n_tiles, big.bytes_touched) == (block.n_tiles, block.bytes_touched)
     assert c_big.tobytes() == c_block.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the shared queue: helpers of the process-wide pool plus the calling thread
+
+
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """Pools made for one test alone, shut down after it."""
+    pools = {}
+    monkeypatch.setattr(kernels, "_pools", pools)
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_every_tile_runs_exactly_once_on_the_shared_queue(monkeypatch, workers):
+    # more workers than this host's two cores and a short switch interval,
+    # so that the helpers and the caller race for the queue
+    rng = np.random.default_rng(47)
+    z, b = random_complex(rng, 8, 200), random_complex(rng, 8, 200)
+    serial = her2k(1.0, z, b, 0.0, zeros(200, 200)).tobytes()
+    runs, lock = collections.Counter(), threading.Lock()
+
+    def record(terms, c):
+        with lock:
+            runs[c.__array_interface__["data"][0]] += 1
+
+    _record_updates(monkeypatch, record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            runs.clear()
+            c = zeros(200, 200)
+            res = run_partitioned(KernelKind.HER2K, (1.0, z, b, 0.0, c), _policy(workers))
+            assert res.n_tiles == len(runs) == 28  # 7 block rows of a triangle
+            assert set(runs.values()) == {1}
+            assert c.tobytes() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_a_failing_tile_surfaces_after_every_started_tile_returned(monkeypatch, raiser):
+    # the caller's tiles wait until a helper has begun one, so both threads
+    # run tiles; the first tile of the raiser's thread fails
+    rng = np.random.default_rng(49)
+    a = random_complex(rng, 4, 200)
+    serial = herk(1.0, a, 0.0, zeros(200, 200)).tobytes()
+    pool = kernels._pool(1)
+    started, returned, failed = [], [], []
+    lock, helper_began = threading.Lock(), threading.Event()
+
+    def update(terms, conj_left, alpha, beta, c, lower):
+        tile = c.__array_interface__["data"][0]
+        on_helper = threading.current_thread() is not threading.main_thread()
+        with lock:
+            started.append(tile)
+        try:
+            if on_helper:
+                helper_began.set()
+            else:
+                assert helper_began.wait(10)
+            time.sleep(0.002)
+            with lock:
+                fail = on_helper == (raiser == "helper") and not failed
+                if fail:
+                    failed.append(tile)
+            if fail:
+                raise RuntimeError("tile failed")
+        finally:
+            with lock:
+                returned.append(tile)
+
+    monkeypatch.setattr(native, "tile_update", update)
+    with pytest.raises(RuntimeError, match="tile failed"):
+        run_partitioned(KernelKind.HERK, (1.0, a, 0.0, zeros(200, 200)), _policy(2))
+    assert len(failed) == 1 and sorted(returned) == sorted(started)
+    assert len(set(started)) == len(started)  # no tile ran twice
+    monkeypatch.undo()
+    c = zeros(200, 200)
+    run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c), _policy(2))
+    assert kernels._pool(1) is pool
+    assert c.tobytes() == serial
+
+
+def test_workers_share_only_as_many_tiles_as_there_are(monkeypatch, fresh_pools):
+    # one worker makes no pool; a 3-tile update at four workers submits
+    # two helpers, so at most two threads start, though every tile takes
+    # long enough that no helper is idle when the next is submitted
+    _record_updates(monkeypatch, lambda terms, c: time.sleep(0.02))
+    a = random_complex(np.random.default_rng(50), 4, 64)
+    c1, c4 = zeros(64, 64), zeros(64, 64)
+    run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c1), _policy(1))
+    kernels.mirror([c1], 1)
+    assert fresh_pools == {}
+    threads = threading.active_count()
+    res = run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c4), _policy(4))
+    assert res.n_tiles == 3 and list(fresh_pools) == [3]
+    assert 1 <= threading.active_count() - threads <= 2
+    kernels.mirror([c4], 4)
+    assert c1.tobytes() == c4.tobytes()
+
+
+_FORK_CHILD = """
+import os
+import sys
+import threading
+
+import numpy as np
+from hsgen.executor import ExecPolicy, run_partitioned
+from hsgen.kernels import KernelKind
+
+rng = np.random.default_rng(51)
+a = np.asfortranarray(rng.standard_normal((8, 96)) + 1j * rng.standard_normal((8, 96)))
+
+
+def update():
+    c = np.zeros((96, 96), dtype=complex, order="F")
+    run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c), ExecPolicy(workers=2, tile=32))
+    return c.tobytes()
+
+
+before = update()
+pid = os.fork()
+if pid == 0:
+    threads = threading.active_count()
+    same = update() == before
+    # a helper of the child's own: the parent's did not survive the fork
+    sys.exit(0 if same and threading.active_count() == threads + 1 else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_updates_on_a_pool_of_its_own():
+    # the fork happens in a child interpreter, never in the test process
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(kernels.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _FORK_CHILD], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

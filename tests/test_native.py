@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgen import cli, kernels, native
-from hsgen.matcore import DimensionError, Dims, InputError, zeros
+from hsgen.matcore import DimensionError, Dims, InputError, hermitian_mirror, zeros
 from hsgen.probgen import ProblemSpec, generate
 from hsgen.storage import save_instance
 
@@ -341,6 +341,45 @@ def test_the_chunk_calls_stay_inside_atoms_scratch(count, n_l, n_g, seed):
     assert y.tobytes() == want_y.tobytes() and x.tobytes() == want_x.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 768])
+@pytest.mark.parametrize("engine", kernels.ENGINES)
+def test_mirror_columns_equals_hermitian_mirror_bitwise(engine, n):
+    # planted -0.0, infinities and NaN: a mirror only copies and flips
+    # signs, so even NaN bytes are fixed; the whole range, a split one in
+    # any order, and a strided view inside a guard-filled buffer, which
+    # keeps every byte outside the view
+    rng = np.random.default_rng(n)
+    m = np.asfortranarray(_draw(rng, (n, n), 0.05))
+    expected = hermitian_mirror(m.copy(order="F")).tobytes()
+    fill = kernels._engine(engine).mirror_columns
+    whole, split = m.copy(order="F"), m.copy(order="F")
+    fill(whole, 0, n)
+    cuts = sorted({0, n // 3, n // 2 + 1, n})
+    for c0, c1 in reversed(list(zip(cuts, cuts[1:]))):
+        fill(split, c0, c1)
+    buf = np.full((2 * n + 1, 3 * n), _GUARD + 0j)
+    view = buf[1::2, ::3]
+    view[...] = m
+    outside = buf.copy()
+    outside[1::2, ::3] = 0
+    fill(view, 0, n)
+    assert whole.tobytes() == split.tobytes() == np.asfortranarray(view).tobytes() == expected
+    buf[1::2, ::3] = 0
+    assert buf.tobytes() == outside.tobytes()
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(zeros(3, 4), id="not-square"),
+    pytest.param(np.zeros((3, 3), dtype=np.complex64), id="complex64"),
+    pytest.param(np.zeros((2, 3, 3), dtype=np.complex128), id="a-stack"),
+    pytest.param(np.lib.stride_tricks.as_strided(zeros(1, 14), (3, 3), (24, 72)),
+                 id="24-byte-stride"),
+])
+def test_mirror_rejects_what_the_engines_cannot_take(c):
+    with pytest.raises(InputError):
+        kernels.mirror([zeros(2, 2), c])
+
+
 # ---------------------------------------------------------------------------
 # building, caching and failing
 
@@ -444,6 +483,14 @@ for dims in (Dims(4, 9, 70), Dims(2, 260, 5)):
         kernels.loop2(info, p.t_aa, p.a_blocks, y, x, e)
         outs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
     assert outs[0] == outs[1] and 0 < sum(outs[0][1]) and 0 in outs[0][1], dims
+for n in (1, 70, 300):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    outs = []
+    for e in ("native", "numpy"):
+        c, r = m.copy(order="F"), m.copy(order="C")
+        kernels.mirror([c, r], 2, e)
+        outs.append(c.tobytes() + r.tobytes())
+    assert outs[0] == outs[1], n
 print("clean")
 """
 
