@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Deterministic multi-worker execution of the large updates.
 
-The executor partitions each output into tiles; every tile consumes the
-full inner dimension, so no cross-tile reduction exists and the result is
-bit-identical for any worker count, any tile size and either engine.
+The tiled driver, ``kernels.run_partitioned``, partitions each output
+into tiles; every tile consumes the full inner dimension, so no
+cross-tile reduction exists and the result is bit-identical for any
+worker count, any tile size and either engine.
 That determinism is asserted here, followed by an informational
 throughput comparison.
 
@@ -24,8 +25,7 @@ import time
 import numpy as np
 
 from hsgen import Dims, ExecPolicy, ProblemSpec, build_hs, generate
-from hsgen.executor import plan_tiles, run_partitioned
-from hsgen.kernels import ENGINES, KernelKind
+from hsgen.kernels import ENGINES, KernelKind, plan_tiles, run_partitioned
 from hsgen.matcore import zeros
 
 rng = np.random.default_rng(0)

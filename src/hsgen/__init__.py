@@ -4,18 +4,7 @@ reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 
 from .builder import BuildOutput, build_hs
-from .executor import ExecPolicy
-from .kernels import (
-    SECTIONS,
-    FlopLedger,
-    FlopRecord,
-    KernelKind,
-    diag_scale,
-    flops_of,
-    gemm,
-    her2k,
-    herk,
-)
+from .kernels import SECTIONS, ExecPolicy, FlopLedger, FlopRecord, KernelKind, flops_of
 from .matcore import (
     DimensionError,
     Dims,

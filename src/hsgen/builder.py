@@ -5,8 +5,8 @@ rank-2k update ("H1"), the two rank-k overlap updates around the norm
 scaling ("S1", "U norm", "S2"), then the per-atom Cholesky split
 ("Loop 2") feeding the final large updates ("H2" for atoms whose AA block
 failed to factor, "H3" for the rest).  Every kernel invocation lands in a
-FlopLedger with its section tag; the five large updates are dispatched
-through the executor under the caller's policy, and the closing
+FlopLedger with its section tag; the five large updates run through
+``kernels.run_partitioned`` under the caller's policy, and the closing
 Hermitian mirror of H and S (``kernels.mirror``, not in the ledger)
 shares its column blocks among the policy's workers the same way.  The
 per-atom loops run on the coordinating thread, one call per chunk each
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .executor import ExecPolicy, run_partitioned
-from .kernels import FlopLedger, KernelKind
+from .kernels import ExecPolicy, FlopLedger, KernelKind, run_partitioned
 from .matcore import HermitianResult, zeros
 from .probgen import ProblemInstance, atom_chunks, validate_instance
 

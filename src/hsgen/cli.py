@@ -4,9 +4,10 @@ against the brute-force reference, and analyze the flop model.
 Commands return 0 on success and 1 when ``verify`` exceeds its tolerance;
 every other failure is raised.  ``main`` maps it to an exit code through
 the one table ``_EXIT_CODES`` (the first matching class wins) and prints
-one ``error:`` line: 3 data-invariant violation, 2 usage error, 1 storage
-or other runtime failure.  Any other exception is a bug and keeps its
-traceback.
+one ``error:`` line: 3 data-invariant violation, 2 usage error (dims
+whose fields no array can hold included), 1 storage or other runtime
+failure, or memory the host cannot give.  Any other exception is a bug
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import time
 from pathlib import Path
 
 from .builder import build_hs
-from .executor import ExecPolicy
-from .kernels import ENGINES
+from .kernels import ENGINES, ExecPolicy
 from .matcore import Dims, InputError, InvariantError, rel_frob_error
 from .probgen import ProblemSpec, generate, preset_dims
 from .reference import h_reference, s_reference
@@ -221,7 +221,8 @@ _COMMANDS = {"generate": cmd_generate, "run": cmd_run, "verify": cmd_verify,
              "flops": cmd_flops}
 
 #: (exception class, exit code): the first class that matches decides
-_EXIT_CODES = ((InvariantError, 3), (InputError, 2), (StorageError, 1), (OSError, 1))
+_EXIT_CODES = ((InvariantError, 3), (InputError, 2), (StorageError, 1), (OSError, 1),
+               (MemoryError, 1))
 
 
 def main(argv=None) -> int:

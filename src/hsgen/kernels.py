@@ -27,28 +27,32 @@ engine runs the same operations in C; its column scaling copies numpy's
 complex-by-float division (Smith's form with a +0.0 imaginary divisor),
 not a plain ``re/l``.
 
-GEMM, HERK and HER2K share one driver, ``_run``: it checks the update
-into one product ``op(L) R`` whose operands join one or two terms along
-the inner dimension, plans the output's tiles and computes each tile as
-that exact product plus one tail, serially or shared by ``_share``.  A tile
-is at most one block of the fixed ``_BLOCK`` grid, so its accumulator
-stays in cache; tiles above the diagonal of a triangular output are
+GEMM, HERK and HER2K share one tiled driver, ``run_partitioned``, which
+emulates output-partitioned multi-device BLAS on threads.  It checks the
+update into one product ``op(L) R`` whose operands join one or two terms
+along the inner dimension, cuts the output into tiles on the policy's
+grid, and computes each tile whole, by exactly one worker, as that exact
+product plus one tail; the workers take the tiles from one queue
+(``_share``).  Every tile consumes the full inner dimension, no
+cross-tile reduction exists, and every element gets the same operations
+on any grid, so the bits are the same for every worker count and tile
+size.  A tile is at most one block of the fixed ``_BLOCK`` grid, so its
+accumulator stays in cache: ``ExecPolicy`` stores an edge above it as
+the block edge.  Tiles above the diagonal of a triangular output are
 never planned, and an empty output plans none.  A conjugated L is a view
-with the update's one flag, negated as it is copied.
-Every element gets the same operations on any grid, so the grid does not
-change the bits.  The public GEMM, HERK and HER2K run ``_run``
-serially on the ``_BLOCK`` grid; the executor runs it on the
-policy's grid, never coarser than ``_BLOCK``.  Every kernel writes the
-output it is given and returns it.
+with the update's one flag, negated as it is copied.  The public GEMM,
+HERK and HER2K run the driver under the default policy: one worker on
+the ``_BLOCK`` grid.  Every kernel writes the output it is given and
+returns it.
 
 An engine (``ENGINES``) is one object with five entry points, chosen by
 name in ``_engine`` alone: ``tile_update(terms, conj_left, alpha, beta,
-c, lower)`` writes one tile of the caller's output for ``_run``;
-``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a build's
-per-atom loops over one chunk's stacked blocks, for ``potrf_route``,
-``loop1`` and ``loop2``: the only place HEMM, TRMM and POTRF run; and
-``mirror_columns(c, c0, c1)`` fills columns [c0, c1) of c's Hermitian
-mirror for ``mirror``.  ``native``, the default, is the module
+c, lower)`` writes one tile of the caller's output for
+``run_partitioned``; ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms``
+run a build's per-atom loops over one chunk's stacked blocks, for
+``potrf_route``, ``loop1`` and ``loop2``: the only place HEMM, TRMM and
+POTRF run; and ``mirror_columns(c, c0, c1)`` fills columns [c0, c1) of
+c's Hermitian mirror for ``mirror``.  ``native``, the default, is the module
 ``native.py``, whose C does all five; ``numpy`` is ``_NUMPY``:
 ``_numpy_update`` (``_acc_product``, alpha, then ``_tail``), the oracle
 the native engine is tested against, loops that run ``_potrf`` and GEMMs
@@ -90,7 +94,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import native
-from .matcore import DimensionError, InputError, hermitian_mirror, mirror_columns, zeros
+from .matcore import (
+    DimensionError,
+    InputError,
+    hermitian_mirror,
+    int_fields,
+    mirror_columns,
+    zeros,
+)
 
 
 class KernelKind(enum.Enum):
@@ -297,11 +308,6 @@ def plan_tiles(rows: int, cols: int, tile: int, triangular: bool = False) -> lis
     return tiles
 
 
-#: Edge of the output block grid and the largest tile; a block's four
-#: float64 planes are 2 MiB.
-_BLOCK = 256
-
-
 def _terms(kind: KernelKind, operands: tuple):
     """Check one GEMM/HERK/HER2K update; return ``(alpha, terms,
     conj_left, beta, c)``: its product is ``op(L) R``, where L and R join
@@ -328,9 +334,7 @@ def _terms(kind: KernelKind, operands: tuple):
         terms = [(z.T, b), (b.T, z)]
     else:
         raise InputError(f"no tiled update for {kind!r}")
-    if not all(map(_is_operand, [x for term in terms for x in term] + [c])) or not c.flags.writeable:
-        raise InputError("the operands and a writeable c must be aligned complex128 arrays "
-                         "with whole-element strides")
+    _check_arrays([x for term in terms for x in term], [c])
     left, right = terms[0]
     if left.shape[1] != right.shape[0]:
         raise DimensionError(f"inner dimensions disagree: op(a) {left.shape} vs b {right.shape}")
@@ -343,11 +347,15 @@ def _terms(kind: KernelKind, operands: tuple):
     return float(np.real(alpha)), terms, conj_left, beta, c
 
 
-def _is_operand(x) -> bool:
-    """Whether ``x`` is an aligned complex128 array with whole-element
-    strides, as the engines take an operand."""
-    return (isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
-            and not any(s % x.itemsize for s in x.strides))
+def _check_arrays(operands, outputs=()) -> None:
+    """InputError unless every operand and output is an aligned complex128
+    array with whole-element strides, as the engines take them, and every
+    output is writeable."""
+    arrays = all(isinstance(x, np.ndarray) and x.dtype == np.complex128 and x.flags.aligned
+                 and not any(s % x.itemsize for s in x.strides) for x in (*operands, *outputs))
+    if not (arrays and all(x.flags.writeable for x in outputs)):
+        raise InputError("operands and outputs must be aligned complex128 arrays with "
+                         "whole-element strides, and the outputs writeable")
 
 
 def _tail(c, prod, beta, lower: bool) -> None:
@@ -366,6 +374,10 @@ def _numpy_update(terms, conj_left: bool, alpha: float, beta, c, lower: bool) ->
     _tail(c, prod if alpha == 1 else _cprod(alpha, prod), beta, lower)
 
 
+#: Edge of the output block grid and the largest tile; a block's four
+#: float64 planes are 2 MiB.
+_BLOCK = 256
+
 #: Engine names; the first is the default.
 ENGINES = ("native", "numpy")
 
@@ -379,6 +391,29 @@ def _engine(name: str):
         return _NUMPY
     native.load()
     return native
+
+
+@dataclass(frozen=True)
+class ExecPolicy:
+    """Worker count, output-tile edge and per-tile product engine
+    (``ENGINES``) for ``run_partitioned``.  An edge above ``_BLOCK`` is
+    stored as ``_BLOCK``, the edge that runs."""
+
+    workers: int = 1
+    tile: int = _BLOCK
+    engine: str = ENGINES[0]
+
+    def __post_init__(self):
+        int_fields(self, workers=1, tile=32)
+        object.__setattr__(self, "tile", min(self.tile, _BLOCK))
+        if self.engine not in ENGINES:
+            raise InputError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+
+
+@dataclass(frozen=True)
+class ExecResult:
+    n_tiles: int
+    bytes_touched: int
 
 
 _pools: dict[int, ThreadPoolExecutor] = {}  # helper count -> its pool
@@ -446,29 +481,37 @@ def _share(fn, items: list, workers: int) -> None:
         f.result()
 
 
-def _run(kind: KernelKind, operands: tuple, edge: int, workers: int = 1,
-         engine: str = ENGINES[0]):
+def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> ExecResult:
     """The one tiled path: check one GEMM/HERK/HER2K update and run it on
-    tiles of ``edge`` with one call of the engine's update per tile;
-    returns ``(tiles, panels)``, ``panels`` being the inner dimension times
-    the number of terms.
+    the policy's tiles and workers, one call of its engine's update per
+    tile; updates the output in place.
 
-    Each tile gets the exact product over every term, scaled by alpha,
-    then the tail.  Tiles never share an output element, so ``_share``
-    runs them on any number of workers with the same bits.  An empty
-    output plans no tile.
+    Operand tuples mirror the public kernels: GEMM
+    ``(alpha, opa, a, opb, b, beta, c)``, HERK ``(alpha, a, beta, c)``,
+    HER2K ``(alpha, z, b, beta, c)``.  Each tile gets the exact product
+    over every term, scaled by alpha, then the tail.  Tiles never share an
+    output element, so ``_share`` runs them on any number of workers with
+    the same bits.  An empty output plans no tile.  ``bytes_touched``
+    counts, per tile, the output tile plus one row and one column panel of
+    the inner dimension per product term.  An update outside the contract
+    is an ``InputError`` that leaves the output as it was.
     """
     alpha, terms, conj_left, beta, c = _terms(kind, operands)
-    update = _engine(engine).tile_update
-    tiles = plan_tiles(*c.shape, edge, triangular=kind is not KernelKind.GEMM) if c.size else []
+    update = _engine(policy.engine).tile_update
+    triangular = kind is not KernelKind.GEMM
+    tiles = plan_tiles(*c.shape, policy.tile, triangular) if c.size else []
 
     def work(t: Tile) -> None:
         rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
         update([(left[rows], right[:, cols]) for left, right in terms], conj_left,
                alpha, beta, c[rows, cols], t.diagonal)
 
-    _share(work, tiles, workers)
-    return tiles, len(terms) * terms[0][0].shape[1]
+    _share(work, tiles, policy.workers)
+    panels = len(terms) * terms[0][0].shape[1]
+    bytes_touched = sum(((t.row1 - t.row0) * (t.col1 - t.col0)
+                         + panels * (t.row1 - t.row0 + t.col1 - t.col0)) * c.itemsize
+                        for t in tiles)
+    return ExecResult(len(tiles), bytes_touched)
 
 
 def mirror(outputs, workers: int = 1, engine: str = ENGINES[0]) -> None:
@@ -477,12 +520,12 @@ def mirror(outputs, workers: int = 1, engine: str = ENGINES[0]) -> None:
     bits.  The ``_BLOCK``-wide column blocks of all of them are one task
     list for ``_share``, the blocks with the most elements to write
     first; a block's copies and sign flips are exact, so the split does
-    not change a bit.  Each matrix must be writeable and taken as an
-    operand (``_is_operand``)."""
+    not change a bit.  Each matrix is an output as ``_check_arrays``
+    takes one."""
+    _check_arrays((), outputs)
     for c in outputs:
-        if not (_is_operand(c) and c.flags.writeable) or c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise InputError("mirror takes writeable square complex128 arrays with "
-                             "whole-element strides")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise InputError(f"mirror takes square matrices, got shape {c.shape}")
     fill = _engine(engine).mirror_columns
     blocks = [(c, j0, min(j0 + _BLOCK, len(c))) for c in outputs
               for j0 in range(0, len(c), _BLOCK)]
@@ -497,13 +540,13 @@ def mirror(outputs, workers: int = 1, engine: str = ENGINES[0]) -> None:
 def gemm(alpha, opa: str, a, opb: str, b, beta, c, engine: str = ENGINES[0]):
     """c <- alpha*op(a)*b + beta*c, op(a) a or a^H (opa N or C, opb N);
     alpha real and nonzero, beta 0 or 1. Updates c in place."""
-    _run(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), _BLOCK, engine=engine)
+    run_partitioned(KernelKind.GEMM, (alpha, opa, a, opb, b, beta, c), ExecPolicy(engine=engine))
     return c
 
 
 def herk(alpha, a, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*a^H*a + beta*c; alpha real, nonzero; beta 0 or 1."""
-    _run(KernelKind.HERK, (alpha, a, beta, c), _BLOCK, engine=engine)
+    run_partitioned(KernelKind.HERK, (alpha, a, beta, c), ExecPolicy(engine=engine))
     return c
 
 
@@ -511,7 +554,7 @@ def her2k(alpha, z, b, beta, c, engine: str = ENGINES[0]):
     """Lower triangle of c <- alpha*[z; b]^H [b; z] + beta*c, that is
     alpha*(z^H*b + b^H*z) as one ascending-k sum; alpha real and nonzero,
     beta 0 or 1."""
-    _run(KernelKind.HER2K, (alpha, z, b, beta, c), _BLOCK, engine=engine)
+    run_partitioned(KernelKind.HER2K, (alpha, z, b, beta, c), ExecPolicy(engine=engine))
     return c
 
 
@@ -572,18 +615,14 @@ def diag_scale(u, b):
 def _chunk(squares, blocks=(), outputs=()):
     """Check one chunk's stacks for the per-atom loops: ``squares``
     (count, n, n), ``blocks`` (count, n, m) and writeable ``outputs``
-    (count*n, m), all as ``_is_operand`` takes them; returns n."""
+    (count*n, m), all as ``_check_arrays`` takes them; returns n."""
     count, n = len(squares[0]), squares[0].shape[-1]
     m = blocks[0].shape[-1] if blocks else n
     for xs, shape in ((squares, (count, n, n)), (blocks, (count, n, m)), (outputs, (count * n, m))):
         for x in xs:
             if x.shape != shape:
                 raise DimensionError(f"a chunk stack has shape {x.shape}, expected {shape}")
-            if not _is_operand(x):
-                raise InputError("a chunk's stacks must be aligned complex128 arrays "
-                                 "with whole-element strides")
-    if not all(x.flags.writeable for x in outputs):
-        raise InputError("a chunk's outputs must be writeable")
+    _check_arrays((*squares, *blocks), outputs)
     return n
 
 

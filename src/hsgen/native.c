@@ -250,6 +250,37 @@ void tile_update(idx m, idx n, idx k, int nterms,
 }
 
 /* ---------------------------------------------------------------------------
+   The Hermitian mirror: a build's closing one, and herm(T) in the per-atom
+   loops, as tril then the mirror of all its columns. */
+
+#define MB 16 /* the edge of a copied block: it and its source fit in L1 */
+
+/* Columns [c0, c1) of the square c's Hermitian mirror, as
+   matcore.mirror_columns makes them: element (i, j) above the diagonal
+   gets the conjugate of (j, i), and a diagonal element's imaginary part
+   +0.0.  Each MB-column block is filled MB rows at a time from its
+   transposed source block.  Copies and sign flips are exact, so any split
+   of the columns gives the same bits. */
+void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
+{
+    for (idx j0 = c0; j0 < c1; j0 += MB) {
+        const idx j1 = j0 + MB < c1 ? j0 + MB : c1;
+        for (idx i0 = 0; i0 < j1 - 1; i0 += MB)
+            for (idx j = j0; j < j1; j++) {
+                const idx i1 = i0 + MB < j ? i0 + MB : j;
+                double *col = c + 2 * j * s1;
+                const double *row = c + 2 * j * s0;
+                for (idx i = i0; i < i1; i++) {
+                    col[2 * i * s0] = row[2 * i * s1];
+                    col[2 * i * s0 + 1] = -row[2 * i * s1 + 1];
+                }
+            }
+        for (idx j = j0; j < j1; j++)
+            c[2 * j * (s0 + s1) + 1] = 0.0;
+    }
+}
+
+/* ---------------------------------------------------------------------------
    The per-atom loops.  A stack of blocks is passed as its first element and
    its atom, row and column strides; block i starts 2*i*sa doubles in.  An
    output stack is a buffer cut into slots of n rows. */
@@ -277,8 +308,8 @@ static size_t grid_scratch(idx n, idx m, idx k)
 }
 
 /* c <- alpha*op(L) R + beta*c for the n x m c and the n x n L, tile by
-   tile on the BLOCK grid that kernels._run plans for a GEMM; `tri` makes
-   L upper triangular (see update). */
+   tile on the BLOCK grid that kernels.run_partitioned plans for a GEMM;
+   `tri` makes L upper triangular (see update). */
 static void product(idx n, idx m, struct operand l, int conj, int tri, struct operand r,
                     double alpha, int beta, double *c, idx sc0, idx sc1, double *scratch)
 {
@@ -300,21 +331,6 @@ static void tril(idx n, struct operand t, double *w)
             const double *x = t.x + 2 * (i * t.s0 + j * t.s1);
             w[0] = i >= j ? x[0] : 0.0;
             w[1] = i >= j ? x[1] : 0.0;
-        }
-}
-
-/* The Hermitian matrix of t's lower triangle into the column-major n x n
-   w, as matcore.hermitian_mirror makes it: the strict upper part is the
-   conjugate of the strict lower one, the diagonal's imaginary part +0.0. */
-static void mirror(idx n, struct operand t, double *w)
-{
-    for (idx j = 0; j < n; j++)
-        for (idx i = j; i < n; i++) {
-            const double *x = t.x + 2 * (i * t.s0 + j * t.s1);
-            double *lo = w + 2 * (i + j * n), *up = w + 2 * (j + i * n);
-            up[0] = lo[0] = x[0];
-            lo[1] = i == j ? 0.0 : x[1];
-            up[1] = i == j ? 0.0 : -x[1];
         }
 }
 
@@ -401,7 +417,8 @@ void loop1_atoms(idx count, idx n, idx m, const double *tab, idx taa, idx ta0, i
         product(n, m, (struct operand){h.x, h.s1, h.s0}, 1, 0, block(a, aa, a0, a1, i), 1.0, 0,
                 ci, c0, c1, tiles);
         const double mid = now();
-        mirror(n, block(t, ta, t0, t1, i), w);
+        tril(n, block(t, ta, t0, t1, i), w);
+        mirror_columns(w, 1, n, 0, n);
         product(n, m, (struct operand){w, 1, n}, 0, 0, block(b, ba, b0, b1, i), 0.5, 1, ci, c0,
                 c1, tiles);
         seconds[2 * i] = mid - start;
@@ -432,42 +449,13 @@ void loop2_atoms(idx count, idx n, idx m, const int *info,
                     tiles);
             ys++;
         } else {
-            mirror(n, ti, w);
+            tril(n, ti, w);
+            mirror_columns(w, 1, n, 0, n);
             product(n, m, (struct operand){w, 1, n}, 0, 0, ai, 1.0, 0, x + 2 * xs * xa, x0, x1,
                     tiles);
             xs++;
         }
         seconds[2 * i] = mid - start;
         seconds[2 * i + 1] = now() - mid;
-    }
-}
-
-/* ---------------------------------------------------------------------------
-   The closing mirror of a build. */
-
-#define MB 16 /* the edge of a copied block: it and its source fit in L1 */
-
-/* Columns [c0, c1) of the square c's Hermitian mirror, as
-   matcore.mirror_columns makes them: element (i, j) above the diagonal
-   gets the conjugate of (j, i), and a diagonal element's imaginary part
-   +0.0.  Each MB-column block is filled MB rows at a time from its
-   transposed source block.  Copies and sign flips are exact, so any split
-   of the columns gives the same bits. */
-void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
-{
-    for (idx j0 = c0; j0 < c1; j0 += MB) {
-        const idx j1 = j0 + MB < c1 ? j0 + MB : c1;
-        for (idx i0 = 0; i0 < j1 - 1; i0 += MB)
-            for (idx j = j0; j < j1; j++) {
-                const idx i1 = i0 + MB < j ? i0 + MB : j;
-                double *col = c + 2 * j * s1;
-                const double *row = c + 2 * j * s0;
-                for (idx i = i0; i < i1; i++) {
-                    col[2 * i * s0] = row[2 * i * s1];
-                    col[2 * i * s0 + 1] = -row[2 * i * s1 + 1];
-                }
-            }
-        for (idx j = j0; j < j1; j++)
-            c[2 * j * (s0 + s1) + 1] = 0.0;
     }
 }

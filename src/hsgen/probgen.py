@@ -98,8 +98,14 @@ def _spectral_hermitian(rng, n, eig_lo, eig_hi, force_indefinite) -> np.ndarray:
 
 
 def generate(spec: ProblemSpec) -> ProblemInstance:
-    """Fully populated instance; identical spec -> bit-identical instance."""
+    """Fully populated instance; identical spec -> bit-identical instance.
+    InputError, before anything is allocated, if a field would exceed the
+    bytes one array can hold."""
     dims = spec.dims
+    fields = instance_fields(dims)
+    largest = max(math.prod(shape) * dtype.itemsize for shape, dtype in fields.values())
+    if largest > np.iinfo(np.intp).max:
+        raise InputError(f"{dims} needs a field of {largest} bytes, more than one array can hold")
     n_a, n_l, n_g = dims.n_atoms, dims.n_l, dims.n_g
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n_non = round(spec.nonhpd_fraction * n_a)
@@ -108,7 +114,7 @@ def generate(spec: ProblemSpec) -> ProblemInstance:
     scale = 1.0 / math.sqrt(n_l)
 
     inst = ProblemInstance(dims, **{
-        name: np.empty(shape, dtype) for name, (shape, dtype) in instance_fields(dims).items()
+        name: np.empty(shape, dtype) for name, (shape, dtype) in fields.items()
     })
     for a in range(n_a):
         inst.a_blocks[a] = _complex_gaussians(rng, n_l, n_g, scale)

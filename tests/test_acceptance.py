@@ -7,7 +7,7 @@ import numpy as np
 
 from hsgen import cli, kernels
 from hsgen.builder import build_hs
-from hsgen.executor import ExecPolicy
+from hsgen.kernels import ExecPolicy
 from hsgen.matcore import Dims, frobenius, is_hermitian, rel_frob_error
 from hsgen.probgen import ProblemSpec, generate, preset_dims
 from hsgen.reference import h_reference, s_reference

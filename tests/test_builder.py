@@ -5,8 +5,7 @@ import pytest
 
 from hsgen import kernels, probgen
 from hsgen.builder import build_hs
-from hsgen.executor import ExecPolicy
-from hsgen.kernels import SECTIONS, KernelKind, gemm, loop2, potrf_route
+from hsgen.kernels import SECTIONS, ExecPolicy, KernelKind, gemm, loop2, potrf_route
 from hsgen.matcore import (
     Dims,
     InvariantError,

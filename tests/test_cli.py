@@ -266,6 +266,41 @@ def test_failed_run_keeps_earlier_outputs_and_leaves_no_temporaries(tmp_path, mo
     assert _tree_bytes(tmp_path) == earlier
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+
+def test_run_out_of_memory_is_failure_that_writes_nothing(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    earlier = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_hs", _out_of_memory)
+    assert run_cli("run", "--in", str(inst)) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 14.6 TiB for an array\n"
+    assert _tree_bytes(tmp_path) == earlier  # no H.hsm, S.hsm, report.json or temporary
+
+
+def test_generate_out_of_memory_is_failure_that_writes_nothing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "inst"
+    monkeypatch.setattr(cli, "generate", _out_of_memory)
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 14.6 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_generate_dims_no_array_can_hold_are_usage_errors(tmp_path, capsys):
+    # numpy could not even describe a_blocks: 1e21 elements of 16 bytes
+    out = tmp_path / "inst"
+    assert run_cli("generate", "--na", "10000000", "--nl", "10000000", "--ng", "10000000",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "16000000000000000000000 bytes" in err
+    assert not out.exists()
+
+
 def test_run_bad_tile_is_usage_error(tmp_path):
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "1", "--nl", "1", "--ng", "1", "--seed", "1",
