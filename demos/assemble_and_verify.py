@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Assemble H and S for a small synthetic system and check the result
-against the brute-force reference.
+against the numpy reference.
 
 The optimized path stacks per-atom blocks into large rank-k/rank-2k
-updates; the reference recomputes both matrices with plain nested loops
-straight from the per-atom sums.  The two share no kernel code.
+updates; the reference recomputes both matrices straight from the
+per-atom sums, one BLAS product of the whole blocks per term.  The two
+share no kernel code.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ print(f"split: {out.split.hpd} atoms factored, {out.split.nonhpd} on the fallbac
 print(f"H is {out.h.matrix.shape[0]}x{out.h.matrix.shape[1]}, "
       f"Hermitian defect {np.abs(out.h.matrix - out.h.matrix.conj().T).max():.2e}")
 
-# the slow reference gives an independent answer
+# the numpy reference gives an independent answer
 err_h = rel_frob_error(out.h.matrix, h_reference(inst))
 err_s = rel_frob_error(out.s.matrix, s_reference(inst))
 print(f"rel Frobenius error vs reference: H {err_h:.2e}, S {err_s:.2e}")

@@ -1,5 +1,5 @@
 """hsgen: deterministic assembly of FLAPW Hamiltonian/overlap matrices
-from per-atom coefficient and coupling blocks, with a brute-force
+from per-atom coefficient and coupling blocks, with a numpy
 reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 

@@ -1,5 +1,5 @@
 """Command-line front end: generate instances, assemble H and S, verify
-against the brute-force reference, and analyze the flop model.
+against the numpy reference, and analyze the flop model.
 
 Commands return 0 on success and 1 when ``verify`` exceeds its tolerance;
 every other failure is raised.  ``main`` maps it to an exit code through
@@ -37,11 +37,7 @@ from .report import (
     summarize,
     validate_flop_model,
 )
-from .storage import StorageError, load_instance, save_instance, write_matrix
-
-#: cmd_verify refuses larger basis sizes without --force; the reference
-#: oracle is deliberately slow.
-ORACLE_GUARD_NG = 512
+from .storage import INSTANCE_FILES, StorageError, load_instance, save_instance, write_matrix
 
 
 def _engine_argument(parser) -> None:
@@ -80,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="compare the assembly against the reference oracle")
     ver.add_argument("--in", dest="indir", required=True)
     ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--force", action="store_true",
-                     help=f"run the oracle even when n_g > {ORACLE_GUARD_NG}")
     _engine_argument(ver)
 
     fl = sub.add_parser("flops", help="closed-form flop analysis for a preset")
@@ -141,9 +135,13 @@ def _write_all(outputs) -> None:
 
 def cmd_run(args) -> int:
     policy = ExecPolicy(workers=args.workers, tile=args.tile, engine=args.engine)
-    inst = load_instance(args.indir)
     indir = Path(args.indir)
     report_path = Path(args.report) if args.report else indir / "report.json"
+    # the report may replace neither an input nor the H or S it is written with
+    taken = {(indir / name).resolve(): name for name in ("H.hsm", "S.hsm", *INSTANCE_FILES)}
+    if (name := taken.get(report_path.resolve())) is not None:
+        raise InputError(f"--report {report_path} is the instance's {name}; give another path")
+    inst = load_instance(indir)
     if not report_path.parent.is_dir():
         raise StorageError(f"report directory {report_path.parent} does not exist")
     t0 = time.perf_counter()
@@ -174,9 +172,6 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
     inst = load_instance(args.indir)
-    if inst.dims.n_g > ORACLE_GUARD_NG and not args.force:
-        raise InputError(f"n_g={inst.dims.n_g} exceeds the oracle guard "
-                         f"({ORACLE_GUARD_NG}); pass --force to run anyway")
     out = build_hs(inst, ExecPolicy(engine=args.engine))
     err_h = rel_frob_error(out.h.matrix, h_reference(inst))
     err_s = rel_frob_error(out.s.matrix, s_reference(inst))

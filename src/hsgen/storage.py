@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import zlib
 from pathlib import Path
@@ -54,7 +55,12 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    # non-blocking, so opening a FIFO cannot hang; the fstat of the open
+    # file then refuses anything but a regular file, with no race
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise StorageError(f"{path}: not a regular file")
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise StorageError(f"{path}: file shorter than the 25-byte header")
@@ -64,7 +70,7 @@ def read_matrix(path) -> np.ndarray:
         dtype = _DTYPES.get(tag)
         if version != _VERSION or dtype is None:
             raise StorageError(f"{path}: unsupported version/dtype {version}/{tag}")
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        payload = info.st_size - _HEADER.size
         if payload != dtype.itemsize * rows * cols:
             raise StorageError(
                 f"{path}: payload is {payload} bytes, expected {dtype.itemsize * rows * cols}"
@@ -81,6 +87,8 @@ _FIELDS = {"a": "a_blocks", "b": "b_blocks", "t_aa": "t_aa", "t_ab": "t_ab",
            "t_bb": "t_bb", "u": "u_norms"}
 
 MANIFEST_NAME = "manifest.json"
+#: every file an instance directory is read from
+INSTANCE_FILES = (MANIFEST_NAME, *(f"{key}.hsm" for key in _FIELDS))
 FORMAT = 3  # 2 named its files in the manifest; 1, with no "format" key, was per atom
 
 
@@ -139,7 +147,7 @@ def load_instance(indir) -> ProblemInstance:
         path = indir / f"{key}.hsm"
         try:
             x = read_matrix(path)
-        except OSError as exc:  # missing, a directory, ...
+        except OSError as exc:  # missing, unreadable, ...
             raise StorageError(f"{path}: cannot read ({exc.strerror})") from exc
         shape, dtype = specs[field]
         want = (math.prod(shape[2:]), rows)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,40 @@ def test_run_missing_report_directory_fails_before_writing(tmp_path, capsys):
     assert not (inst / "H.hsm").exists() and not (inst / "S.hsm").exists()
 
 
+@pytest.mark.parametrize("name", ["H.hsm", "S.hsm", "manifest.json", "a.hsm", "b.hsm",
+                                  "t_aa.hsm", "t_ab.hsm", "t_bb.hsm", "u.hsm"])
+def test_run_report_onto_an_instance_file_is_usage_error(tmp_path, capsys, name):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    assert run_cli("run", "--in", str(inst)) == 0
+    earlier = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    # spelled another way, it is still the same file
+    report = inst / ".." / "inst" / name
+    assert run_cli("run", "--in", str(inst), "--report", str(report)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --report") and name in err and err.count("\n") == 1
+    assert _tree_bytes(tmp_path) == earlier  # nothing written, no temporary
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_run_on_a_fifo_field_file_is_failure_not_a_hang(tmp_path):
+    inst = tmp_path / "inst"
+    assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
+                   "--out", str(inst)) == 0
+    (inst / "b.hsm").unlink()
+    os.mkfifo(inst / "b.hsm")  # no writer: a blocking open would wait forever
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "hsgen.cli", "run", "--in", str(inst)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    err = done.stderr
+    assert err.startswith("error:") and err.count("\n") == 1 and "b.hsm" in err
+    assert not any((inst / f).exists() for f in ("H.hsm", "S.hsm", "report.json"))
+
+
 def test_run_unwritable_output_is_failure(tmp_path, capsys):
     inst = tmp_path / "inst"
     assert run_cli("generate", "--na", "2", "--nl", "2", "--ng", "3", "--seed", "2",
@@ -346,11 +384,12 @@ def test_verify_corrupted_block_is_invariant_violation(tmp_path):
 
 
 def test_verify_oracle_guard(tmp_path):
+    # the numpy oracle runs at any size: no guard, and no flag to lift one
     inst = tmp_path / "inst"
     p = generate(ProblemSpec(Dims(1, 1, 513), seed=11))
     save_instance(p, inst, seed=11)
-    assert run_cli("verify", "--in", str(inst)) == 2
-    assert run_cli("verify", "--in", str(inst), "--force") == 0
+    assert run_cli("verify", "--in", str(inst)) == 0
+    assert run_cli("verify", "--in", str(inst), "--force") == 2
 
 
 # ---------------------------------------------------------------------------

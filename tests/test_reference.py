@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 
+from hsgen import reference
 from hsgen.matcore import Dims, frobenius, is_hermitian, rel_frob_error
 from hsgen.probgen import ProblemInstance, ProblemSpec, generate
 from hsgen.reference import h_reference, s_reference
@@ -143,3 +147,18 @@ def test_atom_linearity():
         whole = fn(p)
         parts = fn(first) + fn(second)
         assert rel_frob_error(whole, parts) < 1e-13
+
+
+def test_the_oracle_imports_only_numpy_and_the_instance_type():
+    # an oracle routed through the kernels, engines, builder or mirror
+    # would check them against themselves
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("hsgen." if node.level else "") + (node.module or "")
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    imported.discard("__future__.annotations")
+    assert imported == {"numpy", "hsgen.probgen.ProblemInstance"}
