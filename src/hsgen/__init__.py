@@ -4,14 +4,14 @@ reference oracle, a synthetic problem generator, per-kernel flop
 accounting, and a tiled multi-worker executor."""
 
 from .builder import BuildOutput, build_hs
-from .kernels import SECTIONS, ExecPolicy, FlopLedger, FlopRecord, KernelKind, flops_of
+from .kernels import (SECTIONS, ExecPolicy, FlopLedger, FlopRecord, KernelKind, flops_of,
+                      hermitian_mirror)
 from .matcore import (
     DimensionError,
     Dims,
     InputError,
     InvariantError,
     frobenius,
-    hermitian_mirror,
     is_hermitian,
     rel_frob_error,
     zeros,

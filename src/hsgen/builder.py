@@ -7,14 +7,13 @@ scaling ("S1", "U norm", "S2"), then the per-atom Cholesky split
 failed to factor, "H3" for the rest).  Every kernel invocation lands in a
 FlopLedger with its section tag; the five large updates run through
 ``kernels.run_partitioned`` under the caller's policy, and the closing
-Hermitian mirror of H and S (``kernels.mirror``, not in the ledger)
-shares its column blocks among the policy's workers the same way.  The
-per-atom loops run on the coordinating thread, one call per chunk each
-on the policy's engine (``kernels.loop1``, ``potrf_route`` then
-``loop2``): one C call under ``native``, the public kernels atom by atom
-under ``numpy``.  Each
-returns its kernels' seconds, and the ledger gets one record per kernel
-in atom order, as if each had been timed on its own.
+Hermitian mirror of H and S (``kernels.hermitian_mirror``, not in the
+ledger) shares its column blocks among the policy's workers the same
+way.  The per-atom loops run on the coordinating thread, one call per
+chunk each on the policy's engine (``kernels.loop1``, ``potrf_route``
+then ``loop2``): one C call under ``native``, atom by atom under
+``numpy``.  Each returns its kernels' seconds, and the ledger gets one
+record per kernel in atom order, as if each had been timed on its own.
 
 The atoms are processed in the chunks of ``probgen.atom_chunks``, the
 grid the instance files are checksummed on.  A chunk's A rows, B rows
@@ -128,6 +127,6 @@ def build_hs(p: ProblemInstance, policy: ExecPolicy | None = None) -> BuildOutpu
         nonhpd += len(failed)
         del b_buf, z_buf
 
-    kernels.mirror((h, s), policy.workers, engine)
+    kernels.hermitian_mirror(h, s, workers=policy.workers, engine=engine)
     return BuildOutput(HermitianResult(h), HermitianResult(s),
                        SplitCounts(n_a - nonhpd, nonhpd), ledger)

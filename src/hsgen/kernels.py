@@ -46,19 +46,20 @@ the ``_BLOCK`` grid.  Every kernel writes the output it is given and
 returns it.
 
 An engine (``ENGINES``) is one object with five entry points, chosen by
-name in ``_engine`` alone: ``tile_update(terms, conj_left, alpha, beta,
-c, lower)`` writes one tile of the caller's output for
-``run_partitioned``; ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms``
-run a build's per-atom loops over one chunk's stacked blocks, for
-``potrf_route``, ``loop1`` and ``loop2``: the only place HEMM, TRMM and
-POTRF run; and ``mirror_columns(c, c0, c1)`` fills columns [c0, c1) of
-c's Hermitian mirror for ``mirror``.  ``native``, the default, is the module
-``native.py``, whose C does all five; ``numpy`` is ``_NUMPY``:
-``_numpy_update`` (``_acc_product``, alpha, then ``_tail``), the oracle
-the native engine is tested against, loops that run ``_potrf`` and GEMMs
-atom by atom, HEMM over ``hermitian_mirror``'s T and TRMM the ``C`` op
-over the factor, and ``matcore.mirror_columns``.  Both run the same
-operations per element, so H and S have the same bits under either.
+name in ``_engine`` alone, that calls only its own code:
+``tile_update(terms, conj_left, alpha, beta, c, lower)`` writes one tile
+of the caller's output for ``run_partitioned``; ``potrf_atoms``,
+``loop1_atoms`` and ``loop2_atoms`` run a build's per-atom loops over one
+chunk's stacked blocks, for ``potrf_route``, ``loop1`` and ``loop2``: the
+only place HEMM, TRMM and POTRF run; and ``mirror_columns(c, c0, c1)``
+fills columns [c0, c1) of c's Hermitian mirror for ``hermitian_mirror``.
+``native``, the default, is the module ``native.py``, whose C does all
+five; ``numpy`` is ``_NUMPY``: ``_numpy_update`` (``_acc_product``,
+alpha, then ``_tail``), the oracle the native engine is tested against;
+loops that run ``_potrf`` and each product per tile (``_numpy_product``),
+HEMM over ``_herm``'s T and TRMM over the conjugated factor; and
+``_mirror_columns``.  Both run the same operations per element, so H and
+S have the same bits under either.
 Native Loop 2 runs TRMM on the triangle only: it skips the zeros before
 the diagonal of each row of C^H, which add only +-0 to a +0.0 start, so
 the bits are the same for finite operands.
@@ -94,14 +95,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import native
-from .matcore import (
-    DimensionError,
-    InputError,
-    hermitian_mirror,
-    int_fields,
-    mirror_columns,
-    zeros,
-)
+from .matcore import DimensionError, InputError, int_fields, zeros
 
 
 class KernelKind(enum.Enum):
@@ -514,23 +508,27 @@ def run_partitioned(kind: KernelKind, operands: tuple, policy: ExecPolicy) -> Ex
     return ExecResult(len(tiles), bytes_touched)
 
 
-def mirror(outputs, workers: int = 1, engine: str = ENGINES[0]) -> None:
-    """Make each square matrix of ``outputs`` the Hermitian matrix of its
-    lower triangle, in place, as ``hermitian_mirror`` does, with the same
-    bits.  The ``_BLOCK``-wide column blocks of all of them are one task
-    list for ``_share``, the blocks with the most elements to write
-    first; a block's copies and sign flips are exact, so the split does
-    not change a bit.  Each matrix is an output as ``_check_arrays``
-    takes one."""
+def hermitian_mirror(m, *more, workers: int = 1, engine: str = ENGINES[0]):
+    """Make ``m`` and each of ``more`` the Hermitian matrix of its lower
+    triangle in place, the diagonal's imaginary part +0.0; returns ``m``.
+    All are checked before any is written: a matrix ``_check_arrays``
+    refuses as an output, or not 2-D, is an InputError, a non-square one
+    a DimensionError.  The ``_BLOCK``-wide column blocks of all of them
+    are one task list for ``_share``, the largest first; copies and sign
+    flips are exact, so the split does not change a bit."""
+    outputs = (m, *more)
     _check_arrays((), outputs)
     for c in outputs:
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise InputError(f"mirror takes square matrices, got shape {c.shape}")
+        if c.ndim != 2:
+            raise InputError(f"hermitian_mirror takes matrices, got shape {c.shape}")
+        if c.shape[0] != c.shape[1]:
+            raise DimensionError(f"hermitian_mirror takes square matrices, got shape {c.shape}")
     fill = _engine(engine).mirror_columns
     blocks = [(c, j0, min(j0 + _BLOCK, len(c))) for c in outputs
               for j0 in range(0, len(c), _BLOCK)]
     blocks.sort(key=lambda b: b[2] * (b[2] - 1) - b[1] * (b[1] - 1), reverse=True)
     _share(lambda b: fill(*b), blocks, workers)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +656,46 @@ def loop2(info, t_aa, a, y, x, engine: str = ENGINES[0]):
 
 
 # ---------------------------------------------------------------------------
-# the numpy engine: native.py's five entry points, with _numpy_update per tile
+# the numpy engine: native.py's five entry points, on _numpy_update per tile
+
+
+#: Edge of the square blocks ``_mirror_columns`` copies: a block and its
+#: transposed source (64 KiB each) stay in cache together.
+_MIRROR_BLOCK = 64
+
+
+def _mirror_columns(c, c0: int, c1: int) -> None:
+    """``hermitian_mirror`` of the square ``c`` on columns [c0, c1) only,
+    filled one ``_MIRROR_BLOCK`` square at a time from the transposed
+    source block, so the working set beyond ``c`` stays at one diagonal
+    block's indices.  Every element written is one exact copy or sign
+    flip, so any split of the columns gives the same bits."""
+    b = _MIRROR_BLOCK
+    whole = np.triu_indices(b, k=1)
+    for j0 in range(c0, c1, b):
+        j1 = min(j0 + b, c1)
+        for i0 in range(0, j0, b):
+            i1 = min(i0 + b, j0)
+            np.conj(c[j0:j1, i0:i1].T, out=c[i0:i1, j0:j1])
+        blk = c[j0:j1, j0:j1]
+        iu = whole if j1 - j0 == b else np.triu_indices(j1 - j0, k=1)
+        blk[iu] = np.conj(blk.T[iu])
+        np.fill_diagonal(blk.imag, 0)
+
+
+def _herm(t):
+    """herm(T): a copy of the square ``t`` that ``_mirror_columns`` fills."""
+    w = np.array(t, order="F")
+    _mirror_columns(w, 0, len(w))
+    return w
+
+
+def _numpy_product(left, conj_left: bool, right, alpha: float, beta, c) -> None:
+    """c <- alpha*op(left) right + beta*c, one ``_numpy_update`` per tile
+    of the ``_BLOCK`` grid, as ``native.c``'s ``product`` runs it."""
+    for t in plan_tiles(*c.shape, _BLOCK):
+        rows, cols = slice(t.row0, t.row1), slice(t.col0, t.col1)
+        _numpy_update([(left[rows], right[:, cols])], conj_left, alpha, beta, c[rows, cols], False)
 
 
 def _numpy_potrf_atoms(t, w):
@@ -673,39 +710,37 @@ def _numpy_potrf_atoms(t, w):
 
 
 def _numpy_loop1_atoms(t_ab, a, t_bb, b, z):
-    """``native.loop1_atoms`` atom by atom: the GEMM, then the HEMM as the
-    GEMM over ``hermitian_mirror``'s T."""
+    """``native.loop1_atoms`` atom by atom: the product T_ab^H A, then the
+    HEMM as the product over ``_herm(T_bb)``."""
     n = b.shape[1]
     seconds = np.empty((len(a), 2))
     for i in range(len(a)):
         rows = z[i * n : (i + 1) * n]
         t0 = time.perf_counter()
-        gemm(1, "C", t_ab[i], "N", a[i], 0, rows, "numpy")
+        _numpy_product(t_ab[i].T, True, a[i], 1.0, 0, rows)
         t1 = time.perf_counter()
-        gemm(0.5, "N", hermitian_mirror(np.array(t_bb[i], order="F")), "N", b[i], 1, rows,
-             "numpy")
+        _numpy_product(_herm(t_bb[i]), False, b[i], 0.5, 1, rows)
         seconds[i] = t1 - t0, time.perf_counter() - t1
     return seconds
 
 
-def _numpy_loop2_atoms(info, t_aa, a, y, x):
+def _numpy_loop2_atoms(info, t, a, y, x):
     """``native.loop2_atoms`` atom by atom: ``_potrf`` then TRMM as the
-    ``C``-op GEMM over the factor, whose upper triangle ``_potrf`` leaves
-    zero, or HEMM as the GEMM over ``hermitian_mirror``'s T."""
+    conjugated product over the factor, whose upper triangle ``_potrf``
+    leaves zero, or HEMM as the product over ``_herm(T)``."""
     n = a.shape[1]
     factor = zeros(n, n)
     seconds = np.empty((len(a), 2))
     ys = xs = 0
-    for i, (t, blk) in enumerate(zip(t_aa, a)):
+    for i, (ti, ai) in enumerate(zip(t, a)):
         t0 = t1 = time.perf_counter()
         if info[i] == 0:
-            _potrf(t, factor)
+            _potrf(ti, factor)
             t1 = time.perf_counter()
-            gemm(1, "C", factor, "N", blk, 0, y[ys : ys + n], "numpy")
+            _numpy_product(factor.T, True, ai, 1.0, 0, y[ys : ys + n])
             ys += n
         else:
-            gemm(1, "N", hermitian_mirror(np.array(t, order="F")), "N", blk, 0, x[xs : xs + n],
-                 "numpy")
+            _numpy_product(_herm(ti), False, ai, 1.0, 0, x[xs : xs + n])
             xs += n
         seconds[i] = t1 - t0, time.perf_counter() - t1
     return seconds
@@ -713,4 +748,4 @@ def _numpy_loop2_atoms(info, t_aa, a, y, x):
 
 _NUMPY = SimpleNamespace(tile_update=_numpy_update, potrf_atoms=_numpy_potrf_atoms,
                          loop1_atoms=_numpy_loop1_atoms, loop2_atoms=_numpy_loop2_atoms,
-                         mirror_columns=mirror_columns)
+                         mirror_columns=_mirror_columns)

@@ -2,8 +2,9 @@
 
 Conventions: matrices are numpy ``complex128`` arrays in column-major
 (Fortran) order; Hermitian matrices are produced lower-triangle-first and
-mirrored once, in place, at the end of a build.  ``is_hermitian`` is the
-package's one Hermitian predicate.
+mirrored once, in place, at the end of a build (``kernels.hermitian_mirror``,
+which runs on an engine).  ``is_hermitian`` is the package's one Hermitian
+predicate.
 """
 
 from __future__ import annotations
@@ -61,49 +62,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
-
-
-#: Edge of the square blocks ``mirror_columns`` copies: a block and its
-#: transposed source (64 KiB each) stay in cache together.
-_MIRROR_BLOCK = 64
-
-
-def hermitian_mirror(m: np.ndarray) -> np.ndarray:
-    """Make ``m`` the full Hermitian matrix of its lower triangle, in place;
-    returns ``m``.
-
-    The upper triangle is overwritten with the conjugate transpose of the
-    strict lower triangle and diagonal imaginary parts are dropped; the
-    lower triangle passes through bit-identically, which makes the
-    operation idempotent.  It is ``mirror_columns`` over every column.
-    """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"hermitian_mirror needs a square matrix, got {m.shape}")
-    mirror_columns(m, 0, m.shape[0])
-    return m
-
-
-def mirror_columns(m: np.ndarray, c0: int, c1: int) -> None:
-    """``hermitian_mirror`` of the square ``m`` on columns [c0, c1) only:
-    their strict upper elements get the conjugates of the matching lower
-    ones, and their diagonal elements an imaginary part of +0.0.
-
-    The columns are filled one ``_MIRROR_BLOCK`` square at a time from
-    the transposed source block, so the working set beyond ``m`` stays at
-    one diagonal block's indices.  Every element written is one exact
-    copy or sign flip, so any split of the columns gives the same bits.
-    """
-    b = _MIRROR_BLOCK
-    whole = np.triu_indices(b, k=1)
-    for j0 in range(c0, c1, b):
-        j1 = min(j0 + b, c1)
-        for i0 in range(0, j0, b):
-            i1 = min(i0 + b, j0)
-            np.conj(m[j0:j1, i0:i1].T, out=m[i0:i1, j0:j1])
-        blk = m[j0:j1, j0:j1]
-        iu = whole if j1 - j0 == b else np.triu_indices(j1 - j0, k=1)
-        blk[iu] = np.conj(blk.T[iu])
-        np.fill_diagonal(blk.imag, 0)
 
 
 def hermitian_defect(m: np.ndarray):

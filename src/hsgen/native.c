@@ -251,12 +251,12 @@ void tile_update(idx m, idx n, idx k, int nterms,
 
 /* ---------------------------------------------------------------------------
    The Hermitian mirror: a build's closing one, and herm(T) in the per-atom
-   loops, as tril then the mirror of all its columns. */
+   loops (herm_product). */
 
 #define MB 16 /* the edge of a copied block: it and its source fit in L1 */
 
 /* Columns [c0, c1) of the square c's Hermitian mirror, as
-   matcore.mirror_columns makes them: element (i, j) above the diagonal
+   kernels._mirror_columns makes them: element (i, j) above the diagonal
    gets the conjugate of (j, i), and a diagonal element's imaginary part
    +0.0.  Each MB-column block is filled MB rows at a time from its
    transposed source block.  Copies and sign flips are exact, so any split
@@ -332,6 +332,15 @@ static void tril(idx n, struct operand t, double *w)
             w[0] = i >= j ? x[0] : 0.0;
             w[1] = i >= j ? x[1] : 0.0;
         }
+}
+
+/* HEMM: c <- alpha*herm(T) R + beta*c, herm(T) formed in w by tril and the mirror. */
+static void herm_product(idx n, idx m, struct operand t, double *w, struct operand r,
+                         double alpha, int beta, double *c, idx sc0, idx sc1, double *tiles)
+{
+    tril(n, t, w);
+    mirror_columns(w, 1, n, 0, n);
+    product(n, m, (struct operand){w, 1, n}, 0, 0, r, alpha, beta, c, sc0, sc1, tiles);
 }
 
 /* The lower Cholesky factor of t's lower triangle, into the column-major
@@ -417,10 +426,8 @@ void loop1_atoms(idx count, idx n, idx m, const double *tab, idx taa, idx ta0, i
         product(n, m, (struct operand){h.x, h.s1, h.s0}, 1, 0, block(a, aa, a0, a1, i), 1.0, 0,
                 ci, c0, c1, tiles);
         const double mid = now();
-        tril(n, block(t, ta, t0, t1, i), w);
-        mirror_columns(w, 1, n, 0, n);
-        product(n, m, (struct operand){w, 1, n}, 0, 0, block(b, ba, b0, b1, i), 0.5, 1, ci, c0,
-                c1, tiles);
+        herm_product(n, m, block(t, ta, t0, t1, i), w, block(b, ba, b0, b1, i), 0.5, 1, ci, c0, c1,
+                     tiles);
         seconds[2 * i] = mid - start;
         seconds[2 * i + 1] = now() - mid;
     }
@@ -449,10 +456,7 @@ void loop2_atoms(idx count, idx n, idx m, const int *info,
                     tiles);
             ys++;
         } else {
-            tril(n, ti, w);
-            mirror_columns(w, 1, n, 0, n);
-            product(n, m, (struct operand){w, 1, n}, 0, 0, ai, 1.0, 0, x + 2 * xs * xa, x0, x1,
-                    tiles);
+            herm_product(n, m, ti, w, ai, 1.0, 0, x + 2 * xs * xa, x0, x1, tiles);
             xs++;
         }
         seconds[2 * i] = mid - start;

@@ -12,7 +12,7 @@ fixes).  ``potrf_atoms``, ``loop1_atoms`` and ``loop2_atoms`` run a
 build's per-atom loops over a chunk's stacks in one call each, with the
 same bits as the numpy engine's loops; they are the engine's only POTRF,
 HEMM and TRMM.  ``mirror_columns`` fills a range of columns of a
-build's Hermitian mirror as ``matcore.mirror_columns`` does.  C times
+build's Hermitian mirror as ``kernels._mirror_columns`` does.  C times
 each kernel with ``clock_gettime(CLOCK_MONOTONIC)`` and returns the
 seconds for the ledger.
 
@@ -199,7 +199,7 @@ def loop2_atoms(info, t, a, y, x):
 
 def mirror_columns(c, c0: int, c1: int) -> None:
     """Columns [c0, c1) of the square ``c``'s Hermitian mirror, in place,
-    bit-identical to ``matcore.mirror_columns``."""
+    bit-identical to ``kernels._mirror_columns``."""
     _lib.mirror_columns(_address(c), *_strides(c), c0, c1)
 
 

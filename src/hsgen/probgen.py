@@ -61,10 +61,10 @@ class ProblemSpec:
         int_fields(self, seed=0)
         if self.seed >= 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.nonhpd_fraction, numbers.Real)
-                and 0.0 <= self.nonhpd_fraction <= 1.0):
-            raise InputError(
-                f"nonhpd_fraction must be a number in [0, 1], got {self.nonhpd_fraction!r}")
+        f = self.nonhpd_fraction  # a bool is no number here, though Python counts True as 1
+        if isinstance(f, (bool, np.bool_)) or not (isinstance(f, numbers.Real) and 0 <= f <= 1):
+            raise InputError(f"nonhpd_fraction must be a number in [0, 1], got {f!r}")
+        object.__setattr__(self, "nonhpd_fraction", float(f))
 
 
 @dataclass

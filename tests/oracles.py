@@ -223,7 +223,7 @@ def potrf_loops(t):
 def mirror_triu_indices(m):
     """Full Hermitian matrix from m's lower triangle by one fancy-indexed
     assignment over all upper-triangle indices; the panel-wise
-    hsgen.matcore.hermitian_mirror must match it bit for bit."""
+    hsgen.kernels.hermitian_mirror must match it bit for bit."""
     n = m.shape[0]
     out = np.array(m, dtype=np.complex128, order="F", copy=True)
     iu = np.triu_indices(n, k=1)

@@ -3,14 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsgen import kernels, probgen
+from hsgen import builder, kernels, probgen
 from hsgen.builder import build_hs
-from hsgen.kernels import SECTIONS, ExecPolicy, KernelKind, gemm, loop2, potrf_route
+from hsgen.kernels import (
+    SECTIONS,
+    ExecPolicy,
+    KernelKind,
+    gemm,
+    hermitian_mirror,
+    loop2,
+    potrf_route,
+)
 from hsgen.matcore import (
     Dims,
     InvariantError,
     frobenius,
-    hermitian_mirror,
     is_hermitian,
     rel_frob_error,
     zeros,
@@ -306,6 +313,25 @@ def test_build_hs_rejects_invalid_instance():
     p.t_aa[0][0, 1] += 1.0
     with pytest.raises(InvariantError):
         build_hs(p)
+
+
+@pytest.mark.parametrize("engine", kernels.ENGINES)
+def test_a_build_enters_the_driver_once_per_heavy_record(monkeypatch, engine):
+    # the engines are leaves: their per-atom loops reach neither the tiled
+    # driver nor the public mirror, whatever the engine
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+    for name in ("run_partitioned", "hermitian_mirror"):
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    monkeypatch.setattr(builder, "run_partitioned", kernels.run_partitioned)
+    p = generate(ProblemSpec(Dims(3, 4, 40), seed=5, nonhpd_fraction=1 / 3))
+    out = build_hs(p, ExecPolicy(workers=2, tile=32, engine=engine))
+    heavy = [r.section for r in out.ledger if r.section in ("H1", "S1", "S2", "H2", "H3")]
+    assert heavy == ["H1", "S1", "S2", "H2", "H3"]
+    assert calls == ["run_partitioned"] * 5 + ["hermitian_mirror"]
 
 
 def test_build_with_an_integral_float_policy_is_bit_identical():

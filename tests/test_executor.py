@@ -530,13 +530,13 @@ def test_workers_share_only_as_many_tiles_as_there_are(monkeypatch, fresh_pools)
     a = random_complex(np.random.default_rng(50), 4, 64)
     c1, c4 = zeros(64, 64), zeros(64, 64)
     run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c1), _policy(1))
-    kernels.mirror([c1], 1)
+    kernels.hermitian_mirror(c1, workers=1)
     assert fresh_pools == {}
     threads = threading.active_count()
     res = run_partitioned(KernelKind.HERK, (1.0, a, 0.0, c4), _policy(4))
     assert res.n_tiles == 3 and list(fresh_pools) == [3]
     assert 1 <= threading.active_count() - threads <= 2
-    kernels.mirror([c4], 4)
+    kernels.hermitian_mirror(c4, workers=4)
     assert c1.tobytes() == c4.tobytes()
 
 

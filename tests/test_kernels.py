@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from hsgen.kernels import (
     gemm,
     her2k,
     herk,
+    hermitian_mirror,
     loop1,
     loop2,
     potrf_route,
@@ -24,7 +26,6 @@ from hsgen.matcore import (
     DimensionError,
     Dims,
     InputError,
-    hermitian_mirror,
     rel_frob_error,
     zeros,
 )
@@ -587,3 +588,82 @@ def test_ledger_totals_and_record_validation():
         FlopRecord(KernelKind.GEMM, (2, 3), 0.0, "Loop 1")
     with pytest.raises(InputError):
         FlopRecord(KernelKind.GEMM, (2, 3, 4), -1.0, "Loop 1")
+
+
+# ---------------------------------------------------------------------------
+# the engines: one interface, and a mirror that checks before it writes
+
+_ENTRY_POINTS = ("tile_update", "potrf_atoms", "loop1_atoms", "loop2_atoms", "mirror_columns")
+
+
+def test_the_engines_have_one_interface():
+    native, numpy = _engine("native"), _engine("numpy")
+    assert set(vars(numpy)) == set(_ENTRY_POINTS)
+    for name in _ENTRY_POINTS:
+        params = [list(inspect.signature(getattr(e, name)).parameters) for e in (native, numpy)]
+        assert params[0] == params[1], name
+
+
+def _unmirrorable(kind):
+    """A matrix the mirror must refuse, and the buffer it lives in; every
+    one has a lower triangle to copy and a zero upper one, so a write
+    shows."""
+    low = np.tril(np.arange(1, 10).reshape(3, 3) * (1 + 2j))
+    if kind == "float64":
+        m = low.real.copy()
+    elif kind == "int64":
+        m = low.real.astype(np.int64)
+    elif kind == "complex64":
+        m = low.astype(np.complex64)
+    elif kind == "read-only-complex128":
+        m = low.copy()
+        m.flags.writeable = False
+    elif kind == "24-byte-stride":
+        buf = np.zeros(14, dtype=np.complex128)
+        m = np.lib.stride_tricks.as_strided(buf, (3, 3), (24, 72))
+        m[...] = low
+        return m, buf
+    else:
+        m = np.concatenate([low, low[:1]])  # 4 x 3
+    return m, m
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("float64", InputError), ("int64", InputError), ("complex64", InputError),
+    ("read-only-complex128", InputError), ("24-byte-stride", InputError),
+    ("not-square", DimensionError),
+])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_rejected_mirror_writes_nothing(engine, kind, error):
+    # the refused matrix comes after a good one: neither may be written
+    good = random_complex(np.random.default_rng(12), 4, 4)
+    bad, buf = _unmirrorable(kind)
+    before = good.tobytes(), buf.tobytes()
+    with pytest.raises(error):
+        hermitian_mirror(good, bad, engine=engine)
+    assert (good.tobytes(), buf.tobytes()) == before
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_mirror_returns_its_first_matrix_and_fills_them_all(engine):
+    rng = np.random.default_rng(13)
+    m, more = random_complex(rng, 70, 70), random_complex(rng, 300, 300)
+    expected = oracles.mirror_triu_indices(m).tobytes(), oracles.mirror_triu_indices(more).tobytes()
+    assert hermitian_mirror(m, more, workers=2, engine=engine) is m
+    assert (m.tobytes(), more.tobytes()) == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_mirror_peak_stays_near_the_matrix_size(engine):
+    m = random_complex(np.random.default_rng(4), 1024, 1024)
+    _engine(engine)  # the native library is loaded outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        hermitian_mirror(m, engine=engine)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # full-size upper-triangle index arrays and gathers peaked at 2.5x
+    assert peak <= 1.5 * m.nbytes

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hsgen.kernels import hermitian_mirror
 from hsgen.matcore import (
     DimensionError,
     Dims,
     InputError,
     hermitian_defect,
-    hermitian_mirror,
     is_hermitian,
     rel_frob_error,
     zeros,

@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hsgen.probgen import (
     preset_dims,
     validate_instance,
 )
+from hsgen.storage import save_instance
 
 TABLE1 = {
     ("NaCl", 2.5): (512, 49, 2256),
@@ -55,6 +59,20 @@ def test_spec_validation():
     spec = ProblemSpec(d, seed=3.0)
     assert spec.seed == 3 and type(spec.seed) is int
     assert ProblemSpec(d, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_nonhpd_fraction_is_stored_as_a_float_and_never_a_bool(tmp_path):
+    d = Dims(2, 3, 4)
+    for flag in (True, False, np.True_):
+        with pytest.raises(InputError):
+            ProblemSpec(d, nonhpd_fraction=flag)
+    for value in (0, 1, np.float32(0.5), Fraction(1, 4)):
+        spec = ProblemSpec(d, nonhpd_fraction=value)
+        assert type(spec.nonhpd_fraction) is float and spec.nonhpd_fraction == value
+    spec = ProblemSpec(d, seed=2, nonhpd_fraction=1)
+    save_instance(generate(spec), tmp_path, seed=spec.seed, nonhpd_fraction=spec.nonhpd_fraction)
+    written = json.loads((tmp_path / "manifest.json").read_text())["nonhpd_fraction"]
+    assert type(written) is float and written == 1.0
 
 
 def _instances_equal(p, q):
