@@ -668,8 +668,11 @@ def _mirror_columns(c, c0: int, c1: int) -> None:
     """``hermitian_mirror`` of the square ``c`` on columns [c0, c1) only,
     filled one ``_MIRROR_BLOCK`` square at a time from the transposed
     source block, so the working set beyond ``c`` stays at one diagonal
-    block's indices.  Every element written is one exact copy or sign
-    flip, so any split of the columns gives the same bits."""
+    block's indices.  ``native.c``'s ``mirror_columns`` visits the same
+    elements in another order (8-column strips, row by row, so that each
+    source run is contiguous) and is tested against this one.  Every
+    element written is one exact copy or sign flip, so any split of the
+    columns, and either order, gives the same bits."""
     b = _MIRROR_BLOCK
     whole = np.triu_indices(b, k=1)
     for j0 in range(c0, c1, b):

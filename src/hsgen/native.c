@@ -251,21 +251,27 @@ void tile_update(idx m, idx n, idx k, int nterms,
 
 /* ---------------------------------------------------------------------------
    The Hermitian mirror: a build's closing one, and herm(T) in the per-atom
-   loops (herm_product). */
+   loops (herm_product).  It only moves memory.  The columns of an n_g 1536
+   output are 24 KiB apart, a multiple of 4 KiB, so one row of every column
+   falls in the same L1 set: a square block copied column by column from
+   its transposed source evicts its own lines before it is done with them.
+   A strip of MS columns written row by row keeps MS destination lines in
+   use, fewer than an L1 set's ways, and reads each source run once; no
+   hardware prefetcher follows the source's stride, so the copy prefetches
+   the next block's runs itself. */
 
-#define MB 16 /* the edge of a copied block: it and its source fit in L1 */
+#define MB 16 /* the edge of a block that the scalar loop copies */
+#define MW 64 /* the width of a destination block of a column-major c */
+#define MS 8  /* the width of a strip of it */
 
-/* Columns [c0, c1) of the square c's Hermitian mirror, as
-   kernels._mirror_columns makes them: element (i, j) above the diagonal
-   gets the conjugate of (j, i), and a diagonal element's imaginary part
-   +0.0.  Each MB-column block is filled MB rows at a time from its
-   transposed source block.  Copies and sign flips are exact, so any split
-   of the columns gives the same bits. */
-void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
+/* Rows [r0, j) of each column j in [c0, c1) of the mirror through any
+   strides, MB x MB blocks at a time: the whole mirror of a strided c, and
+   the diagonal blocks and leftover columns of a column-major one. */
+static void mirror_scalar(double *c, idx s0, idx s1, idx r0, idx c0, idx c1)
 {
     for (idx j0 = c0; j0 < c1; j0 += MB) {
         const idx j1 = j0 + MB < c1 ? j0 + MB : c1;
-        for (idx i0 = 0; i0 < j1 - 1; i0 += MB)
+        for (idx i0 = r0; i0 < j1 - 1; i0 += MB)
             for (idx j = j0; j < j1; j++) {
                 const idx i1 = i0 + MB < j ? i0 + MB : j;
                 double *col = c + 2 * j * s1;
@@ -275,9 +281,84 @@ void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
                     col[2 * i * s0 + 1] = -row[2 * i * s1 + 1];
                 }
             }
-        for (idx j = j0; j < j1; j++)
-            c[2 * j * (s0 + s1) + 1] = 0.0;
     }
+}
+
+/* Source runs that a block prefetches: `count` columns from x on, the same
+   `rows` rows of each. */
+struct runs {
+    const double *x;
+    idx count, rows;
+};
+
+/* Rows [i0, i1) of columns [j0, j1) of the mirror of a column-major c, all
+   above the diagonal, j1 - j0 a multiple of MS: one MS-column strip at a
+   time, row by row, so each source run c[j .. j + MS, i] is 128
+   contiguous bytes read once.  Every two runs copied prefetch three lines
+   of the next block's runs, run after run, three quarters of a whole
+   block: on a 2-core x86-64 host, two lines a run (the whole block) were
+   faster at n 1536 when other load contended for memory but slower at n
+   1024 when none did, and one line a run the reverse. */
+static void mirror_strips(double *c, idx s1, idx i0, idx i1, idx j0, idx j1, struct runs next)
+{
+    const idx lines = (next.rows + 3) / 4;  /* 64-byte lines of 4 complex elements */
+    const idx runs = lines > 0 ? next.count : 0;
+    idx run = 0, line = 0;
+    for (idx j = j0; j < j1; j += MS)
+        for (idx i = i0; i < i1; i++) {
+            const double *src = c + 2 * (j + i * s1);
+            double *dst = c + 2 * (i + j * s1);
+            for (int k = (int)(i & 1); k < 2 && run < runs; k++) {
+                __builtin_prefetch(next.x + 2 * run * s1 + 8 * line);
+                if (++line == lines) {
+                    line = 0;
+                    run++;
+                }
+            }
+            for (idx q = 0; q < MS; q++) {
+                dst[2 * q * s1] = src[2 * q];
+                dst[2 * q * s1 + 1] = -src[2 * q + 1];
+            }
+        }
+}
+
+/* The end of the whole strips of columns [j0, j1). */
+static idx strips_end(idx j0, idx j1)
+{
+    return j0 + (j1 - j0) / MS * MS;
+}
+
+/* Columns [c0, c1) of the square c's Hermitian mirror, as
+   kernels._mirror_columns makes them: element (i, j) above the diagonal
+   gets the conjugate of (j, i), and a diagonal element's imaginary part
+   +0.0.  A column-major c is filled MW columns at a time, MW rows above
+   the diagonal block at a time by mirror_strips, each block prefetching
+   the next one's source: MW rows further down the same columns, or the
+   first rows of the next MW columns.  The diagonal blocks and the columns
+   left over from whole strips go through mirror_scalar.  Copies and sign
+   flips are exact, so any split of the columns, and either path, gives
+   the same bits. */
+void mirror_columns(double *c, idx s0, idx s1, idx c0, idx c1)
+{
+    if (s0 != 1)
+        mirror_scalar(c, s0, s1, 0, c0, c1);
+    else
+        for (idx j0 = c0; j0 < c1; j0 += MW) {
+            const idx j1 = j0 + MW < c1 ? j0 + MW : c1, js = strips_end(j0, j1);
+            for (idx i0 = 0; i0 < j0; i0 += MW) {
+                const idx i1 = i0 + MW < j0 ? i0 + MW : j0;
+                struct runs next = {c + 2 * (j0 + i1 * s1), (i1 + MW < j0 ? i1 + MW : j0) - i1,
+                                    js - j0};
+                if (i1 == j0 && j1 < c1)
+                    next = (struct runs){c + 2 * j1, MW < j1 ? MW : j1,
+                                         strips_end(j1, j1 + MW < c1 ? j1 + MW : c1) - j1};
+                mirror_strips(c, s1, i0, i1, j0, js, next);
+            }
+            mirror_scalar(c, 1, s1, j0, j0, js);
+            mirror_scalar(c, 1, s1, 0, js, j1);
+        }
+    for (idx j = c0; j < c1; j++)
+        c[2 * j * (s0 + s1) + 1] = 0.0;
 }
 
 /* ---------------------------------------------------------------------------

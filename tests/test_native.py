@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgen import cli, kernels, native
-from hsgen.kernels import hermitian_mirror
 from hsgen.matcore import DimensionError, Dims, InputError, zeros
 from hsgen.probgen import ProblemSpec, generate
 from hsgen.storage import save_instance
@@ -342,31 +341,38 @@ def test_the_chunk_calls_stay_inside_atoms_scratch(count, n_l, n_g, seed):
     assert y.tobytes() == want_y.tobytes() and x.tobytes() == want_x.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 768])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 768, 1000, 1536])
 @pytest.mark.parametrize("engine", kernels.ENGINES)
 def test_mirror_columns_equals_hermitian_mirror_bitwise(engine, n):
     # planted -0.0, infinities and NaN: a mirror only copies and flips
-    # signs, so even NaN bytes are fixed; the whole range, a split one in
-    # any order, and a strided view inside a guard-filled buffer, which
-    # keeps every byte outside the view
+    # signs, so even NaN bytes are fixed; against the fancy-indexed oracle,
+    # the whole range, a split one in any order, a row-major copy, and
+    # views inside guard-filled buffers, which keep every byte outside the
+    # view: column-major with padded columns, and strided both ways (up to
+    # n 1000, where its buffer is 96 MB)
     rng = np.random.default_rng(n)
     m = np.asfortranarray(_draw(rng, (n, n), 0.05))
-    expected = hermitian_mirror(m.copy(order="F")).tobytes()
+    expected = oracles.mirror_triu_indices(m).tobytes()
     fill = kernels._engine(engine).mirror_columns
-    whole, split = m.copy(order="F"), m.copy(order="F")
+    whole, split, rows = m.copy(order="F"), m.copy(order="F"), m.copy(order="C")
     fill(whole, 0, n)
+    fill(rows, 0, n)
     cuts = sorted({0, n // 3, n // 2 + 1, n})
     for c0, c1 in reversed(list(zip(cuts, cuts[1:]))):
         fill(split, c0, c1)
-    buf = np.full((2 * n + 1, 3 * n), _GUARD + 0j)
-    view = buf[1::2, ::3]
-    view[...] = m
-    outside = buf.copy()
-    outside[1::2, ::3] = 0
-    fill(view, 0, n)
-    assert whole.tobytes() == split.tobytes() == np.asfortranarray(view).tobytes() == expected
-    buf[1::2, ::3] = 0
-    assert buf.tobytes() == outside.tobytes()
+    assert whole.tobytes() == split.tobytes() == rows.tobytes() == expected
+    buffers = [((n + 3, n + 2), "F", np.s_[1:-2, 1:-1])]
+    if n <= 1000:
+        buffers.append(((2 * n + 1, 3 * n), "C", np.s_[1::2, ::3]))
+    for shape, order, inside in buffers:
+        buf = np.full(shape, _GUARD + 0j, order=order)
+        buf[inside] = m
+        outside = buf.copy(order="A")
+        outside[inside] = 0
+        fill(buf[inside], 0, n)
+        assert buf[inside].tobytes() == expected
+        buf[inside] = 0
+        assert buf.tobytes() == outside.tobytes()
 
 
 @pytest.mark.parametrize("c, error", [
@@ -441,8 +447,10 @@ def test_run_without_the_compiler_exits_2_and_names_it(monkeypatch, fresh_native
 #: GEMM updates at inner dimensions on both sides of the block depth, POTRF
 #: on both sides of the register tile (and a block that fails), and two
 #: chunks of each per-atom loop with a mixed split, the second with
-#: n_l = 260 (two row tiles of the 256 grid), all checked bitwise against
-#: the numpy engine.
+#: n_l = 260 (two row tiles of the 256 grid), and the Hermitian mirror of
+#: a column-major and a row-major matrix below and above its 64-column
+#: blocks and 256-column tasks, all checked bitwise against the numpy
+#: engine.
 _CHILD = """
 import sys
 
@@ -484,7 +492,7 @@ for dims in (Dims(4, 9, 70), Dims(2, 260, 5)):
         kernels.loop2(info, p.t_aa, p.a_blocks, y, x, e)
         outs.append((z.tobytes(), info.tolist(), y.tobytes(), x.tobytes()))
     assert outs[0] == outs[1] and 0 < sum(outs[0][1]) and 0 in outs[0][1], dims
-for n in (1, 70, 300):
+for n in (1, 70, 300, 768, 1000):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     outs = []
     for e in ("native", "numpy"):
