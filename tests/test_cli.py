@@ -1,5 +1,8 @@
+import ctypes
+import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +305,153 @@ def test_failed_run_keeps_earlier_outputs_and_leaves_no_temporaries(tmp_path, mo
     earlier = _tree_bytes(tmp_path)
     assert run_cli("run", "--in", str(inst)) == 1
     assert _tree_bytes(tmp_path) == earlier
+
+
+def _small_instance(inst):
+    assert run_cli("generate", "--na", "2", "--nl", "3", "--ng", "40", "--seed", "5",
+                   "--nonhpd-frac", "0.5", "--out", str(inst)) == 0
+
+
+def _outputs(inst):
+    split = json.loads((inst / "report.json").read_text())["split"]
+    return (inst / "H.hsm").read_bytes(), (inst / "S.hsm").read_bytes(), split
+
+
+def _exchange_works(root):
+    old, new = root / ".probe-old", root / ".probe-new"
+    old.write_bytes(b"old")
+    new.write_bytes(b"new")
+    try:
+        return cli._exchange(new, old) and old.read_bytes() == b"new"
+    finally:
+        old.unlink(missing_ok=True)
+        new.unlink(missing_ok=True)
+
+
+def _record_replaces(monkeypatch, root):
+    """Record ``(destination, it existed)`` for every ``os.replace`` into ``root``
+    (the native engine's first build also replaces into its cache)."""
+    calls, replace = [], os.replace
+
+    def recorded(src, dst):
+        if Path(dst).parent == root:
+            calls.append((Path(dst), os.path.lexists(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    return calls
+
+
+def test_rerun_writes_the_bytes_of_a_fresh_run_and_leaves_no_temporaries(tmp_path):
+    inst, fresh = tmp_path / "inst", tmp_path / "fresh"
+    _small_instance(inst)
+    shutil.copytree(inst, fresh)
+    for _ in range(2):
+        assert run_cli("run", "--in", str(inst)) == 0
+    assert run_cli("run", "--in", str(fresh)) == 0
+    assert _outputs(inst) == _outputs(fresh)
+    assert not list(inst.glob(".*.tmp"))
+
+
+def test_run_replaces_a_symlinked_output_and_keeps_its_target(tmp_path):
+    inst, target = tmp_path / "inst", tmp_path / "target"
+    _small_instance(inst)
+    target.write_bytes(b"not an output")
+    (inst / "H.hsm").symlink_to(target)
+    assert run_cli("run", "--in", str(inst)) == 0
+    assert not (inst / "H.hsm").is_symlink() and read_matrix(inst / "H.hsm").shape == (40, 40)
+    assert target.read_bytes() == b"not an output"
+    assert not list(inst.glob(".*.tmp"))
+
+
+def test_a_rerun_replaces_no_existing_output(tmp_path, monkeypatch):
+    """Renaming over an existing output makes ext4 flush it; a rerun exchanges."""
+    if not _exchange_works(tmp_path):
+        pytest.skip("renameat2 cannot exchange here")
+    inst = tmp_path / "inst"
+    _small_instance(inst)
+    calls = _record_replaces(monkeypatch, inst)
+    assert run_cli("run", "--in", str(inst)) == 0
+    assert sorted(p.name for p, existed in calls) == ["H.hsm", "S.hsm", "report.json"]
+    calls.clear()
+    assert run_cli("run", "--in", str(inst)) == 0
+    assert calls == []
+
+
+def test_a_failed_removal_exchanges_the_outputs_back(tmp_path, monkeypatch, capsys):
+    if not _exchange_works(tmp_path):
+        pytest.skip("renameat2 cannot exchange here")
+    inst = tmp_path / "inst"
+    _small_instance(inst)
+    assert run_cli("run", "--in", str(inst)) == 0
+    (inst / "H.hsm").write_bytes(b"earlier H")
+    earlier = _tree_bytes(tmp_path)
+    capsys.readouterr()
+
+    unlink, failed = os.unlink, []
+
+    def unlink_or_fail(path, *args, **kwargs):
+        name = Path(path).name
+        if name.startswith(".H.hsm.") and name.endswith(".tmp") and not failed:
+            failed.append(name)  # only while it names the swapped-out H
+            raise OSError(errno.EIO, "Input/output error", str(path))
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", unlink_or_fail)
+    assert run_cli("run", "--in", str(inst)) == 1
+    assert failed and capsys.readouterr().err.startswith("error: cannot write outputs")
+    assert _tree_bytes(tmp_path) == earlier
+
+
+def test_a_directory_that_appears_after_the_check_is_exchanged_back(tmp_path):
+    if not _exchange_works(tmp_path):
+        pytest.skip("renameat2 cannot exchange here")
+    out = tmp_path / "H.hsm"
+    out.write_bytes(b"earlier H")
+    (tmp_path / "report.json").write_text("earlier report")
+    earlier = _tree_bytes(tmp_path)
+
+    def write_then_race(p):
+        p.write_text("new report")
+        out.unlink()
+        out.mkdir()  # after _write_all's is_dir check
+        (out / "kept").write_bytes(b"kept")
+
+    with pytest.raises(StorageError, match="cannot write outputs"):
+        cli._write_all([(out, lambda p: p.write_bytes(b"new H")),
+                        (tmp_path / "report.json", write_then_race)])
+    # removing the swapped-out directory failed first, so it and the report's
+    # old file are back at their paths, and no temporary is left
+    assert _tree_bytes(tmp_path) == {"H.hsm/kept": b"kept",
+                                     "report.json": earlier["report.json"]}
+
+
+def _einval(*args):
+    ctypes.set_errno(errno.EINVAL)
+    return -1
+
+
+@pytest.mark.parametrize("renameat2", [None, _einval], ids=["no-binding", "einval"])
+def test_without_an_exchange_os_replace_writes_the_same_outputs(tmp_path, monkeypatch,
+                                                                renameat2):
+    inst = tmp_path / "inst"
+    _small_instance(inst)
+    assert run_cli("run", "--in", str(inst)) == 0
+    exchanged = _outputs(inst)
+
+    monkeypatch.setattr(cli, "_RENAMEAT2", renameat2)
+    calls = _record_replaces(monkeypatch, inst)
+    assert run_cli("run", "--in", str(inst)) == 0
+    assert _outputs(inst) == exchanged
+    assert sorted(p.name for p, existed in calls if existed) == ["H.hsm", "S.hsm",
+                                                                 "report.json"]
+    assert not list(inst.glob(".*.tmp"))
+
+    # and a failed run still keeps the earlier outputs and leaves no temporary
+    (tmp_path / "failing").mkdir()
+    with pytest.MonkeyPatch.context() as inner:
+        test_failed_run_keeps_earlier_outputs_and_leaves_no_temporaries(
+            tmp_path / "failing", inner)
 
 
 def _out_of_memory(*args, **kwargs):
